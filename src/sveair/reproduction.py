@@ -35,7 +35,9 @@ class R0Breakdown:
     r_i: float
     prefactor: float
     r0: float
-    truncation_tail: float  # bound on the relative mass ignored beyond theta_max
+    # log10 of the bound on the relative mass ignored beyond theta_max (a
+    # logarithm because the bound itself underflows for realistic rates).
+    log10_truncation_tail: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,17 +116,23 @@ def compute_R0(params: ParameterSet, blocks: _Kernels | None = None) -> R0Breakd
     """R0 with its factors and the theta_max truncation bound.
 
     The truncated tails of all reproduction integrals are bounded relative
-    to the computed values by exp(-mu * theta_max) (every integrand carries
-    at least the demographic survival factor).
+    to the computed values by exp(-r_min * theta_max): every integrand
+    carries the survival factor of its disease stage, and r_min is the
+    smallest age-minimum of the three stage exit rates (death included).
+    The bound is reported as its base-10 logarithm.
     """
     blocks = kernels(params) if blocks is None else blocks
     r_a = compute_RA(params, blocks)
     r_i = compute_RI(params, blocks)
     prefactor = r0_prefactor(params)
-    tail = math.exp(-params.mu * params.grid.theta_max)
+    r_min = min(
+        float(params.exit_rate_e.min()),
+        float(params.exit_rate_a.min()),
+        float(params.exit_rate_i.min()),
+    )
     return R0Breakdown(
         r_a=r_a, r_i=r_i, prefactor=prefactor, r0=prefactor * (r_a + r_i),
-        truncation_tail=tail,
+        log10_truncation_tail=-r_min * params.grid.theta_max / math.log(10.0),
     )
 
 

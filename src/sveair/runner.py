@@ -15,6 +15,7 @@ identical configs give byte-identical files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -98,7 +99,8 @@ class ExitReport:
         bd = self.breakdown
         out = [
             f"r0 = {bd.r0:.6g} (r_a={bd.r_a:.6g}, r_i={bd.r_i:.6g}, "
-            f"prefactor={bd.prefactor:.6g}; truncation tail < {bd.truncation_tail:.3g})",
+            f"prefactor={bd.prefactor:.6g}; "
+            f"truncation tail < 1e{math.ceil(bd.log10_truncation_tail)})",
             f"beta* = {self.beta_star:.6g}",
         ]
         for run in self.runs:

@@ -1,21 +1,46 @@
-"""Time stepper for the scaled system: forward Euler for S and V, upwind
-shift along characteristics for the age densities, rectangle-rule renewal
+"""Time stepper for the scaled system: forward Euler for S and V, transport
+along characteristics for the age densities, rectangle-rule renewal
 integrals for the theta = 0 boundaries.
 
-The time step equals the age step h, so each density update is a pure shift
-to the next age node times the explicit decay factor (1 - h * exit_rate).
-Boundary values feeding a step are always evaluated on the previous state
-(explicit coupling). Mass reaching the oldest node leaves the system
-(absorbing boundary at theta_max).
+The time step equals the age step h, so one step moves each density one
+node along its characteristic and multiplies it by the explicit decay
+factor: x^{n+1}[j+1] = x^n[j] * (1 - h * exit_rate[j]). Boundary values
+feeding a step are always evaluated on the previous state (explicit
+coupling). Mass reaching the oldest node leaves the system (absorbing
+boundary at theta_max).
+
+The densities are kept in a moving frame instead of being shifted in
+memory. The age axis is cut into blocks of L nodes, and Q[c, j] is the
+product of compartment c's decay factors from the start of node j's block
+up to node j - 1 (so Q = 1 at every block start). The three densities live
+in one (3, J + slack) buffer as u = x / Q. Within a block u is constant
+along a characteristic, so a step decrements the start index of the J-node
+window, multiplies the cells that have just crossed into the next block
+(at most J / L per compartment) by the product over the block they left,
+and writes the three boundary values at window position 0. When the slack
+runs out, the window is copied back to the end of the buffer. L is the
+largest block length for which the smallest decay factor, raised to the
+power L, stays above 1e-250, so Q never underflows; in exchange a density
+must stay below about 1e58 to be representable as u.
+
+Each step reads the window once: three matrix-vector products against the
+kernel rows weight * Q give the force of infection, the two boundary
+integrals and the recovered flux together. Sample masses are
+h * (Q[c] @ u[c]), and the densities are rebuilt as Q * u only for the
+observer, the snapshots and the final state. At t = 0 the functionals are
+instead the unscaled dot products of the given densities, the arithmetic of
+`force_of_infection` and `boundary_values` (and of the renewal oracle's
+first step), so every reader of an initial state gets the same numbers, not
+numbers that agree to round-off.
 
 With nonnegative state and the setup stability bound h * max(exit rate) < 1
 the density updates cannot go negative. The S and V updates can, when the
 force of infection spikes above ~1/h, so their outflows are limited: if one
 step would remove more than the pool holds, every outflow of that pool
 (including the infection flux feeding the latent boundary) is scaled down
-by phi = 1/(h * total rate). The limiter keeps the discrete mass ledger
-exact, reduces to the plain explicit update whenever h * total rate <= 1,
-and every limited step is counted.
+by phi = 1/(h * total rate), which empties the pool exactly. The limiter
+keeps the discrete mass ledger exact, reduces to the plain explicit update
+whenever h * total rate <= 1, and every limited step is counted.
 """
 
 from __future__ import annotations
@@ -115,10 +140,33 @@ class SimulationResult:
     clamped_mass: float
 
 
+# Steps between copy-backs of the moving window: a copy-back is one pass
+# over the window, so it is spread over this many steps, for this many
+# spare cells per compartment.
+_SLACK = 512
+
+# Lower bound on the product of decay factors over one age block.
+_BLOCK_FLOOR = 1e-250
+
+
+def _functionals(params: ParameterSet, s, v, e, a, i):
+    """(beta, eps, alpha, iota, recovered flux) of raw state arrays, as the
+    unscaled rectangle-rule dot products h * (weight @ density)."""
+    h = params.grid.h
+    kv, qv, xi = params.k.values, params.q.values, params.xi.values
+    beta = h * float(params.beta_a.values @ a + params.beta_i.values @ i)
+    eps = beta * (s + (1.0 - params.epsilon) * v)
+    alpha = h * float((kv * qv) @ e)
+    iota = h * float((kv * (1.0 - qv)) @ e + (params.chi.values * (1.0 - xi)) @ a)
+    recovered = h * float((params.gamma_a.values * xi) @ a + params.gamma_i.values @ i)
+    return beta, eps, alpha, iota, recovered
+
+
 def force_of_infection(state: State, params: ParameterSet) -> float:
-    """Force of infection: h * sum(beta_a * a + beta_i * i) over all nodes."""
-    values = params.beta_a.values * state.a.values + params.beta_i.values * state.i.values
-    return rect_integral(values, params.grid)
+    """Force of infection: h * (beta_a @ a + beta_i @ i) over all nodes."""
+    return _functionals(
+        params, state.s, state.v, state.e.values, state.a.values, state.i.values
+    )[0]
 
 
 def boundary_values(state: State, params: ParameterSet) -> BoundaryValues:
@@ -128,15 +176,8 @@ def boundary_values(state: State, params: ParameterSet) -> BoundaryValues:
     deliberate naming split between the vaccine effectiveness epsilon and
     the boundary density eps.
     """
-    beta = force_of_infection(state, params)
-    eps = beta * (state.s + (1.0 - params.epsilon) * state.v)
-    grid = params.grid
-    kv, qv = params.k.values, params.q.values
-    alpha = rect_integral(kv * qv * state.e.values, grid)
-    iota = rect_integral(
-        kv * (1.0 - qv) * state.e.values
-        + params.chi.values * (1.0 - params.xi.values) * state.a.values,
-        grid,
+    _, eps, alpha, iota, _ = _functionals(
+        params, state.s, state.v, state.e.values, state.a.values, state.i.values
     )
     return BoundaryValues(eps=eps, alpha=alpha, iota=iota)
 
@@ -151,129 +192,50 @@ def aggregate(state: State, n0: float) -> Aggregates:
     return Aggregates(e_tot, a_tot, i_tot, removed, n0)
 
 
-class _Precomputed:
-    """Step-invariant arrays and scalars of the explicit scheme."""
+def _block_decay(rates, h: float, worst: float):
+    """Block length, Q and the block products of the moving frame.
 
-    def __init__(self, params: ParameterSet):
-        grid = params.grid
-        h = grid.h
-        worst = max(
-            float(params.exit_rate_e.max()),
-            float(params.exit_rate_a.max()),
-            float(params.exit_rate_i.max()),
-        )
-        if h * worst >= 1.0:
-            raise StabilityError(
-                f"h * max exit rate = {h * worst:.3g} >= 1; "
-                f"reduce h below {1.0 / worst:.3g} days"
-            )
-        self.grid = grid
-        self.h = h
-        # Decay factors for the shift e^{n+1}[j+1] = e^n[j] * (1 - h*rate[j]),
-        # already restricted to the source nodes j <= J-1.
-        self.decay_e = (1.0 - h * params.exit_rate_e)[:-1]
-        self.decay_a = (1.0 - h * params.exit_rate_a)[:-1]
-        self.decay_i = (1.0 - h * params.exit_rate_i)[:-1]
-        self.beta_a = params.beta_a.values
-        self.beta_i = params.beta_i.values
-        self.kq = params.k.values * params.q.values
-        self.k1q = params.k.values * (1.0 - params.q.values)
-        self.chi_branch = params.chi.values * (1.0 - params.xi.values)
-        self.recov_a = params.gamma_a.values * params.xi.values
-        self.recov_i = params.gamma_i.values
-        self.mu = params.mu
-        self.mu_n0 = params.mu * params.n0
-        self.p = params.p
-        self.zeta_eps = params.zeta * params.epsilon
-        self.one_minus_eps = 1.0 - params.epsilon
-
-    def functionals(self, s, v, e, a, i):
-        """(beta, eps, alpha, iota) of raw state arrays."""
-        h = self.h
-        beta = h * (self.beta_a @ a + self.beta_i @ i)
-        eps = beta * (s + self.one_minus_eps * v)
-        alpha = h * (self.kq @ e)
-        iota = h * (self.k1q @ e + self.chi_branch @ a)
-        return beta, eps, alpha, iota
-
-
-class _ClampCounter:
-    __slots__ = ("events", "mass")
-
-    def __init__(self):
-        self.events = 0
-        self.mass = 0.0
-
-    def scalar(self, value: float) -> float:
-        if value < 0.0:
-            self.events += 1
-            self.mass += -value
-            return 0.0
-        return value
-
-    def arrays(self, h: float, *arrays: np.ndarray) -> None:
-        for arr in arrays:
-            neg = arr < 0.0
-            if neg.any():
-                self.events += int(neg.sum())
-                self.mass += -h * float(arr[neg].sum())
-                arr[neg] = 0.0
-
-
-def _advance(pre: _Precomputed, s, v, e, a, i, out_e, out_a, out_i, clamps):
-    """One explicit step from raw arrays into the out buffers.
-
-    Returns (s_next, v_next, phi_v); phi_v is the V outflow limiter factor
-    (1.0 when unlimited), which the caller's explicit recovered-compartment
-    update needs to scale the vaccine-immunity inflow consistently.
+    The block length L is the largest with (1 - h * worst)^L >= 1e-250, so
+    no product over a block underflows. Returns (L, q, products): q[c, j]
+    is the product of compartment c's decay factors (1 - h * rate) over
+    nodes block_start(j) .. j-1, and products[c, b] the product over the
+    whole block b, by which a cell is multiplied when it crosses from block
+    b into block b + 1.
     """
-    beta, _, alpha, iota = pre.functionals(s, v, e, a, i)
-    h = pre.h
-    rate_s = pre.p + beta + pre.mu
-    rate_v = pre.zeta_eps + beta * pre.one_minus_eps + pre.mu
-    phi_s = phi_v = 1.0
-    if h * rate_s > 1.0:
-        phi_s = 1.0 / (h * rate_s)
-        clamps.events += 1
-        clamps.mass += (1.0 - phi_s) * h * rate_s * s
-    if h * rate_v > 1.0:
-        phi_v = 1.0 / (h * rate_v)
-        clamps.events += 1
-        clamps.mass += (1.0 - phi_v) * h * rate_v * v
-    eps = beta * (phi_s * s + pre.one_minus_eps * phi_v * v)
-    s_next = s * (1.0 - h * phi_s * rate_s) + h * pre.mu_n0
-    v_next = v * (1.0 - h * phi_v * rate_v) + h * phi_s * pre.p * s
-    s_next = clamps.scalar(s_next)
-    v_next = clamps.scalar(v_next)
-    np.multiply(e[:-1], pre.decay_e, out=out_e[1:])
-    np.multiply(a[:-1], pre.decay_a, out=out_a[1:])
-    np.multiply(i[:-1], pre.decay_i, out=out_i[1:])
-    out_e[0] = eps
-    out_a[0] = alpha
-    out_i[0] = iota
-    return s_next, v_next, phi_v
+    n_nodes = rates[0].shape[0]
+    decay_min = 1.0 - h * worst
+    block = n_nodes
+    if decay_min < 1.0:
+        block = min(n_nodes, max(1, int(math.log(_BLOCK_FLOOR) / math.log(decay_min))))
+    full = (n_nodes // block) * block
+    q = np.empty((len(rates), n_nodes))
+    products = np.empty((len(rates), len(range(block, n_nodes, block))))
+    for row, product, rate in zip(q, products, rates):
+        # row[j] = decay factor of node j - 1, built in place.
+        row[0] = 1.0
+        np.multiply(rate[:-1], -h, out=row[1:])
+        row[1:] += 1.0
+        product[:] = row[block::block]  # decay factor of each block's last node
+        row[::block] = 1.0
+        blocks = row[:full].reshape(-1, block)
+        np.multiply.accumulate(blocks, axis=1, out=blocks)
+        np.multiply.accumulate(row[full:], out=row[full:])
+        product *= row[block - 1::block][:product.size]
+    return block, q, products
+
+
+def _kernel(q_row: np.ndarray, *weights: np.ndarray) -> np.ndarray:
+    """Rows weight * Q of one compartment, stacked for one matrix-vector product."""
+    out = np.empty((len(weights), q_row.shape[0]))
+    for row, weight in zip(out, weights):
+        np.multiply(weight, q_row, out=row)
+    return out
 
 
 def step(state: State, params: ParameterSet) -> State:
-    """Advance one step of size h = grid.h (pure; allocates a new State)."""
-    pre = _Precomputed(params)
-    grid = params.grid
-    out_e = np.empty(grid.n_nodes)
-    out_a = np.empty(grid.n_nodes)
-    out_i = np.empty(grid.n_nodes)
-    clamps = _ClampCounter()
-    s_next, v_next, _ = _advance(
-        pre, state.s, state.v, state.e.values, state.a.values, state.i.values,
-        out_e, out_a, out_i, clamps,
-    )
-    return State(
-        t=state.t + grid.h,
-        s=s_next,
-        v=v_next,
-        e=AgeProfile(grid, out_e, Units.DENSITY),
-        a=AgeProfile(grid, out_a, Units.DENSITY),
-        i=AgeProfile(grid, out_i, Units.DENSITY),
-    )
+    """Advance one step of size h = grid.h: one step of `simulate`."""
+    h = params.grid.h
+    return simulate(state, params, t_max=h, sample_every=h).final_state
 
 
 def simulate(
@@ -295,11 +257,12 @@ def simulate(
             full age densities; matched to the nearest step within h/2.
         observer: Optional callable invoked at every sample as
             observer(t, s, v, e, a, i) with the raw density arrays (views
-            into the step buffers; do not mutate or retain them).
+            into a reused buffer that the next sample overwrites; do not
+            mutate or retain them).
 
     Returns:
         SimulationResult with the sampled TimeSeries, final State, and the
-        clamp counters.
+        limiter counters.
 
     Raises:
         StabilityError: at setup when h * max exit rate >= 1.
@@ -307,66 +270,118 @@ def simulate(
     """
     if t_max <= 0:
         raise ParameterError(f"t_max must be positive, got {t_max}")
-    if init.e.grid != params.grid:
+    grid = params.grid
+    if init.e.grid != grid:
         raise ParameterError("initial state is not on the parameter grid")
-    pre = _Precomputed(params)
-    h = pre.h
+    h, n_nodes = grid.h, grid.n_nodes
+    rates = (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i)
+    worst = max(float(rate.max()) for rate in rates)
+    if h * worst >= 1.0:
+        raise StabilityError(
+            f"h * max exit rate = {h * worst:.3g} >= 1; "
+            f"reduce h below {1.0 / worst:.3g} days"
+        )
     n_steps = int(round(t_max / h))
     stride = max(1, int(round(sample_every / h)))
     snap_steps = {int(round(ts / h)) for ts in snapshot_times}
+    initial = _functionals(
+        params, init.s, init.v, init.e.values, init.a.values, init.i.values
+    )
 
-    e = init.e.values.copy()
-    a = init.a.values.copy()
-    i = init.i.values.copy()
+    block, q, products = _block_decay(rates, h, worst)
+    frame = np.empty((3, n_nodes + _SLACK))
+    start = _SLACK
+    for row, q_row, profile in zip(frame, q, (init.e, init.a, init.i)):
+        np.divide(profile.values, q_row, out=row[start:])
+    xi = params.xi.values
+    kernel_e = _kernel(q[0], params.k.values * params.q.values,
+                       params.k.values * (1.0 - params.q.values))
+    kernel_a = _kernel(q[1], params.beta_a.values,
+                       params.chi.values * (1.0 - xi), params.gamma_a.values * xi)
+    kernel_i = _kernel(q[2], params.beta_i.values, params.gamma_i.values)
+    densities = np.empty((3, n_nodes)) if observer is not None else None
+
+    mu, p, n0 = params.mu, params.p, params.n0
+    mu_n0 = mu * n0
+    zeta_eps = params.zeta * params.epsilon
+    one_minus_eps = 1.0 - params.epsilon
     s, v = init.s, init.v
-
     samples: list[tuple] = []
     snapshots: list[DensitySnapshot] = []
-    clamps = _ClampCounter()
-    nodes = params.grid.nodes
-
-    e_next = np.empty_like(e)
-    a_next = np.empty_like(a)
-    i_next = np.empty_like(i)
-
+    limiter_events = 0
+    limited_mass = 0.0
     r_tilde = None
     for n in range(n_steps + 1):
         t = init.t + n * h
-        beta, eps, alpha, iota = pre.functionals(s, v, e, a, i)
+        window = frame[:, start:start + n_nodes]
+        if n == 0:
+            beta, eps, alpha, iota, recovered = initial
+        else:
+            to_asym, to_symp = (kernel_e @ window[0]).tolist()
+            infect_a, branch_a, recover_a = (kernel_a @ window[1]).tolist()
+            infect_i, recover_i = (kernel_i @ window[2]).tolist()
+            beta = h * (infect_a + infect_i)
+            eps = beta * (s + one_minus_eps * v)
+            alpha = h * to_asym
+            iota = h * (to_symp + branch_a)
+            recovered = h * (recover_a + recover_i)
         if not (math.isfinite(beta) and math.isfinite(alpha) and math.isfinite(iota)
                 and math.isfinite(s) and math.isfinite(v)):
             raise AbortedRunError(f"non-finite value at step {n} (t={t})", step_index=n)
         if n % stride == 0 or n == n_steps:
-            clamps.arrays(h, e, a, i)
-            e_tot = h * float(e.sum())
-            a_tot = h * float(a.sum())
-            i_tot = h * float(i.sum())
+            e_tot, a_tot, i_tot = (h * float(q_row @ u) for q_row, u in zip(q, window))
+            removed = n0 - s - v - e_tot - a_tot - i_tot
             if r_tilde is None:
                 # Initial recovered mass: population minus the modeled pools.
-                r_tilde = params.n0 - s - v - e_tot - a_tot - i_tot
-            removed = params.n0 - s - v - e_tot - a_tot - i_tot
+                r_tilde = removed
             samples.append(
-                (t, s, v, e_tot, a_tot, i_tot, removed, params.n0,
+                (t, s, v, e_tot, a_tot, i_tot, removed, n0,
                  beta, eps, alpha, iota, r_tilde)
             )
             if observer is not None:
-                observer(t, s, v, e, a, i)
+                np.multiply(q, window, out=densities)
+                observer(t, s, v, *densities)
         if n in snap_steps:
-            snapshots.append(
-                DensitySnapshot(t=t, theta=nodes.copy(), e=e.copy(), a=a.copy(), i=i.copy())
-            )
+            e, a, i = q * window
+            snapshots.append(DensitySnapshot(t=t, theta=grid.nodes, e=e, a=a, i=i))
         if n == n_steps:
             break
+
+        rate_s = p + beta + mu
+        rate_v = zeta_eps + beta * one_minus_eps + mu
+        phi_s = phi_v = 1.0
+        keep_s = 1.0 - h * rate_s
+        keep_v = 1.0 - h * rate_v
+        # keep < 0 exactly when h * rate > 1: the limited pool empties.
+        if keep_s < 0.0:
+            phi_s = 1.0 / (h * rate_s)
+            keep_s = 0.0
+            limiter_events += 1
+            limited_mass += (1.0 - phi_s) * h * rate_s * s
+        if keep_v < 0.0:
+            phi_v = 1.0 / (h * rate_v)
+            keep_v = 0.0
+            limiter_events += 1
+            limited_mass += (1.0 - phi_v) * h * rate_v * v
+        eps_in = beta * (phi_s * s + one_minus_eps * phi_v * v)
         # Explicit recovered-compartment integration (conservation diagnostic);
         # the vaccine-immunity inflow honors the V outflow limiter.
-        recov_flux = h * (pre.recov_a @ a + pre.recov_i @ i)
-        s_new, v_new, phi_v = _advance(pre, s, v, e, a, i, e_next, a_next, i_next, clamps)
-        r_tilde = r_tilde + h * (pre.zeta_eps * phi_v * v + recov_flux - pre.mu * r_tilde)
-        s, v = s_new, v_new
-        e, e_next = e_next, e
-        a, a_next = a_next, a
-        i, i_next = i_next, i
+        r_tilde = r_tilde + h * (zeta_eps * phi_v * v + recovered - mu * r_tilde)
+        s, v = s * keep_s + h * mu_n0, v * keep_v + h * phi_s * p * s
 
+        if start == 0:
+            for row in frame:
+                row[_SLACK:] = row[:n_nodes]
+            start = _SLACK
+        start -= 1
+        frame[:, start + block:start + n_nodes:block] *= products
+        frame[0, start] = eps_in
+        frame[1, start] = alpha
+        frame[2, start] = iota
+
+    # The kernels go before the final densities are rebuilt in Q's place.
+    del kernel_e, kernel_a, kernel_i, densities
+    e, a, i = np.multiply(q, frame[:, start:start + n_nodes], out=q)
     cols = np.array(samples, dtype=np.float64).T
     timeseries = TimeSeries(
         t=cols[0], s=cols[1], v=cols[2], e=cols[3], a=cols[4], i=cols[5],
@@ -377,13 +392,13 @@ def simulate(
         t=init.t + n_steps * h,
         s=s,
         v=v,
-        e=AgeProfile(params.grid, e, Units.DENSITY),
-        a=AgeProfile(params.grid, a, Units.DENSITY),
-        i=AgeProfile(params.grid, i, Units.DENSITY),
+        e=AgeProfile(grid, e, Units.DENSITY),
+        a=AgeProfile(grid, a, Units.DENSITY),
+        i=AgeProfile(grid, i, Units.DENSITY),
     )
     return SimulationResult(
         timeseries=timeseries,
         final_state=final_state,
-        clamp_events=clamps.events,
-        clamped_mass=clamps.mass,
+        clamp_events=limiter_events,
+        clamped_mass=limited_mass,
     )

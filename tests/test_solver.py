@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from conftest import band_density, make_constant_params, zero_density
 from sveair import reproduction as rep
 from sveair.errors import AbortedRunError, StabilityError
+from shift_reference import simulate_shift
 from sveair.grid import AgeProfile, Units, build_grid, constant_profile
+from sveair.params import ParameterSet
 from sveair.scenarios import steady_initial_state
 from sveair.solver import (
+    _SLACK,
     State,
     aggregate,
     boundary_values,
@@ -260,3 +263,125 @@ class TestSimulate:
         assert fs.s >= 0.0 and fs.v >= 0.0
         for profile in (fs.e, fs.a, fs.i):
             assert profile.values.min() >= 0.0
+
+
+def _rate_profile(rng, grid, top, units):
+    """Constant or piecewise-constant profile with values in [0, top]."""
+    if rng.random() < 0.5:
+        return constant_profile(grid, rng.uniform(0.0, top), units)
+    cuts = np.sort(rng.choice(np.arange(1, grid.n_nodes), size=rng.integers(1, 4),
+                              replace=False))
+    pieces = rng.uniform(0.0, top, cuts.size + 1)
+    return AgeProfile(grid, pieces[np.searchsorted(cuts, np.arange(grid.n_nodes),
+                                                   side="right")], units)
+
+
+def _initial_density(rng, grid, kind, scale):
+    values = np.zeros(grid.n_nodes)
+    if kind == "point":
+        nodes = rng.choice(grid.n_nodes - 1, size=rng.integers(1, 4), replace=False)
+        values[nodes] = rng.uniform(0.0, scale, nodes.size)
+        values[-1] = rng.uniform(0.0, scale)  # leaves through the absorbing boundary
+    elif kind == "full":
+        values[:] = rng.uniform(0.0, scale, grid.n_nodes)
+    return AgeProfile(grid, values, Units.DENSITY)
+
+
+def _equivalence_case(seed, regime):
+    """(init, params, run kwargs) for one draw of a regime.
+
+    Every draw has random constant or piecewise profiles, a random step and
+    random nonnegative initial data. "limiter" starts with h * beta > 1;
+    "fast" has h * max exit rate >= 0.95 on a grid of at least 600 nodes,
+    which holds at least three of the frame's age blocks (a block is at most
+    log(1e-250) / log(0.05) ~ 192 nodes long there); "long" runs for more
+    steps than the frame's slack, so the window is copied back.
+    """
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(0.1, 1.0)
+    n_nodes = int(rng.integers(600, 800) if regime == "fast" else rng.integers(20, 400))
+    grid = build_grid(h, h * (n_nodes - 1))
+    mu = rng.uniform(1e-5, 1e-3)
+    rate_top = 0.5 / h
+    k = _rate_profile(rng, grid, rate_top, Units.RATE)
+    if regime == "fast":
+        target = rng.uniform(0.95, 0.999) / h - mu
+        peak = k.values.max()
+        k = (k.with_values(k.values * (target / peak)) if peak > 0.0
+             else constant_profile(grid, target, Units.RATE))
+    kinds = {"point": ("point",), "full": ("full",), "zero": ("zero",),
+             "limiter": ("point", "full")}.get(regime, ("point", "full", "zero"))
+    kind = kinds[rng.integers(len(kinds))]
+    scale = 1e3 if regime == "limiter" else 10.0
+    dens = [_initial_density(rng, grid, kind, scale) for _ in range(3)]
+    beta_a = _rate_profile(rng, grid, 1e-6, Units.TRANSMISSION)
+    beta_i = _rate_profile(rng, grid, 1e-6, Units.TRANSMISSION)
+    if regime == "limiter":
+        # Rescale transmission so that the first step has h * beta in [2, 20].
+        beta0 = h * float(beta_a.values @ dens[1].values + beta_i.values @ dens[2].values)
+        factor = rng.uniform(2.0, 20.0) / h / beta0
+        beta_a = beta_a.with_values(beta_a.values * factor)
+        beta_i = beta_i.with_values(beta_i.values * factor)
+    params = ParameterSet(
+        n0=1e6, mu=mu, p=rng.uniform(1e-4, 1e-2), epsilon=rng.uniform(0.0, 1.0),
+        zeta=rng.uniform(0.0, 0.1), beta_a=beta_a, beta_i=beta_i, k=k,
+        q=_rate_profile(rng, grid, 1.0, Units.PROPORTION),
+        xi=_rate_profile(rng, grid, 1.0, Units.PROPORTION),
+        chi=_rate_profile(rng, grid, rate_top, Units.RATE),
+        gamma_a=_rate_profile(rng, grid, rate_top, Units.RATE),
+        gamma_i=_rate_profile(rng, grid, rate_top, Units.RATE),
+    )
+    # S + V at most half of N0 keeps the R column well away from zero.
+    init = State(t=rng.uniform(0.0, 10.0), s=rng.uniform(0.05, 0.25) * 1e6,
+                 v=rng.uniform(0.0, 0.25) * 1e6, e=dens[0], a=dens[1], i=dens[2])
+    n_steps = int(rng.integers(_SLACK + 1, 3 * _SLACK) if regime == "long"
+                  else rng.integers(1, 300))
+    stride = int(rng.integers(1, 6))
+    snaps = rng.integers(0, n_steps + 1, size=rng.integers(0, 4))
+    return init, params, dict(t_max=n_steps * h, sample_every=stride * h,
+                              snapshot_times=[n * h for n in snaps])
+
+
+def _assert_close_to(got, want, rtol=1e-11):
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=rtol * float(np.max(np.abs(want))))
+
+
+class TestMovingFrameEquivalence:
+    """The moving-frame stepper equals the shift form to round-off."""
+
+    @pytest.mark.parametrize("regime", ["point", "full", "zero", "limiter", "fast", "long"])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_shift_form(self, regime, seed):
+        init, params, kwargs = _equivalence_case(seed, regime)
+        want = simulate_shift(init, params, **kwargs)
+        got = simulate(init, params, **kwargs)
+        if regime == "limiter":
+            assert want.clamp_events > 0
+        assert got.clamp_events == want.clamp_events
+        for column in ("t", "s", "v", "e", "a", "i", "r", "n", "beta", "eps",
+                       "alpha", "iota", "r_tilde"):
+            _assert_close_to(getattr(got.timeseries, column),
+                             getattr(want.timeseries, column))
+        assert len(got.timeseries.snapshots) == len(want.timeseries.snapshots)
+        for mine, ref in zip(got.timeseries.snapshots, want.timeseries.snapshots):
+            assert mine.t == ref.t
+            np.testing.assert_array_equal(mine.theta, ref.theta)
+            for name in ("e", "a", "i"):
+                _assert_close_to(getattr(mine, name), getattr(ref, name))
+        assert got.final_state.t == want.final_state.t
+        for name in ("e", "a", "i"):
+            _assert_close_to(getattr(got.final_state, name).values,
+                             getattr(want.final_state, name).values)
+
+    def test_initial_functionals_are_the_unscaled_ones(self, small_grid, small_params):
+        # At t = 0 simulate reads the given densities with the unscaled
+        # weights, so its first sample is bit-identical to the functionals.
+        init = State(t=0.0, s=1e5, v=2e4,
+                     e=band_density(small_grid, 3.0, 90.0, 1e4),
+                     a=band_density(small_grid, 10.0, 60.0, 3e3),
+                     i=band_density(small_grid, 20.0, 200.0, 7e3))
+        ts = simulate(init, small_params, t_max=1.0).timeseries
+        assert ts.beta[0] == force_of_infection(init, small_params)
+        assert (ts.eps[0], ts.alpha[0], ts.iota[0]) == tuple(
+            boundary_values(init, small_params))
