@@ -24,8 +24,7 @@ from sveair.scenarios import (
 INIT_MODES = ("band", "steady-scaled", "steady")
 
 _PROFILE_OVERRIDES = ("q_csv", "k_csv", "chi_csv", "beta_a_csv", "beta_i_csv")
-_SCALAR_OVERRIDES = ("n0", "mu", "p", "epsilon", "zeta", "omega",
-                     "q", "xi", "gamma_a", "gamma_i")
+_SCALAR_OVERRIDES = ("n0", "mu", "p", "epsilon", "zeta", "q", "xi", "gamma_a", "gamma_i")
 
 
 @dataclass

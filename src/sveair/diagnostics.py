@@ -84,31 +84,13 @@ def lyapunov_weights(params: ParameterSet, steady: SteadyState) -> LyapunovWeigh
     return LyapunovWeights(grid=grid, f_e=f_e, f_a=f_a, f_i=f_i, f_a0=f_a0, f_i0=f_i0)
 
 
-def _scalar_part(s: float, v: float, steady: SteadyState) -> float:
-    if s <= 0.0 or v <= 0.0:
-        raise LyapunovDomainError(f"S and V must be positive, got S={s}, V={v}")
-    return steady.s_star * entropy_f(s / steady.s_star) + steady.v_star * entropy_f(
-        v / steady.v_star
-    )
-
-
-def _dfe_value(s, v, e, a, i, steady, weights) -> float:
-    grid = weights.grid
-    total = _scalar_part(s, v, steady)
-    total += rect_integral(weights.f_e * e, grid)
-    total += rect_integral(weights.f_a * a, grid)
-    total += rect_integral(weights.f_i * i, grid)
-    return total
-
-
 def lyapunov_dfe(state: State, steady: SteadyState, weights: LyapunovWeights) -> float:
     """Disease-free Lyapunov value: entropy terms in S, V plus the
     weight-profile integrals, linear in the densities."""
     if steady.kind != DISEASE_FREE:
         raise ParameterError("lyapunov_dfe needs the disease-free steady state")
-    return _dfe_value(
-        state.s, state.v, state.e.values, state.a.values, state.i.values,
-        steady, weights,
+    return LyapunovEvaluator(steady, weights)(
+        state.s, state.v, state.e.values, state.a.values, state.i.values
     )
 
 
@@ -141,36 +123,66 @@ def endemic_tail_weights(params: ParameterSet, steady: SteadyState) -> EndemicTa
     )
 
 
-def _ratio_term(
-    weight: np.ndarray, state_values: np.ndarray, steady_values: np.ndarray, h: float
-) -> float:
-    mask = (steady_values >= STEADY_DENSITY_FLOOR) & (weight > 0.0)
-    if not mask.any():
-        return 0.0
-    dens = state_values[mask]
-    if dens.min() <= 0.0:
-        raise LyapunovDomainError(
-            "state density is nonpositive at a weighted node; the endemic "
-            "Lyapunov function is infinite there (seed strictly positive "
-            "densities, e.g. steady-scaled initial data)"
+class LyapunovEvaluator:
+    """L(s, v, e, a, i) about one steady state, on raw state arrays.
+
+    The weights are computed once, here. The endemic kind (which needs
+    `params`) keeps its combined tail weights and the steady densities only
+    at the nodes that carry weight, not the tail arrays themselves.
+    """
+
+    def __init__(self, steady: SteadyState, weights: LyapunovWeights,
+                 params: ParameterSet | None = None, tails: EndemicTailWeights | None = None):
+        self.steady = steady
+        self.grid = weights.grid
+        if steady.kind == ENDEMIC:
+            tails = endemic_tail_weights(params, steady) if tails is None else tails
+            pool = steady.s_star + (1.0 - params.epsilon) * steady.v_star
+            self.ratio_terms = tuple(_masked(weight, star.values) for weight, star in (
+                (weights.f_a0 * tails.w_e_asym + weights.f_i0 * tails.w_e_symp,
+                 steady.e_star),
+                (pool * tails.w_a_beta + weights.f_i0 * tails.w_a_chi, steady.a_star),
+                (pool * tails.w_i_beta, steady.i_star),
+            ))
+        else:
+            self.profiles = (weights.f_e, weights.f_a, weights.f_i)
+
+    def __call__(self, s, v, e, a, i) -> float:
+        steady = self.steady
+        if s <= 0.0 or v <= 0.0:
+            raise LyapunovDomainError(f"S and V must be positive, got S={s}, V={v}")
+        total = steady.s_star * entropy_f(s / steady.s_star) + steady.v_star * entropy_f(
+            v / steady.v_star
         )
-    return h * float(weight[mask] @ entropy_f(dens / steady_values[mask]))
+        if steady.kind != ENDEMIC:
+            for weight, density in zip(self.profiles, (e, a, i)):
+                total += rect_integral(weight * density, self.grid)
+            return total
+        for (mask, weight, star), density in zip(self.ratio_terms, (e, a, i)):
+            dens = density[mask]
+            if dens.size and dens.min() <= 0.0:
+                raise LyapunovDomainError(
+                    "state density is nonpositive at a weighted node; the endemic "
+                    "Lyapunov function is infinite there (seed strictly positive "
+                    "densities, e.g. steady-scaled initial data)"
+                )
+            total += self.grid.h * float(weight @ entropy_f(dens / star))
+        return total
+
+    def observer(self, times: list, values: list):
+        """An observer for `simulate` that appends each sample's t and L."""
+
+        def observe(t, s, v, e, a, i):
+            values.append(self(s, v, e, a, i))
+            times.append(t)
+
+        return observe
 
 
-def _endemic_value(s, v, e, a, i, steady, weights, params, tails) -> float:
-    h = params.grid.h
-    pool = steady.s_star + (1.0 - params.epsilon) * steady.v_star
-    total = _scalar_part(s, v, steady)
-    total += _ratio_term(
-        weights.f_a0 * tails.w_e_asym + weights.f_i0 * tails.w_e_symp,
-        e, steady.e_star.values, h,
-    )
-    total += _ratio_term(
-        pool * tails.w_a_beta + weights.f_i0 * tails.w_a_chi,
-        a, steady.a_star.values, h,
-    )
-    total += _ratio_term(pool * tails.w_i_beta, i, steady.i_star.values, h)
-    return total
+def _masked(weight: np.ndarray, steady_values: np.ndarray):
+    """(mask, weight, steady density) at the nodes a ratio integrand reads."""
+    mask = (steady_values >= STEADY_DENSITY_FLOOR) & (weight > 0.0)
+    return mask, weight[mask], steady_values[mask]
 
 
 def lyapunov_endemic(
@@ -189,10 +201,8 @@ def lyapunov_endemic(
     """
     if steady.kind != ENDEMIC:
         raise ParameterError("lyapunov_endemic needs the endemic steady state")
-    tails = endemic_tail_weights(params, steady) if tails is None else tails
-    return _endemic_value(
-        state.s, state.v, state.e.values, state.a.values, state.i.values,
-        steady, weights, params, tails,
+    return LyapunovEvaluator(steady, weights, params, tails)(
+        state.s, state.v, state.e.values, state.a.values, state.i.values
     )
 
 
@@ -240,7 +250,7 @@ def monitor_lyapunov(
     sample_every: float = 1.0,
     weights: LyapunovWeights | None = None,
 ):
-    """Run the solver and evaluate the matching Lyapunov function per sample.
+    """Run the solver with the matching Lyapunov function as its observer.
 
     Uses the disease-free function for a disease-free steady state and the
     endemic one otherwise (the latter requires strictly positive densities
@@ -251,21 +261,10 @@ def monitor_lyapunov(
     """
     if weights is None:
         weights = lyapunov_weights(params, steady)
-    tails = None
-    if steady.kind == ENDEMIC:
-        tails = endemic_tail_weights(params, steady)
-    times: list[float] = []
-    values: list[float] = []
-
-    def observer(t, s, v, e, a, i):
-        if steady.kind == ENDEMIC:
-            value = _endemic_value(s, v, e, a, i, steady, weights, params, tails)
-        else:
-            value = _dfe_value(s, v, e, a, i, steady, weights)
-        times.append(t)
-        values.append(value)
-
-    result = simulate(init, params, t_max, sample_every=sample_every, observer=observer)
+    evaluator = LyapunovEvaluator(steady, weights, params)
+    times, values = [], []
+    result = simulate(init, params, t_max, sample_every=sample_every,
+                      observer=evaluator.observer(times, values))
     return np.asarray(times), np.asarray(values), result
 
 

@@ -17,10 +17,7 @@ class ParameterSet:
 
     Scalars: population size n0, birth/death rate mu (the only parameter
     required to be strictly positive), vaccination rate p, vaccine
-    effectiveness epsilon in [0, 1], vaccine-induced immunity rate zeta, and
-    the age-unit conversion factor omega (documentation only; the engine
-    runs the scaled system, so bundled profiles are already in days and
-    omega = 1 operationally).
+    effectiveness epsilon in [0, 1] and vaccine-induced immunity rate zeta.
 
     Age profiles, all on one shared grid: transmission rates beta_a/beta_i,
     latent-exit rate k, asymptomatic proportion q, never-symptomatic
@@ -41,12 +38,11 @@ class ParameterSet:
     chi: AgeProfile
     gamma_a: AgeProfile
     gamma_i: AgeProfile
-    omega: float = 1.0
 
     def __post_init__(self):
         if not self.mu > 0:
             raise ParameterError(f"mu must be strictly positive, got {self.mu}")
-        for name in ("n0", "p", "zeta", "omega"):
+        for name in ("n0", "p", "zeta"):
             value = getattr(self, name)
             if not value >= 0:
                 raise ParameterError(f"{name} must be nonnegative, got {value}")

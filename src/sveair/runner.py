@@ -9,6 +9,10 @@ and writes the CSV products:
   - oracle_compare_d<label>.csv t,beta_pde,beta_volterra,rel_dev
   - lyapunov_d<label>.csv       t,L,dL_estimate,violation_flag
 
+Each initial condition is simulated once; the oracle window is a prefix of
+that pass's per-step force of infection, and the Lyapunov series comes from
+its observer, an evaluator built once per scenario.
+
 Runs execute sequentially in d-order; all sums have fixed order, so
 identical configs give byte-identical files.
 """
@@ -137,17 +141,16 @@ def _write_snapshots(out_dir: Path, label: str, ts) -> None:
                   [snap.theta, snap.e, snap.a, snap.i])
 
 
-def _oracle_compare(out_dir: Path, label: str, init: State, params, cfg) -> None:
+def _oracle_compare(out_dir: Path, label: str, init: State, params, cfg, result) -> None:
     """PDE vs renewal-march force of infection over the oracle window."""
     window = min(cfg.oracle_t_max, cfg.t_max)
     path = volterra.solve_renewal(init, params, t_max=window)
-    pde = simulate(init, params, t_max=window, sample_every=params.grid.h)
     write_csv(
         out_dir / f"volterra_d{label}.csv",
         ["t", "beta", "eps", "alpha", "iota", "S", "V"],
         [path.t, path.beta, path.eps, path.alpha, path.iota, path.s, path.v],
     )
-    beta_pde = pde.timeseries.beta
+    beta_pde = result.beta_steps[:int(round(window / params.grid.h)) + 1]
     scale = float(np.max(path.beta))
     rel_dev = np.abs(beta_pde - path.beta) / (scale if scale > 0 else 1.0)
     write_csv(
@@ -157,18 +160,18 @@ def _oracle_compare(out_dir: Path, label: str, init: State, params, cfg) -> None
     )
 
 
-def _lyapunov_reference(cfg, params, steady):
-    """Monitoring reference: the DFE is the scheme's exact fixed point; the
-    endemic closed form is not, so relax it onto the discrete attractor."""
+def _lyapunov_evaluator(params, steady) -> diagnostics.LyapunovEvaluator:
+    """Evaluator about the monitoring reference: the DFE is the scheme's
+    exact fixed point; the endemic closed form is not, so relax it onto the
+    discrete attractor."""
     if steady.kind == reproduction.ENDEMIC:
-        return diagnostics.discrete_fixed_point(params, steady)
-    return steady
+        steady = diagnostics.discrete_fixed_point(params, steady)
+    weights = diagnostics.lyapunov_weights(params, steady)
+    return diagnostics.LyapunovEvaluator(steady, weights, params)
 
 
-def _lyapunov_run(out_dir: Path, label: str, init: State, params, reference, cfg) -> None:
-    times, values, _ = diagnostics.monitor_lyapunov(
-        init, params, reference, t_max=cfg.t_max, sample_every=cfg.sample_every
-    )
+def _write_lyapunov(out_dir: Path, label: str, times: list, values: list) -> None:
+    times, values = np.asarray(times), np.asarray(values)
     report = diagnostics.monotonicity_check(values, times)
     flags = np.zeros(values.size)
     for idx, *_rest in report.intervals:
@@ -290,15 +293,17 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ExitReport:
             "(zero density at weighted ages); use init.mode=steady-scaled"
         )
 
-    lyap_reference = _lyapunov_reference(cfg, params, steady) if cfg.run_lyapunov else None
+    evaluator = _lyapunov_evaluator(params, steady) if cfg.run_lyapunov else None
 
     summaries = []
     ok = True
     for label, init in initial_states(cfg, params, steady):
+        times, values = [], []
         try:
             result = simulate(
                 init, params, t_max=cfg.t_max, sample_every=cfg.sample_every,
                 snapshot_times=cfg.snapshot_times,
+                observer=evaluator.observer(times, values) if evaluator is not None else None,
             )
         except AbortedRunError:
             summaries.append(RunSummary(label, float("nan"), float("nan"), 0, True))
@@ -307,9 +312,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ExitReport:
         _write_timeseries(out / f"run_d{label}.csv", result.timeseries)
         _write_snapshots(out, label, result.timeseries)
         if cfg.run_oracle:
-            _oracle_compare(out, label, init, params, cfg)
-        if cfg.run_lyapunov:
-            _lyapunov_run(out, label, init, params, lyap_reference, cfg)
+            _oracle_compare(out, label, init, params, cfg, result)
+        if evaluator is not None:
+            _write_lyapunov(out, label, times, values)
         summaries.append(RunSummary(
             label=label,
             final_metric=diagnostics.convergence_metric(result.final_state, steady, params.n0),

@@ -120,7 +120,6 @@ def build_parameters(grid: AgeGrid, contact: str = "c2", **overrides) -> Paramet
         chi=symptomatic_transition_profile(grid),
         gamma_a=constant_profile(grid, GAMMA_A, Units.RATE),
         gamma_i=constant_profile(grid, GAMMA_I, Units.RATE),
-        omega=1.0,
     )
     fields.update(overrides)
     return ParameterSet(**fields)
@@ -131,10 +130,6 @@ def builtin_scenario(name: str, grid: AgeGrid) -> ParameterSet:
     if name not in BUILTIN_NAMES:
         raise ConfigError(f"unknown built-in scenario {name!r}; choose from {BUILTIN_NAMES}")
     return build_parameters(grid, contact="c1" if name.endswith("c1") else "c2")
-
-
-def _zero_density(grid: AgeGrid) -> AgeProfile:
-    return AgeProfile(grid, np.zeros(grid.n_nodes), Units.DENSITY)
 
 
 def band_initial_state(

@@ -138,6 +138,7 @@ class SimulationResult:
     final_state: State
     clamp_events: int
     clamped_mass: float
+    beta_steps: np.ndarray  # force of infection at every step, n_steps + 1 values
 
 
 # Steps between copy-backs of the moving window: a copy-back is one pass
@@ -261,8 +262,8 @@ def simulate(
             mutate or retain them).
 
     Returns:
-        SimulationResult with the sampled TimeSeries, final State, and the
-        limiter counters.
+        SimulationResult with the sampled TimeSeries, the per-step force
+        of infection, the final State, and the limiter counters.
 
     Raises:
         StabilityError: at setup when h * max exit rate >= 1.
@@ -307,6 +308,7 @@ def simulate(
     one_minus_eps = 1.0 - params.epsilon
     s, v = init.s, init.v
     samples: list[tuple] = []
+    beta_steps = np.empty(n_steps + 1)
     snapshots: list[DensitySnapshot] = []
     limiter_events = 0
     limited_mass = 0.0
@@ -328,6 +330,7 @@ def simulate(
         if not (math.isfinite(beta) and math.isfinite(alpha) and math.isfinite(iota)
                 and math.isfinite(s) and math.isfinite(v)):
             raise AbortedRunError(f"non-finite value at step {n} (t={t})", step_index=n)
+        beta_steps[n] = beta
         if n % stride == 0 or n == n_steps:
             e_tot, a_tot, i_tot = (h * float(q_row @ u) for q_row, u in zip(q, window))
             removed = n0 - s - v - e_tot - a_tot - i_tot
@@ -401,4 +404,5 @@ def simulate(
         final_state=final_state,
         clamp_events=limiter_events,
         clamped_mass=limited_mass,
+        beta_steps=beta_steps,
     )

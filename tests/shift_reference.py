@@ -131,6 +131,7 @@ def simulate_shift(init, params, t_max, sample_every=1.0, snapshot_times=(), obs
     s, v = init.s, init.v
 
     samples = []
+    beta_steps = []
     snapshots = []
     clamps = _ClampCounter()
     nodes = params.grid.nodes
@@ -146,6 +147,7 @@ def simulate_shift(init, params, t_max, sample_every=1.0, snapshot_times=(), obs
         if not (math.isfinite(beta) and math.isfinite(alpha) and math.isfinite(iota)
                 and math.isfinite(s) and math.isfinite(v)):
             raise AbortedRunError(f"non-finite value at step {n} (t={t})", step_index=n)
+        beta_steps.append(beta)
         if n % stride == 0 or n == n_steps:
             clamps.arrays(h, e, a, i)
             e_tot = h * float(e.sum())
@@ -193,4 +195,5 @@ def simulate_shift(init, params, t_max, sample_every=1.0, snapshot_times=(), obs
         final_state=final_state,
         clamp_events=clamps.events,
         clamped_mass=clamps.mass,
+        beta_steps=np.array(beta_steps),
     )

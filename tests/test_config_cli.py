@@ -1,13 +1,16 @@
 """Config parsing, the runner's file products, and the CLI."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from sveair import cli
+from sveair import cli, diagnostics, runner, volterra
 from sveair.config import load_config
 from sveair.errors import ConfigError
 from sveair.io import read_csv, write_csv
 from sveair.runner import build_model, contact_labeling_outcomes, run_scenario, write_contact_labeling_report
+from sveair.solver import simulate
 
 TINY = """
 scenario.builtin = table2-c2
@@ -46,6 +49,8 @@ class TestLoadConfig:
     def test_unknown_key_named(self, tmp_path):
         with pytest.raises(ConfigError, match="grid.steps"):
             load_config(write_cfg(tmp_path, "grid.steps = 12\n"))
+        with pytest.raises(ConfigError, match="params.omega"):
+            load_config(write_cfg(tmp_path, "params.omega = 1\n"))
 
     def test_parse_error_carries_line_number(self, tmp_path):
         with pytest.raises(ConfigError, match="line 2"):
@@ -168,6 +173,52 @@ class TestRunner:
         assert report.ok
         assert (out / "lyapunov_d10.csv").is_file()
 
+    def test_one_pass_per_initial_condition(self, tmp_path, monkeypatch):
+        # The oracle window and the Lyapunov series come from the sweep's
+        # own pass, and equal what separate passes compute.
+        text = TINY + ("init.mode = steady-scaled\ntoggles.run_oracle = true\n"
+                       "toggles.run_lyapunov = true\n")
+        cfg = load_config(write_cfg(tmp_path, text, name="both.cfg"))
+        seen, calls = {}, Counter()
+        real_states = runner.initial_states
+
+        def recording_states(cfg, params, steady):
+            seen.update(params=params, steady=steady, states=real_states(cfg, params, steady))
+            return seen["states"]
+
+        def counting_simulate(init, *args, **kwargs):
+            calls[id(init)] += 1
+            return simulate(init, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "initial_states", recording_states)
+        for module in (runner, diagnostics):
+            monkeypatch.setattr(module, "simulate", counting_simulate)
+        out = tmp_path / "o"
+        assert run_scenario(cfg, out_dir=out).ok
+        assert [calls[id(init)] for _, init in seen["states"]] == [1, 1]
+
+        params = seen["params"]
+        reference = diagnostics.discrete_fixed_point(params, seen["steady"])
+        window = min(cfg.oracle_t_max, cfg.t_max)
+        for label, init in seen["states"]:
+            beta_pde = simulate(init, params, t_max=window,
+                                sample_every=params.grid.h).timeseries.beta
+            path = volterra.solve_renewal(init, params, t_max=window)
+            rel_dev = np.abs(beta_pde - path.beta) / np.max(path.beta)
+            _, cols = read_csv(out / f"oracle_compare_d{label}.csv")
+            for got, want in zip(cols, (path.t, beta_pde, path.beta, rel_dev), strict=True):
+                assert np.array_equal(got, want)
+
+            times, values, _ = diagnostics.monitor_lyapunov(
+                init, params, reference, t_max=cfg.t_max, sample_every=cfg.sample_every)
+            flags = np.zeros(values.size)
+            for idx, *_rest in diagnostics.monotonicity_check(values, times).intervals:
+                flags[idx + 1] = 1.0
+            dl = np.concatenate(([0.0], np.diff(values) / np.diff(times)))
+            _, cols = read_csv(out / f"lyapunov_d{label}.csv")
+            for got, want in zip(cols, (times, values, dl, flags), strict=True):
+                assert np.array_equal(got, want)
+
 
 class TestContactLabelingReport:
     def test_report_written_with_signed_deviations(self, tmp_path):
@@ -202,6 +253,14 @@ class TestCli:
         out = tmp_path / "o"
         assert cli.main(["oracle-compare", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert (out / "oracle_compare_d100.csv").is_file()
+
+    def test_lyapunov_domain_error_is_reported(self, tmp_path, capsys):
+        # V = 0 at t = 0 puts the first Lyapunov sample outside the domain.
+        text = TINY + "init.mode = steady-scaled\ninit.v0 = 0\ntoggles.run_lyapunov = true\n"
+        cfg_path = write_cfg(tmp_path, text)
+        code = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "error: S and V must be positive" in capsys.readouterr().err
 
     def test_config_error_is_reported(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, "grid.h = -1\n")

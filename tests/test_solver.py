@@ -359,6 +359,15 @@ class TestMovingFrameEquivalence:
         if regime == "limiter":
             assert want.clamp_events > 0
         assert got.clamp_events == want.clamp_events
+        _assert_close_to(got.beta_steps, want.beta_steps)
+        # Every sample's beta is its step's; a shorter run is a prefix.
+        n_steps = got.beta_steps.size - 1
+        stride = max(1, int(round(kwargs["sample_every"] / params.grid.h)))
+        sampled = [n for n in range(n_steps + 1) if n % stride == 0 or n == n_steps]
+        assert np.array_equal(got.beta_steps[sampled], got.timeseries.beta)
+        prefix = 1 + seed % n_steps
+        short = simulate(init, params, t_max=prefix * params.grid.h)
+        assert np.array_equal(short.beta_steps, got.beta_steps[:prefix + 1])
         for column in ("t", "s", "v", "e", "a", "i", "r", "n", "beta", "eps",
                        "alpha", "iota", "r_tilde"):
             _assert_close_to(getattr(got.timeseries, column),
