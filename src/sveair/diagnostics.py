@@ -18,8 +18,9 @@ import numpy as np
 from sveair.errors import LyapunovDomainError, ParameterError
 from sveair.grid import AgeGrid, rect_integral
 from sveair.params import ParameterSet
-from sveair.reproduction import DISEASE_FREE, ENDEMIC, SteadyState
-from sveair.solver import State, boundary_values, force_of_infection, simulate
+from sveair.reproduction import (DISEASE_FREE, ENDEMIC, SteadyState, compute_R0,
+                                 scheme_kernels, solve_beta_star, steady_state)
+from sveair.solver import State, simulate
 
 # Steady densities below this are excluded from ratio integrands; their
 # tail weights vanish with them.
@@ -206,40 +207,27 @@ def lyapunov_endemic(
     )
 
 
-def discrete_fixed_point(
-    params: ParameterSet,
-    steady: SteadyState,
-    t_relax: float = 3000.0,
-) -> SteadyState:
-    """Relax the endemic steady state under the solver to its discrete twin.
+def discrete_fixed_point(params: ParameterSet, steady: SteadyState) -> SteadyState:
+    """The explicit scheme's own endemic fixed point, in closed form.
 
     The closed-form steady state carries the quadrature's O(h) bias, so the
-    explicit scheme drifts away from it toward the scheme's own fixed
-    point; Lyapunov monotonicity about anything but that attractor measures
-    the bias, not stability. Running the solver from the closed form for a
-    few relaxation times lands on the attractor to round-off.
+    scheme drifts away from it, and Lyapunov monotonicity about it measures
+    the bias, not stability. The scheme's fixed point solves the same
+    quadratic on `reproduction.scheme_kernels`; it is stationary under
+    `simulate` to round-off. Raises ParameterError when the scheme's own r0
+    at this h is <= 1 although the continuous r0 is > 1.
     """
     if steady.kind != ENDEMIC:
         raise ParameterError("discrete_fixed_point expects the endemic steady state")
-    init = State(
-        t=0.0, s=steady.s_star, v=steady.v_star,
-        e=steady.e_star, a=steady.a_star, i=steady.i_star,
-    )
-    result = simulate(init, params, t_max=t_relax, sample_every=t_relax)
-    final = result.final_state
-    bounds = boundary_values(final, params)
-    return SteadyState(
-        s_star=final.s,
-        v_star=final.v,
-        beta_star=force_of_infection(final, params),
-        eps_star=bounds.eps,
-        alpha_star=bounds.alpha,
-        iota_star=bounds.iota,
-        e_star=final.e,
-        a_star=final.a,
-        i_star=final.i,
-        kind=ENDEMIC,
-    )
+    blocks = scheme_kernels(params)
+    beta_star = solve_beta_star(params, blocks)
+    if beta_star == 0.0:
+        raise ParameterError(
+            f"r0 = {compute_R0(params).r0:.6g} > 1, but the scheme's own r0 at "
+            f"h = {params.grid.h:g} is {compute_R0(params, blocks).r0:.6g} <= 1, so "
+            "the scheme has no endemic fixed point; use a smaller h"
+        )
+    return steady_state(params, beta_star, blocks)
 
 
 def monitor_lyapunov(

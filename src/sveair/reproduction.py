@@ -9,6 +9,7 @@ quadratic whose constant term changes sign exactly at R0 = 1.
 
 All quadratures are the shared rectangle rule on the parameter grid, so the
 assembled steady state reproduces its own boundary functionals to round-off.
+On `scheme_kernels` the same quadratic gives the scheme's own fixed point.
 """
 
 from __future__ import annotations
@@ -16,9 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from sveair.errors import ParameterError
 from sveair.grid import AgeProfile, Units, rect_integral, survival
 from sveair.params import ParameterSet
+from sveair.solver import stable_exit_rate
 
 # R0 within this distance of 1 is treated as the subcritical case (beta*=0).
 R0_UNITY_TIE = 1e-12
@@ -73,24 +77,35 @@ class _Kernels:
 def kernels(params: ParameterSet) -> _Kernels:
     """Compute the five quadrature blocks shared by R0 and the steady state."""
     grid = params.grid
-    surv_e = survival(params.k, params.mu, grid)
     rate_a = AgeProfile(grid, params.exit_rate_a - params.mu, Units.RATE)
-    surv_a = survival(rate_a, params.mu, grid)
-    surv_i = survival(params.gamma_i, params.mu, grid)
-    kq = params.k.values * params.q.values
+    return _assemble(params, survival(params.k, params.mu, grid),
+                     survival(rate_a, params.mu, grid), survival(params.gamma_i, params.mu, grid))
+
+
+def scheme_kernels(params: ParameterSet) -> _Kernels:
+    """The five blocks with the explicit scheme's survival in place of the
+    exponential: prod_{m<j} (1 - h * exit_rate[m]), the share of a cohort
+    left after j steps. Steady states built on them are the scheme's own."""
+    stable_exit_rate(params)
+    rates = np.stack((params.exit_rate_e, params.exit_rate_a, params.exit_rate_i))
+    products = np.ones_like(rates)
+    np.cumprod(1.0 - params.grid.h * rates[:, :-1], axis=1, out=products[:, 1:])
+    # Below the smallest normal float the product stalls (x * f rounds back
+    # to x) instead of underflowing, and would leave the stepper working on
+    # subnormals: flush it to 0, as the exponential underflows.
+    products[products < np.finfo(np.float64).tiny] = 0.0
+    return _assemble(params, *(AgeProfile(params.grid, row, Units.PROPORTION) for row in products))
+
+
+def _assemble(params: ParameterSet, surv_e: AgeProfile, surv_a: AgeProfile,
+              surv_i: AgeProfile) -> _Kernels:
+    """The blocks of _Kernels, in field order, from three stage survivals."""
+    kv, qv = params.k.values, params.q.values
     chi_branch = params.chi.values * (1.0 - params.xi.values)
-    return _Kernels(
-        surv_e=surv_e,
-        surv_a=surv_a,
-        surv_i=surv_i,
-        latent_to_asym=rect_integral(kq * surv_e.values, grid),
-        latent_to_symp=rect_integral(
-            params.k.values * (1.0 - params.q.values) * surv_e.values, grid
-        ),
-        asym_to_symp=rect_integral(chi_branch * surv_a.values, grid),
-        infectivity_a=rect_integral(params.beta_a.values * surv_a.values, grid),
-        infectivity_i=rect_integral(params.beta_i.values * surv_i.values, grid),
-    )
+    blocks = (rect_integral(weight * surv.values, params.grid) for weight, surv in (
+        (kv * qv, surv_e), (kv * (1.0 - qv), surv_e), (chi_branch, surv_a),
+        (params.beta_a.values, surv_a), (params.beta_i.values, surv_i)))
+    return _Kernels(surv_e, surv_a, surv_i, *blocks)
 
 
 def compute_RA(params: ParameterSet, blocks: _Kernels | None = None) -> float:
@@ -175,7 +190,7 @@ def solve_beta_star(params: ParameterSet, blocks: _Kernels | None = None) -> flo
     return max(roots)
 
 
-def steady_state(params: ParameterSet, beta_star: float) -> SteadyState:
+def steady_state(params: ParameterSet, beta_star: float, blocks: _Kernels | None = None) -> SteadyState:
     """Assemble the steady state for a given beta* (0 gives the DFE).
 
     Components follow the closed forms: S* and V* from the balance
@@ -184,7 +199,7 @@ def steady_state(params: ParameterSet, beta_star: float) -> SteadyState:
     """
     if beta_star < 0:
         raise ParameterError(f"beta_star must be nonnegative, got {beta_star}")
-    blocks = kernels(params)
+    blocks = kernels(params) if blocks is None else blocks
     eps, p, mu, zeta = params.epsilon, params.p, params.mu, params.zeta
     s_star = mu * params.n0 / (p + beta_star + mu)
     v_star = p * s_star / (zeta * eps + beta_star * (1.0 - eps) + mu)

@@ -162,8 +162,8 @@ def _oracle_compare(out_dir: Path, label: str, init: State, params, cfg, result)
 
 def _lyapunov_evaluator(params, steady) -> diagnostics.LyapunovEvaluator:
     """Evaluator about the monitoring reference: the DFE is the scheme's
-    exact fixed point; the endemic closed form is not, so relax it onto the
-    discrete attractor."""
+    exact fixed point; the endemic closed form is not, so monitor about the
+    scheme's own endemic fixed point, built in closed form."""
     if steady.kind == reproduction.ENDEMIC:
         steady = diagnostics.discrete_fixed_point(params, steady)
     weights = diagnostics.lyapunov_weights(params, steady)

@@ -225,6 +225,18 @@ def _block_decay(rates, h: float, worst: float):
     return block, q, products
 
 
+def stable_exit_rate(params: ParameterSet) -> float:
+    """The largest exit rate, once h times it is checked to be below 1, the
+    bound that keeps every decay factor 1 - h * rate positive."""
+    h = params.grid.h
+    worst = max(float(rate.max()) for rate in
+                (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i))
+    if h * worst >= 1.0:
+        raise StabilityError(f"h * max exit rate = {h * worst:.3g} >= 1; "
+                             f"reduce h below {1.0 / worst:.3g} days")
+    return worst
+
+
 def _kernel(q_row: np.ndarray, *weights: np.ndarray) -> np.ndarray:
     """Rows weight * Q of one compartment, stacked for one matrix-vector product."""
     out = np.empty((len(weights), q_row.shape[0]))
@@ -276,12 +288,7 @@ def simulate(
         raise ParameterError("initial state is not on the parameter grid")
     h, n_nodes = grid.h, grid.n_nodes
     rates = (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i)
-    worst = max(float(rate.max()) for rate in rates)
-    if h * worst >= 1.0:
-        raise StabilityError(
-            f"h * max exit rate = {h * worst:.3g} >= 1; "
-            f"reduce h below {1.0 / worst:.3g} days"
-        )
+    worst = stable_exit_rate(params)
     n_steps = int(round(t_max / h))
     stride = max(1, int(round(sample_every / h)))
     snap_steps = {int(round(ts / h)) for ts in snapshot_times}

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sveair import cli, diagnostics, runner, volterra
+from sveair import cli, diagnostics, reproduction, runner, volterra
 from sveair.config import load_config
 from sveair.errors import ConfigError
 from sveair.io import read_csv, write_csv
@@ -196,6 +196,8 @@ class TestRunner:
         out = tmp_path / "o"
         assert run_scenario(cfg, out_dir=out).ok
         assert [calls[id(init)] for _, init in seen["states"]] == [1, 1]
+        # The Lyapunov reference is built in closed form, without a pass.
+        assert sum(calls.values()) == len(seen["states"])
 
         params = seen["params"]
         reference = diagnostics.discrete_fixed_point(params, seen["steady"])
@@ -261,6 +263,19 @@ class TestCli:
         code = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error: S and V must be positive" in capsys.readouterr().err
+
+    def test_scheme_below_threshold_is_reported(self, tmp_path, capsys):
+        # n0 scales r0 linearly: put the continuous r0 at 1.03, where the
+        # scheme's own r0 at h = 1 is below 1 and it has no endemic state.
+        text = TINY.replace("grid.h = 0.5", "grid.h = 1") + "init.mode = steady-scaled\n"
+        _, params = build_model(load_config(write_cfg(tmp_path, text)))
+        n0 = params.n0 * 1.03 / reproduction.compute_R0(params).r0
+        cfg_path = write_cfg(tmp_path, text + f"params.n0 = {n0!r}\n")
+        code = cli.main(["lyapunov", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: r0 = 1.03 > 1, but the scheme's own r0 at h = 1 is" in err
+        assert "use a smaller h" in err
 
     def test_config_error_is_reported(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, "grid.h = -1\n")

@@ -1,19 +1,20 @@
 """Lyapunov weights, both Lyapunov functions, and the run metrics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import band_density, make_constant_params, zero_density
 from sveair import diagnostics as dg
 from sveair import reproduction as rep
-from sveair.errors import LyapunovDomainError
+from sveair.errors import LyapunovDomainError, ParameterError
 from sveair.grid import build_grid, rect_integral
 from sveair.scenarios import steady_initial_state
-from sveair.solver import State
+from sveair.solver import State, boundary_values, force_of_infection, simulate, step
 
 
 @pytest.fixture(scope="module")
@@ -226,17 +227,73 @@ class TestConvergenceMetric:
 
 
 class TestDiscreteFixedPoint:
-    def test_relaxed_reference_is_stationary(self):
+    def test_closed_form_is_stationary(self):
         grid = build_grid(0.5, 400.0)
         params = make_constant_params(grid, beta_i=1e-6, n0=1e7)
         steady = rep.steady_state(params, rep.solve_beta_star(params))
-        ref = dg.discrete_fixed_point(params, steady, t_relax=8000.0)
-        from sveair.solver import step
+        ref = dg.discrete_fixed_point(params, steady)
 
         after = step(steady_initial_state(ref), params)
         drift_ref = dg.convergence_metric(after, ref, params.n0)
         drift_closed_form = dg.convergence_metric(
             step(steady_initial_state(steady), params), steady, params.n0
         )
-        assert drift_ref < 1e-9
+        assert drift_ref < 1e-15
         assert drift_ref < 1e-3 * drift_closed_form
+        # The former construction, relaxation under the solver, lands on it.
+        relaxed = simulate(steady_initial_state(steady), params, t_max=8000.0,
+                           sample_every=8000.0).final_state
+        assert dg.convergence_metric(relaxed, ref, params.n0) < 1e-11
+
+    @given(
+        h=st.sampled_from([0.25, 0.5, 1.0]),
+        theta_max=st.floats(50.0, 400.0),
+        mu=st.floats(1e-5, 1e-3), p=st.floats(0.0, 1e-2),
+        epsilon=st.floats(0.0, 1.0), zeta=st.floats(0.0, 0.1),
+        k=st.floats(0.05, 0.5), q=st.floats(0.0, 1.0), xi=st.floats(0.0, 1.0),
+        chi=st.floats(0.01, 0.3), gamma_a=st.floats(0.02, 0.3), gamma_i=st.floats(0.02, 0.3),
+        ramp=st.floats(0.5, 1.8),
+        beta_ratio=st.floats(0.01, 100.0), r0_scheme=st.floats(1.05, 20.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_reproduces_its_functionals(self, h, theta_max, ramp, beta_ratio, r0_scheme, **rates):
+        grid = build_grid(h, theta_max)
+
+        def build(scale):
+            # One stage rate per compartment ramps linearly with age, so
+            # the survival products must line up with the age nodes.
+            params = make_constant_params(grid, n0=1e7, beta_a=1e-9 * scale,
+                                          beta_i=1e-9 * beta_ratio * scale, **rates)
+            ramped = np.linspace(1.0, ramp, grid.n_nodes)
+            return replace(params, **{name: getattr(params, name).with_values(
+                ramped * getattr(params, name).values) for name in ("k", "chi", "gamma_i")})
+
+        # R0 is linear in the transmission rates: scale them to the drawn scheme r0.
+        base = build(1.0)
+        params = build(r0_scheme / rep.compute_R0(base, rep.scheme_kernels(base)).r0)
+        ref = dg.discrete_fixed_point(params, rep.matching_steady_state(params)[1])
+        # The fixed point of the unlimited scheme: no S/V outflow limiting.
+        assume(h * (rates["p"] + ref.beta_star + rates["mu"]) < 1.0)
+
+        state = steady_initial_state(ref)
+        bounds = boundary_values(state, params)
+        assert force_of_infection(state, params) == pytest.approx(ref.beta_star, rel=1e-13)
+        assert bounds.eps == pytest.approx(ref.eps_star, rel=1e-13)
+        assert bounds.alpha == pytest.approx(ref.alpha_star, rel=1e-13)
+        assert bounds.iota == pytest.approx(ref.iota_star, rel=1e-13)
+        later = simulate(state, params, t_max=10.0, sample_every=10.0).final_state
+        assert dg.convergence_metric(later, ref, params.n0) <= 1e-14
+
+    def test_scheme_below_threshold_is_rejected(self):
+        # The scheme's survival is below the exponential's, so its r0 is
+        # smaller: 0.946 at h = 1 where the continuous r0 is 1.03.
+        grid = build_grid(1.0, 400.0)
+        scale = 1.03 / rep.compute_R0(make_constant_params(grid)).r0
+        params = make_constant_params(grid, beta_a=1e-9 * scale, beta_i=2e-9 * scale)
+        _, steady = rep.matching_steady_state(params)
+        assert steady.kind == rep.ENDEMIC
+        with pytest.raises(ParameterError, match=(
+            r"r0 = 1\.03 > 1, but the scheme's own r0 at h = 1 is 0\.9457\d* <= 1"
+            r".*use a smaller h"
+        )):
+            dg.discrete_fixed_point(params, steady)

@@ -15,6 +15,7 @@ from conftest import (
     make_constant_params,
 )
 from sveair import reproduction as rep
+from sveair.errors import StabilityError
 from sveair.grid import build_grid
 from sveair.runner import ExitReport
 from sveair.solver import boundary_values, force_of_infection
@@ -223,3 +224,39 @@ class TestSteadyState:
     def test_negative_beta_star_rejected(self, small_params):
         with pytest.raises(Exception):
             rep.steady_state(small_params, -1.0)
+
+
+class TestSchemeKernels:
+    def test_constant_rate_survival_is_geometric(self, small_grid):
+        params = make_constant_params(small_grid)
+        blocks = rep.scheme_kernels(params)
+        steps = np.arange(small_grid.n_nodes)
+        for surv, rate in ((blocks.surv_e, params.exit_rate_e),
+                           (blocks.surv_a, params.exit_rate_a),
+                           (blocks.surv_i, params.exit_rate_i)):
+            np.testing.assert_allclose(
+                surv.values, (1.0 - small_grid.h * rate[0]) ** steps, rtol=1e-12
+            )
+
+    def test_below_exponential_survival(self, small_params):
+        # 1 - x < exp(-x): the scheme keeps less of each cohort, so its
+        # blocks, and its r0, fall below the exponential ones.
+        scheme, exact = rep.scheme_kernels(small_params), rep.kernels(small_params)
+        assert np.all(scheme.surv_i.values[1:] < exact.surv_i.values[1:])
+        assert (rep.compute_R0(small_params, scheme).r0
+                < rep.compute_R0(small_params, exact).r0)
+
+    def test_long_tail_underflows_to_zero(self):
+        # A running product of factors near 1 stalls among the subnormals
+        # instead of reaching 0; the stepper would then run on subnormals.
+        grid = build_grid(0.5, 32400.0)
+        blocks = rep.scheme_kernels(make_constant_params(grid))
+        for surv in (blocks.surv_e, blocks.surv_a, blocks.surv_i):
+            values = surv.values
+            assert values[-1] == 0.0
+            assert np.all((values == 0.0) | (values >= np.finfo(np.float64).tiny))
+
+    def test_unstable_step_rejected(self):
+        grid = build_grid(1.0, 50.0)
+        with pytest.raises(StabilityError, match="reduce h"):
+            rep.scheme_kernels(make_constant_params(grid, k=1.0))
