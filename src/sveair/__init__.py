@@ -22,10 +22,9 @@ from sveair.reproduction import (
 from sveair.solver import State, TimeSeries, aggregate, boundary_values, force_of_infection, simulate, step
 from sveair.volterra import RenewalPath, solve_renewal
 from sveair.diagnostics import (
+    LyapunovEvaluator,
     LyapunovWeights,
     convergence_metric,
-    lyapunov_dfe,
-    lyapunov_endemic,
     lyapunov_weights,
     monotonicity_check,
 )
@@ -38,8 +37,8 @@ __all__ = [
     "State", "TimeSeries", "aggregate", "boundary_values", "force_of_infection",
     "simulate", "step",
     "RenewalPath", "solve_renewal",
-    "LyapunovWeights", "convergence_metric", "lyapunov_dfe", "lyapunov_endemic",
-    "lyapunov_weights", "monotonicity_check",
+    "LyapunovEvaluator", "LyapunovWeights", "convergence_metric", "lyapunov_weights",
+    "monotonicity_check",
 ]
 
 __version__ = "0.1.0"

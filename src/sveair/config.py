@@ -47,7 +47,6 @@ class ScenarioConfig:
     run_lyapunov: bool = False
     r0_only: bool = False
     out_dir: str = "out"
-    contact: str | None = None
     scalar_overrides: dict = field(default_factory=dict)
     profile_overrides: dict = field(default_factory=dict)
 
@@ -146,10 +145,6 @@ def load_config(path) -> ScenarioConfig:
             cfg.r0_only = _parse_bool(key, value, lineno)
         elif key == "output.dir":
             cfg.out_dir = value
-        elif key == "params.contact":
-            if value not in ("c1", "c2"):
-                raise ConfigError(f"line {lineno}: params.contact must be c1 or c2")
-            cfg.contact = value
         elif key.startswith("params."):
             name = key[len("params."):]
             if name in _SCALAR_OVERRIDES:

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from sveair.errors import LyapunovDomainError, ParameterError
-from sveair.grid import AgeGrid, rect_integral
+from sveair.grid import rect_integral
 from sveair.params import ParameterSet
-from sveair.reproduction import (DISEASE_FREE, ENDEMIC, SteadyState, compute_R0,
-                                 scheme_kernels, solve_beta_star, steady_state)
+from sveair.reproduction import (ENDEMIC, SteadyState, compute_R0, scheme_kernels,
+                                 solve_beta_star, steady_state)
 from sveair.solver import State, simulate
 
 # Steady densities below this are excluded from ratio integrands; their
@@ -37,7 +37,6 @@ class LyapunovWeights:
     """Tail-integral weight profiles (dimensionless, unbounded above, so
     carried as raw arrays rather than range-checked AgeProfiles)."""
 
-    grid: AgeGrid
     f_e: np.ndarray
     f_a: np.ndarray
     f_i: np.ndarray
@@ -70,8 +69,7 @@ def lyapunov_weights(params: ParameterSet, steady: SteadyState) -> LyapunovWeigh
     in the asymptomatic-to-symptomatic route via f_i(0); f_e feeds both
     routes with f_a(0) and f_i(0) as coefficients.
     """
-    grid = params.grid
-    h = grid.h
+    h = params.grid.h
     pool = steady.s_star + (1.0 - params.epsilon) * steady.v_star
     f_i = _backward_tail(pool * params.beta_i.values, params.exit_rate_i, h)
     f_i0 = float(f_i[0])
@@ -82,32 +80,14 @@ def lyapunov_weights(params: ParameterSet, steady: SteadyState) -> LyapunovWeigh
     f_a0 = float(f_a[0])
     kv, qv = params.k.values, params.q.values
     f_e = _backward_tail(f_a0 * kv * qv + f_i0 * kv * (1.0 - qv), params.exit_rate_e, h)
-    return LyapunovWeights(grid=grid, f_e=f_e, f_a=f_a, f_i=f_i, f_a0=f_a0, f_i0=f_i0)
+    return LyapunovWeights(f_e=f_e, f_a=f_a, f_i=f_i, f_a0=f_a0, f_i0=f_i0)
 
 
-def lyapunov_dfe(state: State, steady: SteadyState, weights: LyapunovWeights) -> float:
-    """Disease-free Lyapunov value: entropy terms in S, V plus the
-    weight-profile integrals, linear in the densities."""
-    if steady.kind != DISEASE_FREE:
-        raise ParameterError("lyapunov_dfe needs the disease-free steady state")
-    return LyapunovEvaluator(steady, weights)(
-        state.s, state.v, state.e.values, state.a.values, state.i.values
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class EndemicTailWeights:
-    """Steady-state tail masses weighting the density-ratio integrands."""
-
-    w_e_asym: np.ndarray   # tail of k q e*
-    w_e_symp: np.ndarray   # tail of k (1-q) e*
-    w_a_beta: np.ndarray   # tail of beta_a a*
-    w_a_chi: np.ndarray    # tail of chi (1-xi) a*
-    w_i_beta: np.ndarray   # tail of beta_i i*
-
-
-def endemic_tail_weights(params: ParameterSet, steady: SteadyState) -> EndemicTailWeights:
-    """Reversed cumulative rectangle sums of the steady-state integrands."""
+def endemic_tail_weights(params: ParameterSet, steady: SteadyState,
+                         weights: LyapunovWeights) -> tuple:
+    """(mask, weight, steady density) ratio terms of the endemic function for
+    e, a and i; the weights combine reversed cumulative rectangle sums of
+    the steady-state integrands."""
     h = params.grid.h
 
     def tail(values: np.ndarray) -> np.ndarray:
@@ -115,36 +95,40 @@ def endemic_tail_weights(params: ParameterSet, steady: SteadyState) -> EndemicTa
 
     kv, qv = params.k.values, params.q.values
     chi_branch = params.chi.values * (1.0 - params.xi.values)
-    return EndemicTailWeights(
-        w_e_asym=tail(kv * qv * steady.e_star.values),
-        w_e_symp=tail(kv * (1.0 - qv) * steady.e_star.values),
-        w_a_beta=tail(params.beta_a.values * steady.a_star.values),
-        w_a_chi=tail(chi_branch * steady.a_star.values),
-        w_i_beta=tail(params.beta_i.values * steady.i_star.values),
-    )
+    pool = steady.s_star + (1.0 - params.epsilon) * steady.v_star
+    e_star, a_star, i_star = steady.e_star.values, steady.a_star.values, steady.i_star.values
+    return tuple(_masked(weight, star) for weight, star in (
+        (weights.f_a0 * tail(kv * qv * e_star) + weights.f_i0 * tail(kv * (1.0 - qv) * e_star),
+         e_star),
+        (pool * tail(params.beta_a.values * a_star) + weights.f_i0 * tail(chi_branch * a_star),
+         a_star),
+        (pool * tail(params.beta_i.values * i_star), i_star),
+    ))
+
+
+def _masked(weight: np.ndarray, steady_values: np.ndarray):
+    """(mask, weight, steady density) at the nodes a ratio integrand reads."""
+    mask = (steady_values >= STEADY_DENSITY_FLOOR) & (weight > 0.0)
+    return mask, weight[mask], steady_values[mask]
 
 
 class LyapunovEvaluator:
-    """L(s, v, e, a, i) about one steady state, on raw state arrays.
+    """L(s, v, e, a, i) on raw state arrays, about the scheme's steady state.
 
-    The weights are computed once, here. The endemic kind (which needs
-    `params`) keeps its combined tail weights and the steady densities only
-    at the nodes that carry weight, not the tail arrays themselves.
+    `steady` is the one `reproduction.matching_steady_state` returns. A
+    disease-free one is used as given; an endemic one carries the
+    quadrature's O(h) bias, so `self.steady` is the scheme's own fixed point
+    (`discrete_fixed_point`). The weights are computed once, here.
     """
 
-    def __init__(self, steady: SteadyState, weights: LyapunovWeights,
-                 params: ParameterSet | None = None, tails: EndemicTailWeights | None = None):
-        self.steady = steady
-        self.grid = weights.grid
+    def __init__(self, params: ParameterSet, steady: SteadyState):
         if steady.kind == ENDEMIC:
-            tails = endemic_tail_weights(params, steady) if tails is None else tails
-            pool = steady.s_star + (1.0 - params.epsilon) * steady.v_star
-            self.ratio_terms = tuple(_masked(weight, star.values) for weight, star in (
-                (weights.f_a0 * tails.w_e_asym + weights.f_i0 * tails.w_e_symp,
-                 steady.e_star),
-                (pool * tails.w_a_beta + weights.f_i0 * tails.w_a_chi, steady.a_star),
-                (pool * tails.w_i_beta, steady.i_star),
-            ))
+            steady = discrete_fixed_point(params, steady)
+        weights = lyapunov_weights(params, steady)
+        self.steady = steady
+        self.grid = params.grid
+        if steady.kind == ENDEMIC:
+            self.ratio_terms = endemic_tail_weights(params, steady, weights)
         else:
             self.profiles = (weights.f_e, weights.f_a, weights.f_i)
 
@@ -180,33 +164,6 @@ class LyapunovEvaluator:
         return observe
 
 
-def _masked(weight: np.ndarray, steady_values: np.ndarray):
-    """(mask, weight, steady density) at the nodes a ratio integrand reads."""
-    mask = (steady_values >= STEADY_DENSITY_FLOOR) & (weight > 0.0)
-    return mask, weight[mask], steady_values[mask]
-
-
-def lyapunov_endemic(
-    state: State,
-    steady: SteadyState,
-    weights: LyapunovWeights,
-    params: ParameterSet,
-    tails: EndemicTailWeights | None = None,
-) -> float:
-    """Endemic Lyapunov value: entropy terms in S, V plus tail-weighted
-    integrals of f(density / steady density).
-
-    Nodes where the steady density underflows are excluded together with
-    their vanishing weights. A nonpositive state density at a node that
-    still carries weight raises LyapunovDomainError.
-    """
-    if steady.kind != ENDEMIC:
-        raise ParameterError("lyapunov_endemic needs the endemic steady state")
-    return LyapunovEvaluator(steady, weights, params, tails)(
-        state.s, state.v, state.e.values, state.a.values, state.i.values
-    )
-
-
 def discrete_fixed_point(params: ParameterSet, steady: SteadyState) -> SteadyState:
     """The explicit scheme's own endemic fixed point, in closed form.
 
@@ -236,20 +193,13 @@ def monitor_lyapunov(
     steady: SteadyState,
     t_max: float,
     sample_every: float = 1.0,
-    weights: LyapunovWeights | None = None,
 ):
-    """Run the solver with the matching Lyapunov function as its observer.
-
-    Uses the disease-free function for a disease-free steady state and the
-    endemic one otherwise (the latter requires strictly positive densities
-    wherever the steady densities are representable).
+    """Run the solver with `LyapunovEvaluator(params, steady)` as its observer.
 
     Returns:
         (times, values, SimulationResult) with values[i] = L at times[i].
     """
-    if weights is None:
-        weights = lyapunov_weights(params, steady)
-    evaluator = LyapunovEvaluator(steady, weights, params)
+    evaluator = LyapunovEvaluator(params, steady)
     times, values = [], []
     result = simulate(init, params, t_max, sample_every=sample_every,
                       observer=evaluator.observer(times, values))

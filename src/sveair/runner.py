@@ -55,9 +55,7 @@ def build_model(cfg: ScenarioConfig) -> tuple[AgeGrid, ParameterSet]:
     for key, path in cfg.profile_overrides.items():
         field_name, units = units_by_field[key]
         overrides[field_name] = load_profile_csv(path, grid, units)
-    contact = cfg.contact if cfg.contact else ("c1" if cfg.builtin.endswith("c1") else "c2")
-    params = scenarios.build_parameters(grid, contact=contact, **overrides)
-    return grid, params
+    return grid, scenarios.builtin_scenario(cfg.builtin, grid, **overrides)
 
 
 def _d_label(d: float) -> str:
@@ -141,9 +139,8 @@ def _write_snapshots(out_dir: Path, label: str, ts) -> None:
                   [snap.theta, snap.e, snap.a, snap.i])
 
 
-def _oracle_compare(out_dir: Path, label: str, init: State, params, cfg, result) -> None:
+def _oracle_compare(out_dir: Path, label: str, init: State, params, window, result) -> None:
     """PDE vs renewal-march force of infection over the oracle window."""
-    window = min(cfg.oracle_t_max, cfg.t_max)
     path = volterra.solve_renewal(init, params, t_max=window)
     write_csv(
         out_dir / f"volterra_d{label}.csv",
@@ -158,16 +155,6 @@ def _oracle_compare(out_dir: Path, label: str, init: State, params, cfg, result)
         ["t", "beta_pde", "beta_volterra", "rel_dev"],
         [path.t, beta_pde, path.beta, rel_dev],
     )
-
-
-def _lyapunov_evaluator(params, steady) -> diagnostics.LyapunovEvaluator:
-    """Evaluator about the monitoring reference: the DFE is the scheme's
-    exact fixed point; the endemic closed form is not, so monitor about the
-    scheme's own endemic fixed point, built in closed form."""
-    if steady.kind == reproduction.ENDEMIC:
-        steady = diagnostics.discrete_fixed_point(params, steady)
-    weights = diagnostics.lyapunov_weights(params, steady)
-    return diagnostics.LyapunovEvaluator(steady, weights, params)
 
 
 def _write_lyapunov(out_dir: Path, label: str, times: list, values: list) -> None:
@@ -292,8 +279,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ExitReport:
             "the endemic Lyapunov function is infinite for band-seeded initial data "
             "(zero density at weighted ages); use init.mode=steady-scaled"
         )
+    window = min(cfg.oracle_t_max, cfg.t_max)
+    if cfg.run_oracle and window > volterra.T_MAX_CAP:
+        raise ConfigError(f"run.oracle_t_max: the oracle window of {window:g} days exceeds "
+                          f"the renewal-march cap of {volterra.T_MAX_CAP:g} days")
 
-    evaluator = _lyapunov_evaluator(params, steady) if cfg.run_lyapunov else None
+    evaluator = diagnostics.LyapunovEvaluator(params, steady) if cfg.run_lyapunov else None
 
     summaries = []
     ok = True
@@ -312,7 +303,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ExitReport:
         _write_timeseries(out / f"run_d{label}.csv", result.timeseries)
         _write_snapshots(out, label, result.timeseries)
         if cfg.run_oracle:
-            _oracle_compare(out, label, init, params, cfg, result)
+            _oracle_compare(out, label, init, params, window, result)
         if evaluator is not None:
             _write_lyapunov(out, label, times, values)
         summaries.append(RunSummary(

@@ -125,11 +125,11 @@ def build_parameters(grid: AgeGrid, contact: str = "c2", **overrides) -> Paramet
     return ParameterSet(**fields)
 
 
-def builtin_scenario(name: str, grid: AgeGrid) -> ParameterSet:
-    """Parameter set for a built-in scenario name."""
+def builtin_scenario(name: str, grid: AgeGrid, **overrides) -> ParameterSet:
+    """Parameter set for a built-in scenario name; keyword overrides replace fields."""
     if name not in BUILTIN_NAMES:
         raise ConfigError(f"unknown built-in scenario {name!r}; choose from {BUILTIN_NAMES}")
-    return build_parameters(grid, contact="c1" if name.endswith("c1") else "c2")
+    return build_parameters(grid, contact="c1" if name.endswith("c1") else "c2", **overrides)
 
 
 def band_initial_state(

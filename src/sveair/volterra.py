@@ -31,7 +31,7 @@ from sveair.grid import AgeProfile, Units, survival
 from sveair.params import ParameterSet
 from sveair.solver import State
 
-# History cost is O(n^2); refuse silently huge runs unless overridden.
+# History cost is O(n^2); refuse silently huge runs.
 T_MAX_CAP = 2000.0
 
 # exp() guard for the cumulative-hazard exponents of the S/V formulas.
@@ -70,25 +70,21 @@ def solve_renewal(
     init: State,
     params: ParameterSet,
     t_max: float,
-    t_max_cap: float = T_MAX_CAP,
 ) -> RenewalPath:
     """March the renewal system over [0, t_max] with step h = grid.h.
 
     Args:
         init: Initial state (same object the PDE solver accepts).
-        t_max: Run length in days; must not exceed t_max_cap.
-        t_max_cap: Safety cap on the quadratic-cost history march.
+        t_max: Run length in days; must not exceed T_MAX_CAP, a safety cap
+            on the quadratic-cost history march.
 
     Returns:
         RenewalPath sampled at every step.
     """
     if t_max <= 0:
         raise ParameterError(f"t_max must be positive, got {t_max}")
-    if t_max > t_max_cap:
-        raise ParameterError(
-            f"t_max={t_max} exceeds the renewal-march cap {t_max_cap}; "
-            "raise t_max_cap explicitly for long runs"
-        )
+    if t_max > T_MAX_CAP:
+        raise ParameterError(f"t_max={t_max} exceeds the renewal-march cap {T_MAX_CAP}")
     grid = params.grid
     if init.e.grid != grid:
         raise ParameterError("initial state is not on the parameter grid")

@@ -282,6 +282,13 @@ def test_criterion_7_oracle_equivalence(desk_c2):
             f"{devs[0.25]:.4f} at h=0.25, ratio {ratio:.3f}")
 
 
+def _lyapunov_series(evaluator, init, params, t_max):
+    """(times, L) along one pass observed by an evaluator built once per leg."""
+    times, values = [], []
+    simulate(init, params, t_max, observer=evaluator.observer(times, values))
+    return np.asarray(times), np.asarray(values)
+
+
 def test_criterion_8_lyapunov_monotonicity(desk_c1, desk_c2):
     """Zero monotonicity violations along both scenarios.
 
@@ -292,37 +299,32 @@ def test_criterion_8_lyapunov_monotonicity(desk_c1, desk_c2):
     band initial data give an infinite endemic Lyapunov value (zero density
     at weighted ages for every t < 20 years), so the monitor runs
     steady-profile-scaled positive seeds with the sweep masses, S and V at
-    their steady values, about the scheme's own fixed point (the
-    closed-form steady state carries the quadrature's O(h) bias). For the
-    over-seeded amplitudes (d >= 1e6) the first few days are numerically
-    under-resolved at h=0.5; a 5-day startup window is excluded there and
-    the startup increments are checked to shrink with h.
+    their steady values, about the evaluator's reference (the scheme's own
+    fixed point). For the over-seeded amplitudes (d >= 1e6) the first few
+    days are numerically under-resolved at h=0.5; a 5-day startup window is
+    excluded there and the startup increments are checked to shrink with h.
     """
     params_c1, _, steady_c1 = desk_c1
-    weights_c1 = dg.lyapunov_weights(params_c1, steady_c1)
+    evaluator_c1 = dg.LyapunovEvaluator(params_c1, steady_c1)
     details = []
     ok = True
     for d in D_SWEEP:
         init = sc.band_initial_state(params_c1, sc.S0_DEFAULT, sc.V0_DEFAULT, d)
-        times, values, _ = dg.monitor_lyapunov(
-            init, params_c1, steady_c1, t_max=1500.0, weights=weights_c1
-        )
+        times, values = _lyapunov_series(evaluator_c1, init, params_c1, 1500.0)
         report = dg.monotonicity_check(values, times)
         ok &= report.n_violations == 0
         details.append(f"c1 d={d:g}: {report.n_violations} violations")
 
     params_c2, _, steady_c2 = desk_c2
-    reference = dg.discrete_fixed_point(params_c2, steady_c2)
-    weights_c2 = dg.lyapunov_weights(params_c2, reference)
+    evaluator_c2 = dg.LyapunovEvaluator(params_c2, steady_c2)
+    reference = evaluator_c2.steady
     startup_window = 5.0
     startup_incs = {}
     for d in D_SWEEP:
         init = sc.steady_scaled_initial_state(
             params_c2, reference, reference.s_star, reference.v_star, d
         )
-        times, values, _ = dg.monitor_lyapunov(
-            init, params_c2, reference, t_max=1500.0, weights=weights_c2
-        )
+        times, values = _lyapunov_series(evaluator_c2, init, params_c2, 1500.0)
         full = dg.monotonicity_check(values, times)
         settled_mask = times >= startup_window
         settled = dg.monotonicity_check(values[settled_mask], times[settled_mask])
@@ -340,14 +342,12 @@ def test_criterion_8_lyapunov_monotonicity(desk_c1, desk_c2):
     grid_half = build_grid(0.25, THETA_MAX)
     params_half = sc.builtin_scenario("table2-c2", grid_half)
     _, steady_half = rep.matching_steady_state(params_half)
-    ref_half = dg.discrete_fixed_point(params_half, steady_half)
-    weights_half = dg.lyapunov_weights(params_half, ref_half)
+    evaluator_half = dg.LyapunovEvaluator(params_half, steady_half)
+    ref_half = evaluator_half.steady
     init_half = sc.steady_scaled_initial_state(
         params_half, ref_half, ref_half.s_star, ref_half.v_star, 1e6
     )
-    times_h, values_h, _ = dg.monitor_lyapunov(
-        init_half, params_half, ref_half, t_max=20.0, weights=weights_half
-    )
+    times_h, values_h = _lyapunov_series(evaluator_half, init_half, params_half, 20.0)
     startup_half = max(
         (iv[3] for iv in dg.monotonicity_check(values_h, times_h).intervals),
         default=0.0,

@@ -51,6 +51,8 @@ class TestLoadConfig:
             load_config(write_cfg(tmp_path, "grid.steps = 12\n"))
         with pytest.raises(ConfigError, match="params.omega"):
             load_config(write_cfg(tmp_path, "params.omega = 1\n"))
+        with pytest.raises(ConfigError, match="params.contact"):
+            load_config(write_cfg(tmp_path, "params.contact = c1\n"))
 
     def test_parse_error_carries_line_number(self, tmp_path):
         with pytest.raises(ConfigError, match="line 2"):
@@ -200,7 +202,6 @@ class TestRunner:
         assert sum(calls.values()) == len(seen["states"])
 
         params = seen["params"]
-        reference = diagnostics.discrete_fixed_point(params, seen["steady"])
         window = min(cfg.oracle_t_max, cfg.t_max)
         for label, init in seen["states"]:
             beta_pde = simulate(init, params, t_max=window,
@@ -212,7 +213,7 @@ class TestRunner:
                 assert np.array_equal(got, want)
 
             times, values, _ = diagnostics.monitor_lyapunov(
-                init, params, reference, t_max=cfg.t_max, sample_every=cfg.sample_every)
+                init, params, seen["steady"], t_max=cfg.t_max, sample_every=cfg.sample_every)
             flags = np.zeros(values.size)
             for idx, *_rest in diagnostics.monotonicity_check(values, times).intervals:
                 flags[idx + 1] = 1.0
@@ -276,6 +277,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error: r0 = 1.03 > 1, but the scheme's own r0 at h = 1 is" in err
         assert "use a smaller h" in err
+
+    def test_oracle_window_over_cap_stops_before_the_sweep(self, tmp_path, capsys):
+        text = TINY.replace("run.t_max = 10", "run.t_max = 2100") + "run.oracle_t_max = 2100\n"
+        cfg_path = write_cfg(tmp_path, text)
+        out = tmp_path / "o"
+        code = cli.main(["oracle-compare", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert "error: run.oracle_t_max" in capsys.readouterr().err
+        assert not list(out.glob("run_d*.csv"))
 
     def test_config_error_is_reported(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, "grid.h = -1\n")

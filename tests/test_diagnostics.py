@@ -24,8 +24,7 @@ def endemic_setup():
     beta_star = rep.solve_beta_star(params)
     assert beta_star > 0.0
     steady = rep.steady_state(params, beta_star)
-    weights = dg.lyapunov_weights(params, steady)
-    return grid, params, steady, weights
+    return grid, params, steady
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +34,22 @@ def dfe_setup():
     steady = rep.steady_state(params, 0.0)
     weights = dg.lyapunov_weights(params, steady)
     return grid, params, steady, weights
+
+
+@pytest.fixture(scope="module")
+def dfe_evaluator(dfe_setup):
+    _, params, steady, _ = dfe_setup
+    return dg.LyapunovEvaluator(params, steady)
+
+
+@pytest.fixture(scope="module")
+def endemic_evaluator(endemic_setup):
+    _, params, steady = endemic_setup
+    return dg.LyapunovEvaluator(params, steady)
+
+
+def lyapunov(evaluator, state):
+    return evaluator(state.s, state.v, state.e.values, state.a.values, state.i.values)
 
 
 class TestWeights:
@@ -92,76 +107,99 @@ class TestWeights:
         assert residual_scale[0.25] < 0.7 * residual_scale[0.5]
 
 
-class TestDfeLyapunov:
-    def test_zero_at_steady_state(self, dfe_setup):
-        _, params, steady, weights = dfe_setup
-        assert dg.lyapunov_dfe(steady_initial_state(steady), steady, weights) == 0.0
+class TestEvaluatorReference:
+    def test_endemic_reference_is_the_discrete_fixed_point(self, endemic_setup,
+                                                           endemic_evaluator):
+        _, params, steady = endemic_setup
+        ref = dg.discrete_fixed_point(params, steady)
+        got = endemic_evaluator.steady
+        assert got.kind == ref.kind == rep.ENDEMIC
+        for name in ("s_star", "v_star", "beta_star", "eps_star", "alpha_star", "iota_star"):
+            assert getattr(got, name) == getattr(ref, name)
+        for name in ("e_star", "a_star", "i_star"):
+            np.testing.assert_array_equal(getattr(got, name).values, getattr(ref, name).values)
 
-    def test_doubled_scalars(self, dfe_setup):
-        grid, params, steady, weights = dfe_setup
+    def test_disease_free_reference_is_the_given_state(self, dfe_setup, dfe_evaluator):
+        _, _, steady, _ = dfe_setup
+        assert dfe_evaluator.steady is steady
+
+
+class TestDfeLyapunov:
+    def test_zero_at_steady_state(self, dfe_setup, dfe_evaluator):
+        _, _, steady, _ = dfe_setup
+        assert lyapunov(dfe_evaluator, steady_initial_state(steady)) == 0.0
+
+    def test_doubled_scalars(self, dfe_setup, dfe_evaluator):
+        grid, _, steady, _ = dfe_setup
         state = State(t=0.0, s=2 * steady.s_star, v=2 * steady.v_star,
                       e=zero_density(grid), a=zero_density(grid), i=zero_density(grid))
         f2 = 2.0 - 1.0 - math.log(2.0)
         expected = steady.s_star * f2 + steady.v_star * f2
-        assert dg.lyapunov_dfe(state, steady, weights) == pytest.approx(expected, rel=1e-14)
+        assert lyapunov(dfe_evaluator, state) == pytest.approx(expected, rel=1e-14)
 
     @given(
         fs=st.floats(0.2, 5.0), fv=st.floats(0.2, 5.0),
         mass=st.floats(0.0, 1e4),
     )
     @settings(max_examples=40, deadline=None)
-    def test_positive_away_from_steady_state(self, fs, fv, mass, dfe_setup):
-        grid, params, steady, weights = dfe_setup
+    def test_positive_away_from_steady_state(self, fs, fv, mass, dfe_setup, dfe_evaluator):
+        grid, _, steady, _ = dfe_setup
         state = State(t=0.0, s=steady.s_star * fs, v=steady.v_star * fv,
                       e=band_density(grid, 10.0, 100.0, mass),
                       a=zero_density(grid), i=zero_density(grid))
-        value = dg.lyapunov_dfe(state, steady, weights)
+        value = lyapunov(dfe_evaluator, state)
         if fs == 1.0 and fv == 1.0 and mass == 0.0:
             assert value == 0.0
         else:
             assert value > 0.0
 
-    def test_nonpositive_scalars_rejected(self, dfe_setup):
-        grid, params, steady, weights = dfe_setup
+    def test_nonpositive_scalars_rejected(self, dfe_setup, dfe_evaluator):
+        grid = dfe_setup[0]
         state = State(t=0.0, s=0.0, v=1.0, e=zero_density(grid),
                       a=zero_density(grid), i=zero_density(grid))
         with pytest.raises(LyapunovDomainError):
-            dg.lyapunov_dfe(state, steady, weights)
+            lyapunov(dfe_evaluator, state)
 
 
 class TestEndemicLyapunov:
-    def test_zero_at_steady_state(self, endemic_setup):
-        _, params, steady, weights = endemic_setup
-        value = dg.lyapunov_endemic(steady_initial_state(steady), steady, weights, params)
+    def test_zero_at_steady_state(self, endemic_evaluator):
+        value = lyapunov(endemic_evaluator, steady_initial_state(endemic_evaluator.steady))
         assert value == pytest.approx(0.0, abs=1e-12)
 
-    def test_doubled_latent_density_factorizes(self, endemic_setup):
-        grid, params, steady, weights = endemic_setup
-        tails = dg.endemic_tail_weights(params, steady)
-        state = State(t=0.0, s=steady.s_star, v=steady.v_star,
-                      e=steady.e_star.with_values(2.0 * steady.e_star.values),
-                      a=steady.a_star, i=steady.i_star)
+    def test_doubled_latent_density_factorizes(self, endemic_setup, endemic_evaluator):
+        grid, params, _ = endemic_setup
+        ref = endemic_evaluator.steady
+        weights = dg.lyapunov_weights(params, ref)
+        state = State(t=0.0, s=ref.s_star, v=ref.v_star,
+                      e=ref.e_star.with_values(2.0 * ref.e_star.values),
+                      a=ref.a_star, i=ref.i_star)
+        # The integral of a rectangle-rule tail mass is the first moment
+        # h * sum (theta_j + h) x_j of its integrand.
+        moment = grid.nodes + grid.h
+        kq_e = params.k.values * params.q.values * ref.e_star.values
+        k1q_e = params.k.values * (1.0 - params.q.values) * ref.e_star.values
         f2 = 2.0 - 1.0 - math.log(2.0)
-        expected = f2 * (weights.f_a0 * rect_integral(tails.w_e_asym, grid)
-                         + weights.f_i0 * rect_integral(tails.w_e_symp, grid))
-        value = dg.lyapunov_endemic(state, steady, weights, params, tails)
-        assert value == pytest.approx(expected, rel=1e-9)
+        expected = f2 * (weights.f_a0 * rect_integral(moment * kq_e, grid)
+                         + weights.f_i0 * rect_integral(moment * k1q_e, grid))
+        assert lyapunov(endemic_evaluator, state) == pytest.approx(expected, rel=1e-9)
 
-    def test_positive_for_perturbed_state(self, endemic_setup):
-        grid, params, steady, weights = endemic_setup
-        state = State(t=0.0, s=1.3 * steady.s_star, v=0.8 * steady.v_star,
-                      e=steady.e_star.with_values(1.5 * steady.e_star.values),
-                      a=steady.a_star.with_values(0.5 * steady.a_star.values),
-                      i=steady.i_star)
-        assert dg.lyapunov_endemic(state, steady, weights, params) > 0.0
+    def test_positive_for_perturbed_state(self, endemic_evaluator):
+        ref = endemic_evaluator.steady
+        state = State(t=0.0, s=1.3 * ref.s_star, v=0.8 * ref.v_star,
+                      e=ref.e_star.with_values(1.5 * ref.e_star.values),
+                      a=ref.a_star.with_values(0.5 * ref.a_star.values),
+                      i=ref.i_star)
+        assert lyapunov(endemic_evaluator, state) > 0.0
 
-    def test_zero_density_at_weighted_node_is_domain_error(self, endemic_setup):
-        grid, params, steady, weights = endemic_setup
-        state = State(t=0.0, s=steady.s_star, v=steady.v_star,
+    def test_zero_density_at_weighted_node_is_domain_error(self, endemic_setup,
+                                                           endemic_evaluator):
+        grid = endemic_setup[0]
+        ref = endemic_evaluator.steady
+        state = State(t=0.0, s=ref.s_star, v=ref.v_star,
                       e=band_density(grid, 100.0, 200.0, 50.0),
-                      a=steady.a_star, i=steady.i_star)
+                      a=ref.a_star, i=ref.i_star)
         with pytest.raises(LyapunovDomainError):
-            dg.lyapunov_endemic(state, steady, weights, params)
+            lyapunov(endemic_evaluator, state)
 
 
 class TestMonotonicityCheck:
@@ -199,7 +237,7 @@ class TestMonotonicityCheck:
 
 class TestConvergenceMetric:
     def test_zero_at_steady_state(self, endemic_setup):
-        _, params, steady, _ = endemic_setup
+        _, params, steady = endemic_setup
         state = steady_initial_state(steady)
         assert dg.convergence_metric(state, steady, params.n0) == 0.0
 
@@ -212,7 +250,7 @@ class TestConvergenceMetric:
         )
 
     def test_homogeneous_scaling(self, endemic_setup):
-        grid, params, steady, _ = endemic_setup
+        grid, params, steady = endemic_setup
         state = State(t=0.0, s=1.1 * steady.s_star, v=1.1 * steady.v_star,
                       e=steady.e_star.with_values(1.1 * steady.e_star.values),
                       a=steady.a_star.with_values(1.1 * steady.a_star.values),
