@@ -167,6 +167,11 @@ def _validate(cfg: ScenarioConfig, base: Path) -> None:
         raise ConfigError(f"grid.theta_max must be at least grid.h, got {cfg.theta_max}")
     if not cfg.t_max > 0:
         raise ConfigError(f"run.t_max must be positive, got {cfg.t_max}")
+    if any(not 0 <= ts <= cfg.t_max for ts in cfg.snapshot_times):
+        raise ConfigError(
+            f"run.snapshot_times must lie in [0, run.t_max = {cfg.t_max}], "
+            f"got {', '.join(map(str, cfg.snapshot_times))}"
+        )
     if not cfg.sample_every >= cfg.h:
         raise ConfigError(
             f"run.sample_every must be at least grid.h, got {cfg.sample_every}"

@@ -23,15 +23,20 @@ largest block length for which the smallest decay factor, raised to the
 power L, stays above 1e-250, so Q never underflows; in exchange a density
 must stay below about 1e58 to be representable as u.
 
-Each step reads the window once: three matrix-vector products against the
-kernel rows weight * Q give the force of infection, the two boundary
-integrals and the recovered flux together. Sample masses are
-h * (Q[c] @ u[c]), and the densities are rebuilt as Q * u only for the
-observer, the snapshots and the final state. At t = 0 the functionals are
-instead the unscaled dot products of the given densities, the arithmetic of
-`force_of_infection` and `boundary_values` (and of the renewal oracle's
-first step), so every reader of an initial state gets the same numbers, not
-numbers that agree to round-off.
+Each step reads only the live span of the window. After n steps a node
+can be nonzero only in the boundary history [0, n) or in the initial
+support [first, last) moved n nodes on; every other node holds an exact 0.
+So three matrix-vector products against the kernel rows weight * Q,
+summed over the live spans, give the force of infection, the two boundary
+integrals and the recovered flux together, and sample masses are
+h * (Q[c] @ u[c]) over the same spans. The densities are rebuilt as Q * u
+on all nodes only for the observer, the snapshots and the final state.
+
+At t = 0 the functionals are instead the unscaled dot products of the
+given densities, the arithmetic of `force_of_infection` and
+`boundary_values` (and of the renewal oracle's first step), so every reader
+of an initial state gets the same numbers, not numbers that agree to
+round-off.
 
 With nonnegative state and the setup stability bound h * max(exit rate) < 1
 the density updates cannot go negative. The S and V updates can, when the
@@ -237,6 +242,30 @@ def stable_exit_rate(params: ParameterSet) -> float:
     return worst
 
 
+def _live_spans(n: int, first: int, last: int, n_nodes: int) -> tuple:
+    """Window node ranges that can be nonzero after n steps.
+
+    They are the boundary history [0, n) and the initial support
+    [first, last) moved n nodes on, both cut at n_nodes and merged when
+    they touch. Every other node holds an exact 0.
+    """
+    head = min(n, n_nodes)
+    low, high = first + n, min(last + n, n_nodes)
+    if low >= high:
+        return ((0, head),)
+    if low <= head:
+        return ((0, high),)
+    return ((0, head), (low, high))
+
+
+def _span_dot(matrix: np.ndarray, row: np.ndarray, spans) -> np.ndarray:
+    """matrix @ row, summed over the live spans of row only."""
+    total = 0.0
+    for low, high in spans:
+        total = total + matrix[..., low:high] @ row[low:high]
+    return total
+
+
 def _kernel(q_row: np.ndarray, *weights: np.ndarray) -> np.ndarray:
     """Rows weight * Q of one compartment, stacked for one matrix-vector product."""
     out = np.empty((len(weights), q_row.shape[0]))
@@ -296,6 +325,13 @@ def simulate(
         params, init.s, init.v, init.e.values, init.a.values, init.i.values
     )
 
+    # The initial support [first, last) of the three densities; first == last
+    # when they are all zero.
+    support = (init.e.values != 0.0) | (init.a.values != 0.0) | (init.i.values != 0.0)
+    first = int(support.argmax())
+    last = n_nodes - int(support[::-1].argmax()) if support[first] else first
+    del support
+
     block, q, products = _block_decay(rates, h, worst)
     frame = np.empty((3, n_nodes + _SLACK))
     start = _SLACK
@@ -323,12 +359,13 @@ def simulate(
     for n in range(n_steps + 1):
         t = init.t + n * h
         window = frame[:, start:start + n_nodes]
+        spans = _live_spans(n, first, last, n_nodes)
         if n == 0:
             beta, eps, alpha, iota, recovered = initial
         else:
-            to_asym, to_symp = (kernel_e @ window[0]).tolist()
-            infect_a, branch_a, recover_a = (kernel_a @ window[1]).tolist()
-            infect_i, recover_i = (kernel_i @ window[2]).tolist()
+            to_asym, to_symp = _span_dot(kernel_e, window[0], spans).tolist()
+            infect_a, branch_a, recover_a = _span_dot(kernel_a, window[1], spans).tolist()
+            infect_i, recover_i = _span_dot(kernel_i, window[2], spans).tolist()
             beta = h * (infect_a + infect_i)
             eps = beta * (s + one_minus_eps * v)
             alpha = h * to_asym
@@ -339,7 +376,8 @@ def simulate(
             raise AbortedRunError(f"non-finite value at step {n} (t={t})", step_index=n)
         beta_steps[n] = beta
         if n % stride == 0 or n == n_steps:
-            e_tot, a_tot, i_tot = (h * float(q_row @ u) for q_row, u in zip(q, window))
+            e_tot, a_tot, i_tot = (h * float(_span_dot(q_row, u, spans))
+                                   for q_row, u in zip(q, window))
             removed = n0 - s - v - e_tot - a_tot - i_tot
             if r_tilde is None:
                 # Initial recovered mass: population minus the modeled pools.

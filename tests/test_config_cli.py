@@ -4,11 +4,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sveair import cli, diagnostics, reproduction, runner, volterra
+from sveair import cli, diagnostics, io, reproduction, runner, volterra
 from sveair.config import load_config
 from sveair.errors import ConfigError
-from sveair.io import read_csv, write_csv
+from sveair.io import format_value, read_csv, write_csv
 from sveair.runner import build_model, contact_labeling_outcomes, run_scenario, write_contact_labeling_report
 from sveair.solver import simulate
 
@@ -103,6 +105,40 @@ class TestCsvRoundTrip:
         write_csv(path, ["x"], [np.array([1.5])])
         raw = path.read_bytes()
         assert b"\r" not in raw
+
+    @given(length=st.sampled_from([0, 1, io._BLOCK_ROWS - 1, io._BLOCK_ROWS,
+                                   io._BLOCK_ROWS + 1, 3 * io._BLOCK_ROWS + 17]),
+           n_cols=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           planted=st.lists(st.floats(), max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_row_by_row_format_value(self, tmp_path_factory, length, n_cols,
+                                             seed, planted):
+        rng = np.random.default_rng(seed)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310,
+                            2.2250738585072014e-308, 1e16, -1e16, 1e16 - 2.0,
+                            1e16 + 2.0, 0.5, -3.0, 1.7976931348623157e308])
+        cols = []
+        for _ in range(n_cols):
+            kind = rng.integers(6, size=length)
+            col = rng.integers(0, 2**64, size=length, dtype=np.uint64).view(np.float64)
+            col = np.where(kind == 0, special[rng.integers(special.size, size=length)], col)
+            near = rng.integers(10**16 - 40, 10**16 + 40, size=length) * rng.choice([-1, 1], length)
+            col = np.where(kind == 1, near.astype(np.float64), col)
+            col = np.where(kind == 2, rng.integers(-1000, 1000, size=length), col)
+            col = np.where(kind == 3, rng.standard_normal(length) * 10.0 ** rng.integers(
+                -320, 300, size=length), col)
+            cols.append(col)
+        if length:
+            for value in planted:
+                cols[rng.integers(n_cols)][rng.integers(length)] = value
+            if rng.random() < 0.3:
+                cols[0] = rng.integers(-2**62, 2**62, size=length)
+        header = [f"c{j}" for j in range(n_cols)]
+        path = tmp_path_factory.getbasetemp() / "row_by_row.csv"
+        write_csv(path, header, cols)
+        want = ",".join(header) + "\n" + "".join(
+            ",".join(map(format_value, row)) + "\n" for row in zip(*cols))
+        assert path.read_bytes() == want.encode()
 
 
 class TestRunner:
@@ -285,6 +321,16 @@ class TestCli:
         code = cli.main(["oracle-compare", "--config", str(cfg_path), "--out", str(out)])
         assert code == 2
         assert "error: run.oracle_t_max" in capsys.readouterr().err
+        assert not list(out.glob("run_d*.csv"))
+
+    def test_snapshot_time_outside_the_run_is_rejected(self, tmp_path, capsys):
+        text = TINY.replace("run.snapshot_times = 5", "run.snapshot_times = 5,50,-3")
+        cfg_path = write_cfg(tmp_path, text)
+        out = tmp_path / "o"
+        code = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert "error: run.snapshot_times must lie in [0, run.t_max = 10.0]" in (
+            capsys.readouterr().err)
         assert not list(out.glob("run_d*.csv"))
 
     def test_config_error_is_reported(self, tmp_path, capsys):

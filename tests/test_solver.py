@@ -284,14 +284,39 @@ def _initial_density(rng, grid, kind, scale):
         values[-1] = rng.uniform(0.0, scale)  # leaves through the absorbing boundary
     elif kind == "full":
         values[:] = rng.uniform(0.0, scale, grid.n_nodes)
+    elif kind == "band":
+        # At least two nodes wide, with zeros at node 0 and from node J - 2 on.
+        low = int(rng.integers(1, grid.n_nodes // 2))
+        high = int(rng.integers(low + 2, grid.n_nodes - 1))
+        values[low:high] = rng.uniform(0.1, 1.0, high - low) * scale
     return AgeProfile(grid, values, Units.DENSITY)
+
+
+def _band_run_length(rng, dens):
+    """Steps for a band draw: the initial support [first, last) moved n nodes
+    on stays apart from the boundary history [0, n) inside the window, runs
+    partly off node J - 1, or has left the window, so that the history alone
+    is live. Both stretches move one node per step, so the gap of `first`
+    nodes between them never closes; they merge only for support that starts
+    at node 0, as in the "full" regime."""
+    support = np.flatnonzero(sum(profile.values for profile in dens))
+    n_nodes = dens[0].grid.n_nodes
+    first, last = int(support[0]), int(support[-1]) + 1
+    low, high = {
+        "apart": (1, n_nodes - last),
+        "runoff": (n_nodes - last + 1, n_nodes - first - 1),
+        "gone": (n_nodes - first, n_nodes + 50),
+    }[("apart", "runoff", "gone")[rng.integers(3)]]
+    return int(rng.integers(low, high + 1))
 
 
 def _equivalence_case(seed, regime):
     """(init, params, run kwargs) for one draw of a regime.
 
     Every draw has random constant or piecewise profiles, a random step and
-    random nonnegative initial data. "limiter" starts with h * beta > 1;
+    random nonnegative initial data. "band" gives each compartment its own
+    interior band, and runs it for one of the cases of `_band_run_length`;
+    "limiter" starts with h * beta > 1;
     "fast" has h * max exit rate >= 0.95 on a grid of at least 600 nodes,
     which holds at least three of the frame's age blocks (a block is at most
     log(1e-250) / log(0.05) ~ 192 nodes long there); "long" runs for more
@@ -309,7 +334,7 @@ def _equivalence_case(seed, regime):
         peak = k.values.max()
         k = (k.with_values(k.values * (target / peak)) if peak > 0.0
              else constant_profile(grid, target, Units.RATE))
-    kinds = {"point": ("point",), "full": ("full",), "zero": ("zero",),
+    kinds = {"point": ("point",), "full": ("full",), "zero": ("zero",), "band": ("band",),
              "limiter": ("point", "full")}.get(regime, ("point", "full", "zero"))
     kind = kinds[rng.integers(len(kinds))]
     scale = 1e3 if regime == "limiter" else 10.0
@@ -334,8 +359,11 @@ def _equivalence_case(seed, regime):
     # S + V at most half of N0 keeps the R column well away from zero.
     init = State(t=rng.uniform(0.0, 10.0), s=rng.uniform(0.05, 0.25) * 1e6,
                  v=rng.uniform(0.0, 0.25) * 1e6, e=dens[0], a=dens[1], i=dens[2])
-    n_steps = int(rng.integers(_SLACK + 1, 3 * _SLACK) if regime == "long"
-                  else rng.integers(1, 300))
+    if regime == "band":
+        n_steps = _band_run_length(rng, dens)
+    else:
+        n_steps = int(rng.integers(_SLACK + 1, 3 * _SLACK) if regime == "long"
+                      else rng.integers(1, 300))
     stride = int(rng.integers(1, 6))
     snaps = rng.integers(0, n_steps + 1, size=rng.integers(0, 4))
     return init, params, dict(t_max=n_steps * h, sample_every=stride * h,
@@ -349,7 +377,8 @@ def _assert_close_to(got, want, rtol=1e-11):
 class TestMovingFrameEquivalence:
     """The moving-frame stepper equals the shift form to round-off."""
 
-    @pytest.mark.parametrize("regime", ["point", "full", "zero", "limiter", "fast", "long"])
+    @pytest.mark.parametrize("regime", ["point", "full", "zero", "band", "limiter", "fast",
+                                        "long"])
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_matches_shift_form(self, regime, seed):
