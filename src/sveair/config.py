@@ -176,6 +176,13 @@ def _validate(cfg: ScenarioConfig, base: Path) -> None:
         raise ConfigError(
             f"run.sample_every must be at least grid.h, got {cfg.sample_every}"
         )
+    # The run steps and samples on the grid; an off-grid value would be
+    # rounded to the nearest step.
+    for key, value in (("run.t_max", cfg.t_max), ("run.sample_every", cfg.sample_every)):
+        if abs(value - round(value / cfg.h) * cfg.h) > 1e-9 * value:
+            raise ConfigError(
+                f"{key} must be a whole multiple of grid.h = {cfg.h}, got {value}"
+            )
     if not cfg.oracle_t_max > 0:
         raise ConfigError(f"run.oracle_t_max must be positive, got {cfg.oracle_t_max}")
     if cfg.s0 < 0 or cfg.v0 < 0:

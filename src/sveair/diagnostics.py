@@ -26,6 +26,9 @@ from sveair.solver import State, simulate
 # tail weights vanish with them.
 STEADY_DENSITY_FLOOR = 1e-300
 
+# Survival products within one age block of `_backward_tail` stay above this.
+_TAIL_FLOOR = 1e-250
+
 
 def entropy_f(x):
     """f(x) = x - 1 - ln(x); nonnegative on (0, inf), zero only at 1."""
@@ -51,14 +54,30 @@ def _backward_tail(source: np.ndarray, rates: np.ndarray, h: float) -> np.ndarra
     exp(-integral_theta^s rate) ds with the survival primitive's
     exponential factors, so F[0] equals the rectangle quadrature of
     src * survival exactly.
+
+    Solved in age blocks from the oldest down. Within a block [low, high),
+    with P[j] the product of the factors over low .. j-1, F[j] is the
+    reversed cumulative sum of h * src[m] * P[m] over m >= j, divided by
+    P[j], plus F[high] times the product of the factors over j .. high-1.
+    A block is short enough that no such product falls below _TAIL_FLOOR.
     """
     n = source.shape[0]
-    out = np.empty(n)
-    acc = 0.0
     decay = np.exp(-h * rates)
-    for j in range(n - 1, -1, -1):
-        acc = h * source[j] + decay[j] * acc
-        out[j] = acc
+    smallest = float(decay.min())
+    block = n
+    if smallest < 1.0:
+        block = min(n, max(1, int(math.log(_TAIL_FLOOR) / math.log(smallest))))
+    out = np.empty(n)
+    carry = 0.0
+    for low in range(block * ((n - 1) // block), -1, -block):
+        high = min(low + block, n)
+        prod = np.empty(high - low + 1)
+        prod[0] = 1.0
+        np.cumprod(decay[low:high], out=prod[1:])
+        head = prod[:-1]
+        tail = np.cumsum((h * source[low:high] * head)[::-1])[::-1]
+        out[low:high] = tail / head + carry * (prod[-1] / head)
+        carry = out[low]
     return out
 
 

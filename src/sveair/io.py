@@ -31,6 +31,8 @@ def format_value(x) -> str:
 
 def _format_cells(values: np.ndarray) -> list:
     """format_value of every entry of a float64 array, in bulk."""
+    if not values.any():  # all 0.0 or -0.0, each written "0"
+        return ["0"] * values.shape[0]
     cells = list(map(repr, values.tolist()))
     integral = (values == np.trunc(values)) & (np.abs(values) < 1e16)
     for index, whole in zip(np.flatnonzero(integral).tolist(),

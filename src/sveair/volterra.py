@@ -17,6 +17,15 @@ discretization machinery beyond the grid itself:
 Initial-data integrals keep the solver's rectangle rule and absorbing
 truncation at theta_max, so both routes evaluate identical functionals of
 the identical initial state at t = 0.
+
+The initial cohorts are nonzero only on the union support [first, last) of
+the three initial densities, found once at the start. After n steps that
+support has moved to [first + n, last + n), cut at the J age nodes, so the
+march ages and reads only those nodes: each step costs O(min(n, J)) for
+the history and O(last - first) for the initial data, not O(J). The t = 0
+step alone takes its initial-data products over all J nodes, the same
+arithmetic as `solver._functionals`, so the two routes agree bit for bit
+there.
 """
 
 from __future__ import annotations
@@ -31,7 +40,8 @@ from sveair.grid import AgeProfile, Units, survival
 from sveair.params import ParameterSet
 from sveair.solver import State
 
-# History cost is O(n^2); refuse silently huge runs.
+# A march of n steps costs O(n^2) in the history sums and O(n * support) in
+# the initial data; longer windows raise ParameterError.
 T_MAX_CAP = 2000.0
 
 # exp() guard for the cumulative-hazard exponents of the S/V formulas.
@@ -97,20 +107,40 @@ def solve_renewal(
     surv_i = survival(params.gamma_i, params.mu, grid).values
 
     kv, qv = params.k.values, params.q.values
+    beta_a, beta_i = params.beta_a.values, params.beta_i.values
+    latent_to_asym = kv * qv
+    latent_to_symp = kv * (1.0 - qv)
     chi_branch = params.chi.values * (1.0 - params.xi.values)
-    k_beta_alpha = params.beta_a.values * surv_a
-    k_beta_iota = params.beta_i.values * surv_i
-    k_alpha_eps = kv * qv * surv_e
-    k_iota_eps = kv * (1.0 - qv) * surv_e
+    k_beta_alpha = beta_a * surv_a
+    k_beta_iota = beta_i * surv_i
+    k_alpha_eps = latent_to_asym * surv_e
+    k_iota_eps = latent_to_symp * surv_e
     k_iota_alpha = chi_branch * surv_a
 
-    # Exact per-cell aging factors for the initial-data cohorts.
-    age_e = np.exp(-h * params.exit_rate_e[:-1])
-    age_a = np.exp(-h * params.exit_rate_a[:-1])
-    age_i = np.exp(-h * params.exit_rate_i[:-1])
-    cohort_e = init.e.values.copy()
-    cohort_a = init.a.values.copy()
-    cohort_i = init.i.values.copy()
+    def initial_part(e, a, i, low):
+        """Initial-data terms of (beta, alpha, iota) for cohorts e, a, i
+        that sit on the nodes from `low` on."""
+        high = low + e.shape[0]
+        return (
+            h * float(beta_a[low:high] @ a + beta_i[low:high] @ i),
+            h * float(latent_to_asym[low:high] @ e),
+            h * float(latent_to_symp[low:high] @ e + chi_branch[low:high] @ a),
+        )
+
+    # The initial cohorts on their union support [first, last), with exact
+    # per-cell aging factors; after n steps cohort node k sits at age node
+    # first + n + k. The factors are built in place: J-length temporaries
+    # here raised a run's peak RSS.
+    n_nodes = grid.n_nodes
+    e0, a0, i0 = init.e.values, init.a.values, init.i.values
+    support = (e0 != 0.0) | (a0 != 0.0) | (i0 != 0.0)
+    first = int(support.argmax())
+    last = n_nodes - int(support[::-1].argmax()) if support[first] else first
+    cohorts = np.stack([e0[first:last], a0[first:last], i0[first:last]])
+    aging = np.empty((3, n_nodes - 1))
+    for row, rate in zip(aging, (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i)):
+        np.multiply(rate[:-1], -h, out=row)
+    np.exp(aging, out=aging)
 
     size = n_steps + 1
     beta = np.zeros(size)
@@ -133,10 +163,14 @@ def solve_renewal(
 
     for n in range(size):
         t = n * h
-        # History part of beta; its lag-0 term needs this step's alpha and
-        # iota, which are not yet known: previous step's values stand in.
-        if n > 0:
-            length = min(n, grid.n_nodes - 1)
+        if n == 0:
+            hist = 0.0
+            init_beta, init_alpha, init_iota = initial_part(e0, a0, i0, 0)
+        else:
+            # History part of beta; its lag-0 term needs this step's alpha
+            # and iota, which are not yet known: previous step's values
+            # stand in.
+            length = min(n, n_nodes - 1)
             win_a = alpha[n - length:n + 1][::-1].copy()
             win_i = iota[n - length:n + 1][::-1].copy()
             win_a[0] = alpha[n - 1]
@@ -147,12 +181,16 @@ def solve_renewal(
             hist -= 0.5 * (ka[0] * win_a[0] + ka[length] * win_a[length])
             hist -= 0.5 * (ki[0] * win_i[0] + ki[length] * win_i[length])
             hist *= h
-        else:
-            hist = 0.0
-        init_part = h * float(
-            params.beta_a.values @ cohort_a + params.beta_i.values @ cohort_i
-        )
-        beta_n = hist + init_part
+            # Age the cohorts still inside the grid by one cell; the rest
+            # have left through theta_max.
+            live = min(last, n_nodes - n) - first
+            if live > 0:
+                moved = cohorts[:, :live]
+                moved *= aging[:, first + n - 1:first + n - 1 + live]
+                init_beta, init_alpha, init_iota = initial_part(*moved, first + n)
+            else:
+                init_beta = init_alpha = init_iota = 0.0
+        beta_n = hist + init_beta
         if not math.isfinite(beta_n):
             raise AbortedRunError(f"non-finite force of infection at step {n}", n)
         beta[n] = beta_n
@@ -181,20 +219,12 @@ def solve_renewal(
             v_arr[n] = v_n
 
         eps[n] = beta[n] * (s_arr[n] + one_minus_eff * v_arr[n])
-        alpha[n] = _trapezoid_dot(k_alpha_eps, eps, n, h) + h * float(
-            (kv * qv) @ cohort_e
-        )
+        alpha[n] = _trapezoid_dot(k_alpha_eps, eps, n, h) + init_alpha
         iota[n] = (
             _trapezoid_dot(k_iota_eps, eps, n, h)
             + _trapezoid_dot(k_iota_alpha, alpha, n, h)
-            + h * float((kv * (1.0 - qv)) @ cohort_e + chi_branch @ cohort_a)
+            + init_iota
         )
-
-        if n < n_steps:
-            cohort_e[1:] = cohort_e[:-1] * age_e
-            cohort_a[1:] = cohort_a[:-1] * age_a
-            cohort_i[1:] = cohort_i[:-1] * age_i
-            cohort_e[0] = cohort_a[0] = cohort_i[0] = 0.0
 
     return RenewalPath(
         t=np.arange(size) * h, beta=beta, eps=eps, alpha=alpha, iota=iota,

@@ -100,6 +100,17 @@ def zero_density(grid):
     return AgeProfile(grid, np.zeros(grid.n_nodes), Units.DENSITY)
 
 
+def rate_profile(rng, grid, top, units):
+    """Constant or piecewise-constant profile with values in [0, top]."""
+    if rng.random() < 0.5:
+        return constant_profile(grid, rng.uniform(0.0, top), units)
+    cuts = np.sort(rng.choice(np.arange(1, grid.n_nodes), size=rng.integers(1, 4),
+                              replace=False))
+    pieces = rng.uniform(0.0, top, cuts.size + 1)
+    return AgeProfile(grid, pieces[np.searchsorted(cuts, np.arange(grid.n_nodes),
+                                                   side="right")], units)
+
+
 def band_density(grid, lo, hi, mass):
     mask = (grid.nodes >= lo) & (grid.nodes < hi)
     values = np.zeros(grid.n_nodes)

@@ -26,12 +26,38 @@ print(" ".join(sorted({span[0] for span in tracer.spans})))
 """
 
 
-def test_tracer_wraps_existing_names(tmp_path):
+# Installs the tracer, then runs a tiny oracle scenario through the runner,
+# whose renewal march must run through the wrapped `volterra.solve_renewal`.
+ORACLE_SCRIPT = """
+import child, spans
+from sveair.config import ScenarioConfig
+from sveair.runner import run_scenario
+
+tracer = spans.Tracer()
+child._install_tracer(tracer)
+cfg = ScenarioConfig(h=0.5, theta_max=720.0, t_max=20.0, oracle_t_max=15.0,
+                     d_list=(100.0,), band=(100.0, 300.0), run_oracle=True)
+run_scenario(cfg, out_dir="out")
+names = [span[0] for span in tracer.spans]
+print(names.count("volterra.solve_renewal"), int(tracer.counts["volterra.steps"]))
+"""
+
+
+def _run(script, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")])
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [
+    return proc.stdout.split()
+
+
+def test_tracer_wraps_existing_names(tmp_path):
+    assert _run(SCRIPT, tmp_path) == [
         "diagnostics.fixed_point", "diagnostics.weights", "reproduction.steady_state",
     ]
+
+
+def test_tracer_times_the_oracle_of_a_run(tmp_path):
+    # One initial condition, one renewal march over the 15-day window at h = 0.5.
+    assert _run(ORACLE_SCRIPT, tmp_path) == ["1", "30"]

@@ -127,6 +127,15 @@ class TestCsvRoundTrip:
             col = np.where(kind == 2, rng.integers(-1000, 1000, size=length), col)
             col = np.where(kind == 3, rng.standard_normal(length) * 10.0 ** rng.integers(
                 -320, 300, size=length), col)
+            # Exact zeros of either sign over whole blocks, and a zero run
+            # that straddles a block edge.
+            signed_zeros = rng.choice([0.0, -0.0], length)
+            block = np.arange(length) // io._BLOCK_ROWS
+            col = np.where(rng.random(block.max(initial=0) + 1)[block] < 0.4, signed_zeros, col)
+            if length > io._BLOCK_ROWS:
+                edge = io._BLOCK_ROWS * int(rng.integers(1, (length - 1) // io._BLOCK_ROWS + 1))
+                low, high = edge - int(rng.integers(1, 40)), edge + int(rng.integers(1, 40))
+                col[low:high] = signed_zeros[low:high]
             cols.append(col)
         if length:
             for value in planted:
@@ -331,6 +340,18 @@ class TestCli:
         assert code == 2
         assert "error: run.snapshot_times must lie in [0, run.t_max = 10.0]" in (
             capsys.readouterr().err)
+        assert not list(out.glob("run_d*.csv"))
+
+    @pytest.mark.parametrize("line, value", [("run.sample_every = 1", "0.7"),
+                                             ("run.t_max = 10", "10.3")])
+    def test_off_grid_time_is_rejected(self, tmp_path, capsys, line, value):
+        key = line.split(" = ")[0]
+        cfg_path = write_cfg(tmp_path, TINY.replace(line, f"{key} = {value}"))
+        out = tmp_path / "o"
+        code = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert (f"error: {key} must be a whole multiple of grid.h = 0.5, got {value}"
+                in capsys.readouterr().err)
         assert not list(out.glob("run_d*.csv"))
 
     def test_config_error_is_reported(self, tmp_path, capsys):

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import band_density, make_constant_params, zero_density
+from conftest import band_density, make_constant_params, rate_profile, zero_density
 from sveair import diagnostics as dg
 from sveair import reproduction as rep
 from sveair.errors import LyapunovDomainError, ParameterError
-from sveair.grid import build_grid, rect_integral
+from sveair.grid import Units, build_grid, rect_integral
 from sveair.scenarios import steady_initial_state
 from sveair.solver import State, boundary_values, force_of_infection, simulate, step
 
@@ -50,6 +50,49 @@ def endemic_evaluator(endemic_setup):
 
 def lyapunov(evaluator, state):
     return evaluator(state.s, state.v, state.e.values, state.a.values, state.i.values)
+
+
+def _backward_tail_loop(source: np.ndarray, rates: np.ndarray, h: float) -> np.ndarray:
+    """The node-by-node recursion that `diagnostics._backward_tail` solves in
+    blocks, kept as its reference."""
+    n = source.shape[0]
+    out = np.empty(n)
+    acc = 0.0
+    decay = np.exp(-h * rates)
+    for j in range(n - 1, -1, -1):
+        acc = h * source[j] + decay[j] * acc
+        out[j] = acc
+    return out
+
+
+class TestBackwardTail:
+    """The blocked tail equals the node-by-node recursion to round-off."""
+
+    @pytest.mark.parametrize("regime", ["short", "underflow"])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_node_by_node_recursion(self, regime, seed):
+        # "underflow" has J and rates for which the product of all J decay
+        # factors underflows to 0, so a single unblocked block could not
+        # represent it.
+        rng = np.random.default_rng(seed)
+        h = rng.uniform(0.05, 1.0)
+        n = int(rng.integers(2, 400) if regime == "short" else rng.integers(3000, 6000))
+        top = rng.uniform(0.0, 0.99) / h
+        rates = rate_profile(rng, build_grid(h, h * (n - 1)), top, Units.RATE).values
+        if regime == "underflow":
+            # h * rate >= 0.3 on at least 3000 nodes: the product is below e^-900.
+            rates = np.maximum(rates, rng.uniform(0.3, 0.99, n) / h)
+            assert np.prod(np.exp(-h * rates)) == 0.0
+        source = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-6.0, 6.0)
+        for _ in range(rng.integers(0, 4)):
+            low = int(rng.integers(0, n))
+            source[low:low + int(rng.integers(1, n // 2 + 2))] = 0.0
+        want = _backward_tail_loop(source, rates, h)
+        got = dg._backward_tail(source, rates, h)
+        # Below 1e-300 both sides are near float64's subnormal range, where
+        # an underflowed product carries no relative precision.
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-300)
 
 
 class TestWeights:

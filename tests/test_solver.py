@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import band_density, make_constant_params, zero_density
+from conftest import band_density, make_constant_params, rate_profile, zero_density
 from sveair import reproduction as rep
 from sveair.errors import AbortedRunError, StabilityError
 from shift_reference import simulate_shift
@@ -265,17 +265,6 @@ class TestSimulate:
             assert profile.values.min() >= 0.0
 
 
-def _rate_profile(rng, grid, top, units):
-    """Constant or piecewise-constant profile with values in [0, top]."""
-    if rng.random() < 0.5:
-        return constant_profile(grid, rng.uniform(0.0, top), units)
-    cuts = np.sort(rng.choice(np.arange(1, grid.n_nodes), size=rng.integers(1, 4),
-                              replace=False))
-    pieces = rng.uniform(0.0, top, cuts.size + 1)
-    return AgeProfile(grid, pieces[np.searchsorted(cuts, np.arange(grid.n_nodes),
-                                                   side="right")], units)
-
-
 def _initial_density(rng, grid, kind, scale):
     values = np.zeros(grid.n_nodes)
     if kind == "point":
@@ -328,7 +317,7 @@ def _equivalence_case(seed, regime):
     grid = build_grid(h, h * (n_nodes - 1))
     mu = rng.uniform(1e-5, 1e-3)
     rate_top = 0.5 / h
-    k = _rate_profile(rng, grid, rate_top, Units.RATE)
+    k = rate_profile(rng, grid, rate_top, Units.RATE)
     if regime == "fast":
         target = rng.uniform(0.95, 0.999) / h - mu
         peak = k.values.max()
@@ -339,8 +328,8 @@ def _equivalence_case(seed, regime):
     kind = kinds[rng.integers(len(kinds))]
     scale = 1e3 if regime == "limiter" else 10.0
     dens = [_initial_density(rng, grid, kind, scale) for _ in range(3)]
-    beta_a = _rate_profile(rng, grid, 1e-6, Units.TRANSMISSION)
-    beta_i = _rate_profile(rng, grid, 1e-6, Units.TRANSMISSION)
+    beta_a = rate_profile(rng, grid, 1e-6, Units.TRANSMISSION)
+    beta_i = rate_profile(rng, grid, 1e-6, Units.TRANSMISSION)
     if regime == "limiter":
         # Rescale transmission so that the first step has h * beta in [2, 20].
         beta0 = h * float(beta_a.values @ dens[1].values + beta_i.values @ dens[2].values)
@@ -350,11 +339,11 @@ def _equivalence_case(seed, regime):
     params = ParameterSet(
         n0=1e6, mu=mu, p=rng.uniform(1e-4, 1e-2), epsilon=rng.uniform(0.0, 1.0),
         zeta=rng.uniform(0.0, 0.1), beta_a=beta_a, beta_i=beta_i, k=k,
-        q=_rate_profile(rng, grid, 1.0, Units.PROPORTION),
-        xi=_rate_profile(rng, grid, 1.0, Units.PROPORTION),
-        chi=_rate_profile(rng, grid, rate_top, Units.RATE),
-        gamma_a=_rate_profile(rng, grid, rate_top, Units.RATE),
-        gamma_i=_rate_profile(rng, grid, rate_top, Units.RATE),
+        q=rate_profile(rng, grid, 1.0, Units.PROPORTION),
+        xi=rate_profile(rng, grid, 1.0, Units.PROPORTION),
+        chi=rate_profile(rng, grid, rate_top, Units.RATE),
+        gamma_a=rate_profile(rng, grid, rate_top, Units.RATE),
+        gamma_i=rate_profile(rng, grid, rate_top, Units.RATE),
     )
     # S + V at most half of N0 keeps the R column well away from zero.
     init = State(t=rng.uniform(0.0, 10.0), s=rng.uniform(0.05, 0.25) * 1e6,

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import band_density, make_constant_params, zero_density
+from conftest import band_density, make_constant_params, rate_profile, zero_density
+from renewal_reference import solve_renewal as solve_renewal_full
 from sveair.errors import ParameterError
 from sveair.grid import AgeProfile, Units, build_grid, survival
+from sveair.params import ParameterSet
 from sveair.solver import State, simulate
 from sveair.volterra import solve_renewal
 
@@ -102,3 +104,84 @@ class TestAgreementWithSolver:
         path = solve_renewal(init, params, t_max=40.0)
         for series in (path.beta, path.eps, path.alpha, path.iota, path.s, path.v):
             assert series.min() >= 0.0
+
+
+def _support_case(seed, regime):
+    """(init, params, n_steps) for one draw of a support regime.
+
+    Every draw has random constant or piecewise profiles, a random step and
+    random nonnegative initial data whose union support [first, last)
+    depends on the regime: "band" is interior (at least two nodes wide per
+    compartment, zero at node 0 and from node J - 2 on) and stays inside
+    the grid for the whole window; "node0" starts at node 0, as steady-like
+    data does; "point" is one to three nodes per compartment, node J - 1
+    among them; "zero" is no data; "runoff" is an interior band that runs
+    partly off node J - 1 during the window; "long" is a band, node-0 or
+    point draw with a window of more than J steps.
+    """
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(0.1, 1.0)
+    n_nodes = int(rng.integers(20, 300))
+    grid = build_grid(h, h * (n_nodes - 1))
+    rate_top = 0.5 / h
+    values = np.zeros((3, n_nodes))
+    kind = regime if regime != "long" else ("band", "node0", "point")[rng.integers(3)]
+    for row in values:
+        if kind in ("band", "runoff"):
+            low = int(rng.integers(1, n_nodes // 2))
+            high = int(rng.integers(low + 2, n_nodes - 1))
+            row[low:high] = rng.uniform(0.1, 10.0, high - low)
+        elif kind == "node0":
+            high = int(rng.integers(1, n_nodes + 1))
+            row[:high] = np.sort(rng.uniform(0.0, 10.0, high))[::-1]
+            row[0] = rng.uniform(1.0, 10.0)
+        elif kind == "point":
+            nodes = rng.choice(n_nodes, size=rng.integers(1, 4), replace=False)
+            row[nodes] = rng.uniform(0.1, 10.0, nodes.size)
+    if kind == "point":
+        values[rng.integers(3), -1] = rng.uniform(0.1, 10.0)
+    nonzero = np.flatnonzero(values.any(axis=0))
+    first, last = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)
+    if regime == "long":
+        n_steps = int(rng.integers(n_nodes + 1, n_nodes + 60))
+    elif regime == "runoff":
+        n_steps = int(rng.integers(n_nodes - last + 1, n_nodes - first))
+    elif regime == "band":
+        n_steps = int(rng.integers(1, n_nodes - last + 1))
+    else:
+        n_steps = int(rng.integers(1, n_nodes))
+    params = ParameterSet(
+        n0=1e6, mu=rng.uniform(1e-5, 1e-3), p=rng.uniform(1e-4, 1e-2),
+        epsilon=rng.uniform(0.0, 1.0), zeta=rng.uniform(0.0, 0.1),
+        beta_a=rate_profile(rng, grid, 1e-6, Units.TRANSMISSION),
+        beta_i=rate_profile(rng, grid, 1e-6, Units.TRANSMISSION),
+        k=rate_profile(rng, grid, rate_top, Units.RATE),
+        q=rate_profile(rng, grid, 1.0, Units.PROPORTION),
+        xi=rate_profile(rng, grid, 1.0, Units.PROPORTION),
+        chi=rate_profile(rng, grid, rate_top, Units.RATE),
+        gamma_a=rate_profile(rng, grid, rate_top, Units.RATE),
+        gamma_i=rate_profile(rng, grid, rate_top, Units.RATE),
+    )
+    dens = [AgeProfile(grid, row, Units.DENSITY) for row in values]
+    init = State(t=0.0, s=rng.uniform(0.05, 0.25) * 1e6, v=rng.uniform(0.0, 0.25) * 1e6,
+                 e=dens[0], a=dens[1], i=dens[2])
+    return init, params, n_steps
+
+
+class TestSupportRestriction:
+    """The march over the moved initial support equals the full-length march."""
+
+    @pytest.mark.parametrize("regime", ["band", "node0", "point", "zero", "runoff", "long"])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_full_length_march(self, regime, seed):
+        init, params, n_steps = _support_case(seed, regime)
+        t_max = n_steps * params.grid.h
+        want = solve_renewal_full(init, params, t_max)
+        got = solve_renewal(init, params, t_max)
+        np.testing.assert_array_equal(got.t, want.t)
+        for column in ("beta", "eps", "alpha", "iota", "s", "v"):
+            mine, ref = getattr(got, column), getattr(want, column)
+            assert mine[0] == ref[0]
+            np.testing.assert_allclose(mine, ref, rtol=0.0,
+                                       atol=1e-12 * float(np.max(np.abs(ref))))
