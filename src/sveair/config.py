@@ -141,8 +141,6 @@ def load_config(path) -> ScenarioConfig:
             cfg.run_oracle = _parse_bool(key, value, lineno)
         elif key == "toggles.run_lyapunov":
             cfg.run_lyapunov = _parse_bool(key, value, lineno)
-        elif key == "toggles.r0_only":
-            cfg.r0_only = _parse_bool(key, value, lineno)
         elif key == "output.dir":
             cfg.out_dir = value
         elif key.startswith("params."):
@@ -158,6 +156,12 @@ def load_config(path) -> ScenarioConfig:
 
     _validate(cfg, base=path.parent)
     return cfg
+
+
+def check_on_grid(key: str, value: float, h: float) -> None:
+    """Raise a ConfigError naming `key` unless value is a whole multiple of h."""
+    if abs(value - round(value / h) * h) > 1e-9 * value:
+        raise ConfigError(f"{key} must be a whole multiple of grid.h = {h}, got {value}")
 
 
 def _validate(cfg: ScenarioConfig, base: Path) -> None:
@@ -176,13 +180,11 @@ def _validate(cfg: ScenarioConfig, base: Path) -> None:
         raise ConfigError(
             f"run.sample_every must be at least grid.h, got {cfg.sample_every}"
         )
-    # The run steps and samples on the grid; an off-grid value would be
-    # rounded to the nearest step.
-    for key, value in (("run.t_max", cfg.t_max), ("run.sample_every", cfg.sample_every)):
-        if abs(value - round(value / cfg.h) * cfg.h) > 1e-9 * value:
-            raise ConfigError(
-                f"{key} must be a whole multiple of grid.h = {cfg.h}, got {value}"
-            )
+    # The run steps, samples and takes snapshots on the grid; an off-grid
+    # value would be rounded to the nearest step.
+    for key, value in (("run.t_max", cfg.t_max), ("run.sample_every", cfg.sample_every),
+                       *(("run.snapshot_times", ts) for ts in cfg.snapshot_times)):
+        check_on_grid(key, value, cfg.h)
     if not cfg.oracle_t_max > 0:
         raise ConfigError(f"run.oracle_t_max must be positive, got {cfg.oracle_t_max}")
     if cfg.s0 < 0 or cfg.v0 < 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sveair.errors import LyapunovDomainError, ParameterError
-from sveair.grid import rect_integral
+from sveair.grid import block_products, rect_integral
 from sveair.params import ParameterSet
 from sveair.reproduction import (ENDEMIC, SteadyState, compute_R0, scheme_kernels,
                                  solve_beta_star, steady_state)
@@ -25,9 +25,6 @@ from sveair.solver import State, simulate
 # Steady densities below this are excluded from ratio integrands; their
 # tail weights vanish with them.
 STEADY_DENSITY_FLOOR = 1e-300
-
-# Survival products within one age block of `_backward_tail` stay above this.
-_TAIL_FLOOR = 1e-250
 
 
 def entropy_f(x):
@@ -55,28 +52,26 @@ def _backward_tail(source: np.ndarray, rates: np.ndarray, h: float) -> np.ndarra
     exponential factors, so F[0] equals the rectangle quadrature of
     src * survival exactly.
 
-    Solved in age blocks from the oldest down. Within a block [low, high),
-    with P[j] the product of the factors over low .. j-1, F[j] is the
-    reversed cumulative sum of h * src[m] * P[m] over m >= j, divided by
-    P[j], plus F[high] times the product of the factors over j .. high-1.
-    A block is short enough that no such product falls below _TAIL_FLOOR.
+    Solved in the age blocks of `grid.block_products`, from the oldest
+    down. Within a block [low, high), with P[j] the product of the factors
+    over low .. j-1, F[j] is the reversed cumulative sum of h * src[m] *
+    P[m] over m >= j, divided by P[j], plus F[high] times the product of
+    the factors over j .. high-1.
     """
     n = source.shape[0]
-    decay = np.exp(-h * rates)
-    smallest = float(decay.min())
-    block = n
-    if smallest < 1.0:
-        block = min(n, max(1, int(math.log(_TAIL_FLOOR) / math.log(smallest))))
+    q = np.empty((1, n))
+    np.multiply(rates[:-1], -h, out=q[0, 1:])
+    np.exp(q[0, 1:], out=q[0, 1:])
+    block, products = block_products(q)
     out = np.empty(n)
     carry = 0.0
     for low in range(block * ((n - 1) // block), -1, -block):
         high = min(low + block, n)
-        prod = np.empty(high - low + 1)
-        prod[0] = 1.0
-        np.cumprod(decay[low:high], out=prod[1:])
-        head = prod[:-1]
+        head = q[0, low:high]
         tail = np.cumsum((h * source[low:high] * head)[::-1])[::-1]
-        out[low:high] = tail / head + carry * (prod[-1] / head)
+        out[low:high] = tail / head
+        if high < n:
+            out[low:high] += carry * (products[0, low // block] / head)
         carry = out[low]
     return out
 

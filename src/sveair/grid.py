@@ -1,10 +1,11 @@
-"""Age mesh, sampled age profiles, and the exponential-survival primitive.
+"""Age mesh, sampled age profiles, and the survival products.
 
 Everything downstream shares one uniform age grid with nodes theta_j = j*h;
 the time stepper reuses the same h so the upwind stencil sits on
 characteristics. Integrals over age are the rectangle sums h * sum(g_j u_j)
-over all nodes, and cumulative hazards use the left-rectangle rule, so the
-survival factor of a constant rate r is exactly exp(-r * j * h).
+over all nodes. This is the one module that turns exit rates into survival
+products (`survival`, `scheme_survival`, `block_products`); the other
+modules form only the rates or the per-node factors.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from sveair.errors import InvalidGridError, ProfileError
 # Grid nodes within this many days of a step-table breakpoint are treated as
 # sitting exactly on it (right-closed semantics); h is always >> this.
 _BREAKPOINT_SNAP = 1e-6
+
+# Lower bound on a survival product over one age block of `block_products`.
+BLOCK_FLOOR = 1e-250
 
 
 class Units(enum.Enum):
@@ -229,35 +233,49 @@ def load_profile_csv(path, grid: AgeGrid, units: Units) -> AgeProfile:
     return AgeProfile(grid, sampled, units)
 
 
-def survival(rate: AgeProfile, extra_const: float, grid: AgeGrid) -> AgeProfile:
-    """Exponential survival factor of an age-dependent exit rate.
-
-    F[0] = 1 and F[j] = exp(-sum_{m<j} (rate[m] + extra_const) * h), the
-    left-rectangle cumulative hazard; exact for rates constant on each cell.
-
-    Args:
-        rate: Nonnegative exit-rate profile (per day).
-        extra_const: Constant rate added everywhere (e.g. the death rate).
-
-    Returns:
-        Nonincreasing proportion-typed profile in (0, 1] (may underflow to 0
-        at very old ages).
-    """
-    if rate.units not in (Units.RATE, Units.TRANSMISSION):
-        raise ProfileError(f"survival needs a rate profile, got {rate.units.name}")
-    if rate.grid != grid:
-        raise ProfileError("rate profile is not on the requested grid")
-    if extra_const < 0:
-        raise ProfileError(f"extra_const must be nonnegative, got {extra_const}")
-    hazard = cumulative_hazard(rate.values + extra_const, grid)
-    return AgeProfile(grid, np.exp(-hazard), Units.PROPORTION)
-
-
-def cumulative_hazard(rate_values: np.ndarray, grid: AgeGrid) -> np.ndarray:
-    """Left-rectangle cumulative integral H[j] = sum_{m<j} rate[m] * h."""
-    if np.any(rate_values < 0):
-        raise ProfileError("negative rate value in hazard integrand")
-    hazard = np.empty(grid.n_nodes)
+def survival(rates: np.ndarray, h: float) -> np.ndarray:
+    """Exponential survival of an exit-rate array: F[0] = 1 and
+    F[j] = exp(-sum_{m<j} rates[m] * h), the left-rectangle cumulative
+    hazard, exact for rates constant on each cell (may underflow to 0)."""
+    hazard = np.empty(rates.shape[0])
     hazard[0] = 0.0
-    np.cumsum(rate_values[:-1] * grid.h, out=hazard[1:])
-    return hazard
+    np.cumsum(rates[:-1] * h, out=hazard[1:])
+    return np.exp(-hazard)
+
+
+def scheme_survival(rates: np.ndarray, h: float) -> np.ndarray:
+    """The explicit scheme's survival of an exit-rate array:
+    prod_{m<j} (1 - h * rates[m]), the share of a cohort left after j steps."""
+    products = np.ones_like(rates)
+    np.cumprod(1.0 - h * rates[:-1], out=products[1:])
+    # Below the smallest normal float the product stalls (x * f rounds back
+    # to x) instead of underflowing, and would leave the stepper working on
+    # subnormals: flush it to 0, as the exponential underflows.
+    products[products < np.finfo(np.float64).tiny] = 0.0
+    return products
+
+
+def block_products(q: np.ndarray) -> tuple[int, np.ndarray]:
+    """Blocked survival products of the (C, J) factor rows q, in place.
+
+    On entry q[c, j] is the factor of node j - 1 (q[c, 0] is ignored). L is
+    the largest block length with (smallest factor)^L >= BLOCK_FLOOR, at
+    least 1 and at most J. On return q[c, j] is the product of row c's
+    factors over nodes block_start(j) .. j-1, so q = 1 at every block start
+    and no product underflows. Returns (L, products), products[c, b] being
+    the product over the whole block b, for every block that another follows.
+    """
+    n_nodes = q.shape[1]
+    smallest = float(q[:, 1:].min(initial=1.0))
+    block = n_nodes
+    if smallest < 1.0:
+        block = min(n_nodes, max(1, int(math.log(BLOCK_FLOOR) / math.log(smallest))))
+    full = (n_nodes // block) * block
+    products = q[:, block::block].copy()  # factor of each block's last node
+    q[:, ::block] = 1.0
+    for row, product in zip(q, products):
+        blocks = row[:full].reshape(-1, block)
+        np.multiply.accumulate(blocks, axis=1, out=blocks)
+        np.multiply.accumulate(row[full:], out=row[full:])
+        product *= row[block - 1::block][:product.size]
+    return block, products

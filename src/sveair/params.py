@@ -1,4 +1,4 @@
-"""Model parameter container and the three compartment exit rates."""
+"""Model parameter container, the three compartment exit rates and their step bound."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from sveair.errors import ParameterError
+from sveair.errors import ParameterError, StabilityError
 from sveair.grid import AgeGrid, AgeProfile, Units
 
 
@@ -83,3 +83,14 @@ class ParameterSet:
     def exit_rate_i(self) -> np.ndarray:
         """Symptomatic compartment: gamma_i + mu."""
         return self.gamma_i.values + self.mu
+
+    def stable_exit_rate(self) -> float:
+        """The largest exit rate, once h times it is checked to be below 1, the
+        bound that keeps every scheme factor 1 - h * rate positive."""
+        h = self.grid.h
+        worst = max(float(rate.max()) for rate in
+                    (self.exit_rate_e, self.exit_rate_a, self.exit_rate_i))
+        if h * worst >= 1.0:
+            raise StabilityError(f"h * max exit rate = {h * worst:.3g} >= 1; "
+                                 f"reduce h below {1.0 / worst:.3g} days")
+        return worst

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from sveair.errors import ParameterError
-from sveair.grid import AgeProfile, Units, rect_integral, survival
+from sveair.grid import AgeProfile, Units, rect_integral, scheme_survival, survival
 from sveair.params import ParameterSet
-from sveair.solver import stable_exit_rate
 
 # R0 within this distance of 1 is treated as the subcritical case (beta*=0).
 R0_UNITY_TIE = 1e-12
@@ -76,30 +75,26 @@ class _Kernels:
 
 def kernels(params: ParameterSet) -> _Kernels:
     """Compute the five quadrature blocks shared by R0 and the steady state."""
-    grid = params.grid
-    rate_a = AgeProfile(grid, params.exit_rate_a - params.mu, Units.RATE)
-    return _assemble(params, survival(params.k, params.mu, grid),
-                     survival(rate_a, params.mu, grid), survival(params.gamma_i, params.mu, grid))
+    h = params.grid.h
+    return _assemble(params, survival(params.k.values + params.mu, h),
+                     survival(params.exit_rate_a, h),
+                     survival(params.gamma_i.values + params.mu, h))
 
 
 def scheme_kernels(params: ParameterSet) -> _Kernels:
     """The five blocks with the explicit scheme's survival in place of the
     exponential: prod_{m<j} (1 - h * exit_rate[m]), the share of a cohort
     left after j steps. Steady states built on them are the scheme's own."""
-    stable_exit_rate(params)
-    rates = np.stack((params.exit_rate_e, params.exit_rate_a, params.exit_rate_i))
-    products = np.ones_like(rates)
-    np.cumprod(1.0 - params.grid.h * rates[:, :-1], axis=1, out=products[:, 1:])
-    # Below the smallest normal float the product stalls (x * f rounds back
-    # to x) instead of underflowing, and would leave the stepper working on
-    # subnormals: flush it to 0, as the exponential underflows.
-    products[products < np.finfo(np.float64).tiny] = 0.0
-    return _assemble(params, *(AgeProfile(params.grid, row, Units.PROPORTION) for row in products))
+    params.stable_exit_rate()
+    h = params.grid.h
+    return _assemble(params, *(scheme_survival(rate, h) for rate in
+                               (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i)))
 
 
-def _assemble(params: ParameterSet, surv_e: AgeProfile, surv_a: AgeProfile,
-              surv_i: AgeProfile) -> _Kernels:
-    """The blocks of _Kernels, in field order, from three stage survivals."""
+def _assemble(params: ParameterSet, *survivals: np.ndarray) -> _Kernels:
+    """The blocks of _Kernels, in field order, from the three stage survivals."""
+    surv_e, surv_a, surv_i = (AgeProfile(params.grid, surv, Units.PROPORTION)
+                              for surv in survivals)
     kv, qv = params.k.values, params.q.values
     chi_branch = params.chi.values * (1.0 - params.xi.values)
     blocks = (rect_integral(weight * surv.values, params.grid) for weight, surv in (
@@ -181,13 +176,9 @@ def solve_beta_star(params: ParameterSet, blocks: _Kernels | None = None) -> flo
     if b2 == 0.0:
         # epsilon = 1: b1 > 0 and b0 < 0 here.
         return -b0 / b1
-    disc = b1 * b1 - 4.0 * b2 * b0
-    sqrt_disc = math.sqrt(disc)
-    qform = -0.5 * (b1 + math.copysign(sqrt_disc, b1)) if b1 != 0.0 else 0.5 * sqrt_disc
-    roots = [r for r in (qform / b2, b0 / qform if qform != 0.0 else -b1 / b2) if r > 0.0]
-    if not roots:
-        raise ParameterError("no positive root found although R0 > 1")
-    return max(roots)
+    # b2 > 0 > b0, so the roots have opposite signs and qform is nonzero.
+    qform = -0.5 * (b1 + math.copysign(math.sqrt(b1 * b1 - 4.0 * b2 * b0), b1))
+    return max(qform / b2, b0 / qform)
 
 
 def steady_state(params: ParameterSet, beta_star: float, blocks: _Kernels | None = None) -> SteadyState:
@@ -226,4 +217,4 @@ def matching_steady_state(params: ParameterSet) -> tuple[R0Breakdown, SteadyStat
     blocks = kernels(params)
     breakdown = compute_R0(params, blocks)
     beta_star = solve_beta_star(params, blocks)
-    return breakdown, steady_state(params, beta_star)
+    return breakdown, steady_state(params, beta_star, blocks)

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from sveair import diagnostics, reproduction, scenarios, volterra
-from sveair.config import ScenarioConfig
+from sveair.config import ScenarioConfig, check_on_grid
 from sveair.errors import AbortedRunError, ConfigError
 from sveair.grid import AgeGrid, Units, build_grid, constant_profile, load_profile_csv
 from sveair.io import format_value, write_csv
@@ -280,9 +280,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ExitReport:
             "(zero density at weighted ages); use init.mode=steady-scaled"
         )
     window = min(cfg.oracle_t_max, cfg.t_max)
-    if cfg.run_oracle and window > volterra.T_MAX_CAP:
-        raise ConfigError(f"run.oracle_t_max: the oracle window of {window:g} days exceeds "
-                          f"the renewal-march cap of {volterra.T_MAX_CAP:g} days")
+    if cfg.run_oracle:
+        if window > volterra.T_MAX_CAP:
+            raise ConfigError(f"run.oracle_t_max: the oracle window of {window:g} days "
+                              f"exceeds the renewal-march cap of {volterra.T_MAX_CAP:g} days")
+        # The march takes round(window / h) steps.
+        check_on_grid("run.oracle_t_max", window, cfg.h)
 
     evaluator = diagnostics.LyapunovEvaluator(params, steady) if cfg.run_lyapunov else None
 

@@ -12,16 +12,17 @@ boundary at theta_max).
 The densities are kept in a moving frame instead of being shifted in
 memory. The age axis is cut into blocks of L nodes, and Q[c, j] is the
 product of compartment c's decay factors from the start of node j's block
-up to node j - 1 (so Q = 1 at every block start). The three densities live
-in one (3, J + slack) buffer as u = x / Q. Within a block u is constant
-along a characteristic, so a step decrements the start index of the J-node
-window, multiplies the cells that have just crossed into the next block
-(at most J / L per compartment) by the product over the block they left,
-and writes the three boundary values at window position 0. When the slack
-runs out, the window is copied back to the end of the buffer. L is the
-largest block length for which the smallest decay factor, raised to the
-power L, stays above 1e-250, so Q never underflows; in exchange a density
-must stay below about 1e58 to be representable as u.
+up to node j - 1 (so Q = 1 at every block start), built by
+`grid.block_products`. The three densities live in one (3, J + n_steps)
+frame as u = x / Q, sized to the run. Within a block u is constant along a
+characteristic, so a step decrements the start index of the J-node window,
+multiplies the cells that have just crossed into the next block (at most
+J / L per compartment) by the product over the block they left, and writes
+the three boundary values at window position 0. The window starts at the
+end of the frame and reaches its start at the last step, so it is never
+copied. L is the largest block length for which the smallest decay factor,
+raised to the power L, stays above 1e-250, so Q never underflows; in
+exchange a density must stay below about 1e58 to be representable as u.
 
 Each step reads only the live span of the window. After n steps a node
 can be nonzero only in the boundary history [0, n) or in the initial
@@ -56,8 +57,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from sveair.errors import AbortedRunError, ParameterError, StabilityError
-from sveair.grid import AgeProfile, Units, rect_integral
+from sveair.errors import AbortedRunError, ParameterError
+from sveair.grid import AgeProfile, Units, block_products, rect_integral
 from sveair.params import ParameterSet
 
 
@@ -142,17 +143,7 @@ class SimulationResult:
     timeseries: TimeSeries
     final_state: State
     clamp_events: int
-    clamped_mass: float
     beta_steps: np.ndarray  # force of infection at every step, n_steps + 1 values
-
-
-# Steps between copy-backs of the moving window: a copy-back is one pass
-# over the window, so it is spread over this many steps, for this many
-# spare cells per compartment.
-_SLACK = 512
-
-# Lower bound on the product of decay factors over one age block.
-_BLOCK_FLOOR = 1e-250
 
 
 def _functionals(params: ParameterSet, s, v, e, a, i):
@@ -196,50 +187,6 @@ def aggregate(state: State, n0: float) -> Aggregates:
     i_tot = rect_integral(state.i.values, grid)
     removed = n0 - state.s - state.v - e_tot - a_tot - i_tot
     return Aggregates(e_tot, a_tot, i_tot, removed, n0)
-
-
-def _block_decay(rates, h: float, worst: float):
-    """Block length, Q and the block products of the moving frame.
-
-    The block length L is the largest with (1 - h * worst)^L >= 1e-250, so
-    no product over a block underflows. Returns (L, q, products): q[c, j]
-    is the product of compartment c's decay factors (1 - h * rate) over
-    nodes block_start(j) .. j-1, and products[c, b] the product over the
-    whole block b, by which a cell is multiplied when it crosses from block
-    b into block b + 1.
-    """
-    n_nodes = rates[0].shape[0]
-    decay_min = 1.0 - h * worst
-    block = n_nodes
-    if decay_min < 1.0:
-        block = min(n_nodes, max(1, int(math.log(_BLOCK_FLOOR) / math.log(decay_min))))
-    full = (n_nodes // block) * block
-    q = np.empty((len(rates), n_nodes))
-    products = np.empty((len(rates), len(range(block, n_nodes, block))))
-    for row, product, rate in zip(q, products, rates):
-        # row[j] = decay factor of node j - 1, built in place.
-        row[0] = 1.0
-        np.multiply(rate[:-1], -h, out=row[1:])
-        row[1:] += 1.0
-        product[:] = row[block::block]  # decay factor of each block's last node
-        row[::block] = 1.0
-        blocks = row[:full].reshape(-1, block)
-        np.multiply.accumulate(blocks, axis=1, out=blocks)
-        np.multiply.accumulate(row[full:], out=row[full:])
-        product *= row[block - 1::block][:product.size]
-    return block, q, products
-
-
-def stable_exit_rate(params: ParameterSet) -> float:
-    """The largest exit rate, once h times it is checked to be below 1, the
-    bound that keeps every decay factor 1 - h * rate positive."""
-    h = params.grid.h
-    worst = max(float(rate.max()) for rate in
-                (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i))
-    if h * worst >= 1.0:
-        raise StabilityError(f"h * max exit rate = {h * worst:.3g} >= 1; "
-                             f"reduce h below {1.0 / worst:.3g} days")
-    return worst
 
 
 def _live_spans(n: int, first: int, last: int, n_nodes: int) -> tuple:
@@ -304,7 +251,7 @@ def simulate(
 
     Returns:
         SimulationResult with the sampled TimeSeries, the per-step force
-        of infection, the final State, and the limiter counters.
+        of infection, the final State, and the count of limited steps.
 
     Raises:
         StabilityError: at setup when h * max exit rate >= 1.
@@ -316,8 +263,7 @@ def simulate(
     if init.e.grid != grid:
         raise ParameterError("initial state is not on the parameter grid")
     h, n_nodes = grid.h, grid.n_nodes
-    rates = (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i)
-    worst = stable_exit_rate(params)
+    params.stable_exit_rate()
     n_steps = int(round(t_max / h))
     stride = max(1, int(round(sample_every / h)))
     snap_steps = {int(round(ts / h)) for ts in snapshot_times}
@@ -332,9 +278,14 @@ def simulate(
     last = n_nodes - int(support[::-1].argmax()) if support[first] else first
     del support
 
-    block, q, products = _block_decay(rates, h, worst)
-    frame = np.empty((3, n_nodes + _SLACK))
-    start = _SLACK
+    # Row c of q holds compartment c's decay factors 1 - h * rate, one node on.
+    q = np.empty((3, n_nodes))
+    for row, rate in zip(q, (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i)):
+        np.multiply(rate[:-1], -h, out=row[1:])
+        row[1:] += 1.0
+    block, products = block_products(q)
+    frame = np.empty((3, n_nodes + n_steps))
+    start = n_steps
     for row, q_row, profile in zip(frame, q, (init.e, init.a, init.i)):
         np.divide(profile.values, q_row, out=row[start:])
     xi = params.xi.values
@@ -354,7 +305,6 @@ def simulate(
     beta_steps = np.empty(n_steps + 1)
     snapshots: list[DensitySnapshot] = []
     limiter_events = 0
-    limited_mass = 0.0
     r_tilde = None
     for n in range(n_steps + 1):
         t = init.t + n * h
@@ -405,22 +355,16 @@ def simulate(
             phi_s = 1.0 / (h * rate_s)
             keep_s = 0.0
             limiter_events += 1
-            limited_mass += (1.0 - phi_s) * h * rate_s * s
         if keep_v < 0.0:
             phi_v = 1.0 / (h * rate_v)
             keep_v = 0.0
             limiter_events += 1
-            limited_mass += (1.0 - phi_v) * h * rate_v * v
         eps_in = beta * (phi_s * s + one_minus_eps * phi_v * v)
         # Explicit recovered-compartment integration (conservation diagnostic);
         # the vaccine-immunity inflow honors the V outflow limiter.
         r_tilde = r_tilde + h * (zeta_eps * phi_v * v + recovered - mu * r_tilde)
         s, v = s * keep_s + h * mu_n0, v * keep_v + h * phi_s * p * s
 
-        if start == 0:
-            for row in frame:
-                row[_SLACK:] = row[:n_nodes]
-            start = _SLACK
         start -= 1
         frame[:, start + block:start + n_nodes:block] *= products
         frame[0, start] = eps_in
@@ -448,6 +392,5 @@ def simulate(
         timeseries=timeseries,
         final_state=final_state,
         clamp_events=limiter_events,
-        clamped_mass=limited_mass,
         beta_steps=beta_steps,
     )

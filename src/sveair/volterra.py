@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sveair.errors import AbortedRunError, ParameterError
-from sveair.grid import AgeProfile, Units, survival
+from sveair.grid import survival
 from sveair.params import ParameterSet
 from sveair.solver import State
 
@@ -101,10 +101,8 @@ def solve_renewal(
     h = grid.h
     n_steps = int(round(t_max / h))
 
-    surv_e = survival(params.k, params.mu, grid).values
-    rate_a = AgeProfile(grid, params.exit_rate_a - params.mu, Units.RATE)
-    surv_a = survival(rate_a, params.mu, grid).values
-    surv_i = survival(params.gamma_i, params.mu, grid).values
+    surv_e, surv_a, surv_i = (survival(rate, h) for rate in
+                              (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i))
 
     kv, qv = params.k.values, params.q.values
     beta_a, beta_i = params.beta_a.values, params.beta_i.values

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from sveair.errors import AbortedRunError, ParameterError
-from sveair.grid import AgeProfile, Units, survival
+from sveair.grid import survival
 from sveair.params import ParameterSet
 from sveair.solver import State
 from sveair.volterra import _EXP_GUARD, T_MAX_CAP, RenewalPath
@@ -60,10 +60,9 @@ def solve_renewal(
     h = grid.h
     n_steps = int(round(t_max / h))
 
-    surv_e = survival(params.k, params.mu, grid).values
-    rate_a = AgeProfile(grid, params.exit_rate_a - params.mu, Units.RATE)
-    surv_a = survival(rate_a, params.mu, grid).values
-    surv_i = survival(params.gamma_i, params.mu, grid).values
+    surv_e = survival(params.exit_rate_e, h)
+    surv_a = survival(params.exit_rate_a, h)
+    surv_i = survival(params.exit_rate_i, h)
 
     kv, qv = params.k.values, params.q.values
     chi_branch = params.chi.values * (1.0 - params.xi.values)

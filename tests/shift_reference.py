@@ -61,16 +61,14 @@ class _Precomputed:
 
 
 class _ClampCounter:
-    __slots__ = ("events", "mass")
+    __slots__ = ("events",)
 
     def __init__(self):
         self.events = 0
-        self.mass = 0.0
 
     def scalar(self, value):
         if value < 0.0:
             self.events += 1
-            self.mass += -value
             return 0.0
         return value
 
@@ -79,7 +77,6 @@ class _ClampCounter:
             neg = arr < 0.0
             if neg.any():
                 self.events += int(neg.sum())
-                self.mass += -h * float(arr[neg].sum())
                 arr[neg] = 0.0
 
 
@@ -94,11 +91,9 @@ def _advance(pre, s, v, e, a, i, out_e, out_a, out_i, clamps):
     if h * rate_s > 1.0:
         phi_s = 1.0 / (h * rate_s)
         clamps.events += 1
-        clamps.mass += (1.0 - phi_s) * h * rate_s * s
     if h * rate_v > 1.0:
         phi_v = 1.0 / (h * rate_v)
         clamps.events += 1
-        clamps.mass += (1.0 - phi_v) * h * rate_v * v
     eps = beta * (phi_s * s + pre.one_minus_eps * phi_v * v)
     s_next = s * (1.0 - h * phi_s * rate_s) + h * pre.mu_n0
     v_next = v * (1.0 - h * phi_v * rate_v) + h * phi_s * pre.p * s
@@ -194,6 +189,5 @@ def simulate_shift(init, params, t_max, sample_every=1.0, snapshot_times=(), obs
         timeseries=timeseries,
         final_state=final_state,
         clamp_events=clamps.events,
-        clamped_mass=clamps.mass,
         beta_steps=np.array(beta_steps),
     )

@@ -1,6 +1,7 @@
 """Config parsing, the runner's file products, and the CLI."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,6 +56,8 @@ class TestLoadConfig:
             load_config(write_cfg(tmp_path, "params.omega = 1\n"))
         with pytest.raises(ConfigError, match="params.contact"):
             load_config(write_cfg(tmp_path, "params.contact = c1\n"))
+        with pytest.raises(ConfigError, match="toggles.r0_only"):
+            load_config(write_cfg(tmp_path, "toggles.r0_only = true\n"))
 
     def test_parse_error_carries_line_number(self, tmp_path):
         with pytest.raises(ConfigError, match="line 2"):
@@ -173,8 +176,7 @@ class TestRunner:
         np.testing.assert_array_equal(cols[7], 8e7)
 
     def test_r0_only(self, tmp_path):
-        cfg = load_config(write_cfg(tmp_path, TINY + "toggles.r0_only = true\n",
-                                    name="r0only.cfg"))
+        cfg = replace(load_config(write_cfg(tmp_path, TINY, name="r0only.cfg")), r0_only=True)
         out = tmp_path / "o"
         report = run_scenario(cfg, out_dir=out)
         assert report.ok and report.runs == ()
@@ -343,10 +345,13 @@ class TestCli:
         assert not list(out.glob("run_d*.csv"))
 
     @pytest.mark.parametrize("line, value", [("run.sample_every = 1", "0.7"),
-                                             ("run.t_max = 10", "10.3")])
+                                             ("run.t_max = 10", "10.3"),
+                                             ("run.snapshot_times = 5", "5.2"),
+                                             ("run.oracle_t_max = 200", "5.3")])
     def test_off_grid_time_is_rejected(self, tmp_path, capsys, line, value):
         key = line.split(" = ")[0]
-        cfg_path = write_cfg(tmp_path, TINY.replace(line, f"{key} = {value}"))
+        text = TINY + "run.oracle_t_max = 200\ntoggles.run_oracle = true\n"
+        cfg_path = write_cfg(tmp_path, text.replace(line, f"{key} = {value}"))
         out = tmp_path / "o"
         code = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
         assert code == 2

@@ -1,4 +1,4 @@
-"""Age mesh, profile sampling, and the survival primitive."""
+"""Age mesh, profile sampling, and the survival products."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sveair.errors import InvalidGridError, ProfileError
 from sveair.grid import (
+    BLOCK_FLOOR,
     AgeGrid,
     AgeProfile,
     Units,
@@ -15,6 +16,7 @@ from sveair.grid import (
     load_profile_csv,
     sample_contact,
     sample_step_function,
+    block_products,
     survival,
 )
 
@@ -177,25 +179,18 @@ class TestProfileCsv:
 class TestSurvival:
     def test_zero_rate_all_ones(self):
         grid = build_grid(0.5, 50.0)
-        factor = survival(constant_profile(grid, 0.0, Units.RATE), 0.0, grid)
-        np.testing.assert_array_equal(factor.values, 1.0)
+        np.testing.assert_array_equal(survival(np.zeros(grid.n_nodes), grid.h), 1.0)
 
     def test_constant_rate_analytic(self):
         grid = build_grid(0.5, 50.0)
-        rate, mu = 0.08, 5e-5
-        factor = survival(constant_profile(grid, rate, Units.RATE), mu, grid)
-        expected = np.exp(-(rate + mu) * grid.nodes)
-        np.testing.assert_allclose(factor.values, expected, rtol=1e-12)
+        rate = 0.08 + 5e-5
+        factor = survival(np.full(grid.n_nodes, rate), grid.h)
+        np.testing.assert_allclose(factor, np.exp(-rate * grid.nodes), rtol=1e-12)
 
     def test_nonincreasing(self):
         grid = build_grid(0.5, 50.0)
-        factor = survival(constant_profile(grid, 0.3, Units.RATE), 1e-4, grid)
-        assert np.all(np.diff(factor.values) <= 0.0)
-
-    def test_negative_extra_rejected(self):
-        grid = build_grid(1.0, 10.0)
-        with pytest.raises(ProfileError):
-            survival(constant_profile(grid, 0.1, Units.RATE), -0.1, grid)
+        factor = survival(np.full(grid.n_nodes, 0.3 + 1e-4), grid.h)
+        assert np.all(np.diff(factor) <= 0.0)
 
     def test_negative_rate_rejected_at_profile(self):
         grid = build_grid(1.0, 10.0)
@@ -207,17 +202,11 @@ class TestSurvival:
     @settings(max_examples=60, deadline=None)
     def test_semigroup_concatenation(self, rates, split_den):
         # Survival over [0, t1] continued to t2 equals the one-shot factor.
-        grid = build_grid(0.5, 0.5 * (len(rates) - 1) + 0.25)
-        rates = np.asarray(rates[: grid.n_nodes])
-        if rates.size < grid.n_nodes:
-            rates = np.pad(rates, (0, grid.n_nodes - rates.size))
-        full = survival(AgeProfile(grid, rates, Units.RATE), 0.0, grid).values
-        j1 = grid.n_nodes // (split_den + 1)
-        tail_n = grid.n_nodes - j1
-        tail_grid = build_grid(grid.h, grid.h * (tail_n - 1) if tail_n > 1 else grid.h)
-        tail_rates = rates[j1:j1 + tail_grid.n_nodes]
-        tail = survival(AgeProfile(tail_grid, tail_rates, Units.RATE), 0.0, tail_grid).values
-        j2 = tail_grid.n_nodes - 1
+        rates = np.asarray(rates)
+        full = survival(rates, 0.5)
+        j1 = rates.size // (split_den + 1)
+        tail = survival(rates[j1:], 0.5)
+        j2 = rates.size - 1 - j1
         np.testing.assert_allclose(full[j1 + j2], full[j1] * tail[j2], rtol=1e-12)
 
     def test_piecewise_exponential_slopes(self):
@@ -226,8 +215,87 @@ class TestSurvival:
         grid = build_grid(0.5, 90 * YEAR)
         mu = 4.38356e-5
         k = sample_step_function(K_BREAKS, K_VALUES, grid, Units.RATE)
-        factor = survival(k, mu, grid)
-        solid = factor.values > 1e-280
-        log_f = np.log(factor.values[solid])
+        factor = survival(k.values + mu, grid.h)
+        solid = factor > 1e-280
+        log_f = np.log(factor[solid])
         slopes = -np.diff(log_f) / grid.h
         np.testing.assert_allclose(slopes, k.values[solid][:-1] + mu, rtol=1e-9)
+
+
+def _factor_rows(rng, regime):
+    """(rows, J - 1) factors in (0, 1] of nodes 0 .. J-2, with runs of
+    exactly 1.0. "random" draws J and the factor range freely; "multiple"
+    and "ragged" fix the block length L through the smallest factor and
+    make J a multiple of L or not; "tiny" holds a factor <= BLOCK_FLOOR,
+    so L = 1; "ones" holds only factors of 1, so L = J."""
+    n_rows = int(rng.integers(1, 4))
+    smallest = None
+    if regime in ("multiple", "ragged"):
+        block = int(rng.integers(1 if regime == "multiple" else 2, 400))
+        n_nodes = block * int(rng.integers(2, 8))
+        if regime == "ragged":
+            n_nodes += int(rng.integers(1, block))
+        # L = floor(log(BLOCK_FLOOR) / log(smallest)) = floor(block + 0.5).
+        smallest = BLOCK_FLOOR ** (1.0 / (block + 0.5))
+    else:
+        n_nodes = int(rng.integers(2, 3001))
+    if regime == "ones":
+        return np.ones((n_rows, n_nodes - 1))
+    low = smallest if smallest is not None else rng.uniform(1e-3, 1.0)
+    factors = rng.uniform(low, 1.0, size=(n_rows, n_nodes - 1))
+    for _ in range(int(rng.integers(0, 6))):
+        row = int(rng.integers(n_rows))
+        first = int(rng.integers(n_nodes - 1))
+        factors[row, first:first + int(rng.integers(1, n_nodes))] = 1.0
+    if regime == "tiny":
+        smallest = BLOCK_FLOOR if rng.integers(2) else BLOCK_FLOOR * rng.uniform(1e-50, 1.0)
+    if smallest is not None:
+        factors[rng.integers(n_rows), rng.integers(n_nodes - 1)] = smallest
+    return factors
+
+
+def _sequential_products(factors, block):
+    """q and the whole-block products of `block_products`, by a plain loop."""
+    n_rows, n_nodes = factors.shape[0], factors.shape[1] + 1
+    q = np.empty((n_rows, n_nodes))
+    products = np.empty((n_rows, len(range(block, n_nodes, block))))
+    for c in range(n_rows):
+        running = 1.0
+        for j in range(n_nodes):
+            if j % block == 0:
+                if j:
+                    products[c, j // block - 1] = running
+                running = 1.0
+            q[c, j] = running
+            if j < n_nodes - 1:
+                running *= float(factors[c, j])
+    return q, products
+
+
+class TestBlockProducts:
+    @pytest.mark.parametrize("regime", ["random", "multiple", "ragged", "tiny", "ones"])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_sequential_products(self, regime, seed):
+        factors = _factor_rows(np.random.default_rng(seed), regime)
+        n_nodes = factors.shape[1] + 1
+        q = np.empty((factors.shape[0], n_nodes))
+        q[:, 0] = np.nan  # ignored: no factor enters a product before node 0
+        q[:, 1:] = factors
+        block, products = block_products(q)
+        # L is the largest block length with smallest^L >= BLOCK_FLOOR,
+        # at least 1 and at most J.
+        smallest = float(factors.min())
+        assert 1 <= block <= n_nodes
+        if regime == "ones":
+            assert block == n_nodes
+        if regime == "tiny":
+            assert block == 1
+        if block > 1:
+            assert smallest ** block >= BLOCK_FLOOR
+        if block < n_nodes:
+            assert smallest ** (block + 1) < BLOCK_FLOOR
+        assert np.all(q[:, ::block] == 1.0)
+        want_q, want_products = _sequential_products(factors, block)
+        assert np.array_equal(q, want_q)
+        assert np.array_equal(products, want_products)

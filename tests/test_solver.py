@@ -13,7 +13,6 @@ from sveair.grid import AgeProfile, Units, build_grid, constant_profile
 from sveair.params import ParameterSet
 from sveair.scenarios import steady_initial_state
 from sveair.solver import (
-    _SLACK,
     State,
     aggregate,
     boundary_values,
@@ -308,8 +307,9 @@ def _equivalence_case(seed, regime):
     "limiter" starts with h * beta > 1;
     "fast" has h * max exit rate >= 0.95 on a grid of at least 600 nodes,
     which holds at least three of the frame's age blocks (a block is at most
-    log(1e-250) / log(0.05) ~ 192 nodes long there); "long" runs for more
-    steps than the frame's slack, so the window is copied back.
+    log(1e-250) / log(0.05) ~ 192 nodes long there); "long" runs 513 to
+    1535 steps, more than the grid has nodes, so every initial cohort
+    leaves through theta_max.
     """
     rng = np.random.default_rng(seed)
     h = rng.uniform(0.1, 1.0)
@@ -351,7 +351,7 @@ def _equivalence_case(seed, regime):
     if regime == "band":
         n_steps = _band_run_length(rng, dens)
     else:
-        n_steps = int(rng.integers(_SLACK + 1, 3 * _SLACK) if regime == "long"
+        n_steps = int(rng.integers(513, 1536) if regime == "long"
                       else rng.integers(1, 300))
     stride = int(rng.integers(1, 6))
     snaps = rng.integers(0, n_steps + 1, size=rng.integers(0, 4))

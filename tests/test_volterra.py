@@ -82,7 +82,7 @@ class TestAgreementWithSolver:
             t_run = 100.0
             path = solve_renewal(init, params, t_max=t_run)
             pde = simulate(init, params, t_max=t_run, sample_every=h)
-            surv_e = survival(params.k, params.mu, grid).values
+            surv_e = survival(params.exit_rate_e, h)
             n = path.t.size - 1
             j = np.arange(1, n)  # ages younger than the run, renewal-fed
             recon = path.eps[n - j] * surv_e[j]
