@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sveair.errors import LyapunovDomainError, ParameterError
-from sveair.grid import block_products, rect_integral
+from sveair.grid import block_products, rect_integral, scheme_factors
 from sveair.params import ParameterSet
 from sveair.reproduction import (ENDEMIC, SteadyState, compute_R0, scheme_kernels,
                                  solve_beta_star, steady_state)
@@ -45,12 +45,12 @@ class LyapunovWeights:
 
 
 def _backward_tail(source: np.ndarray, rates: np.ndarray, h: float) -> np.ndarray:
-    """F[j] = h*src[j] + exp(-h*rate[j]) * F[j+1], F beyond the last node 0.
+    """F[j] = h*src[j] + (1 - h*rate[j]) * F[j+1], F beyond the last node 0.
 
     Discretizes F(theta) = integral_theta^theta_max src(s) *
-    exp(-integral_theta^s rate) ds with the survival primitive's
-    exponential factors, so F[0] equals the rectangle quadrature of
-    src * survival exactly.
+    exp(-integral_theta^s rate) ds with the scheme's own decay factors, so
+    F[0] equals the rectangle quadrature of src * `grid.scheme_survival`
+    exactly, and f_e(0) at the disease-free state is the scheme's r0.
 
     Solved in the age blocks of `grid.block_products`, from the oldest
     down. Within a block [low, high), with P[j] the product of the factors
@@ -59,9 +59,7 @@ def _backward_tail(source: np.ndarray, rates: np.ndarray, h: float) -> np.ndarra
     the factors over j .. high-1.
     """
     n = source.shape[0]
-    q = np.empty((1, n))
-    np.multiply(rates[:-1], -h, out=q[0, 1:])
-    np.exp(q[0, 1:], out=q[0, 1:])
+    q = scheme_factors(rates[np.newaxis], h)
     block, products = block_products(q)
     out = np.empty(n)
     carry = 0.0
@@ -81,8 +79,10 @@ def lyapunov_weights(params: ParameterSet, steady: SteadyState) -> LyapunovWeigh
 
     f_i depends only on the transmission and recovery structure; f_a folds
     in the asymptomatic-to-symptomatic route via f_i(0); f_e feeds both
-    routes with f_a(0) and f_i(0) as coefficients.
+    routes with f_a(0) and f_i(0) as coefficients. Raises StabilityError
+    when h * max exit rate >= 1, where a scheme factor is not positive.
     """
+    params.stable_exit_rate()
     h = params.grid.h
     pool = steady.s_star + (1.0 - params.epsilon) * steady.v_star
     f_i = _backward_tail(pool * params.beta_i.values, params.exit_rate_i, h)
@@ -179,7 +179,7 @@ class LyapunovEvaluator:
 
 
 def discrete_fixed_point(params: ParameterSet, steady: SteadyState) -> SteadyState:
-    """The explicit scheme's own endemic fixed point, in closed form.
+    """The scheme's own endemic fixed point, in closed form.
 
     The closed-form steady state carries the quadrature's O(h) bias, so the
     scheme drifts away from it, and Lyapunov monotonicity about it measures

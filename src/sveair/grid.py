@@ -4,8 +4,9 @@ Everything downstream shares one uniform age grid with nodes theta_j = j*h;
 the time stepper reuses the same h so the upwind stencil sits on
 characteristics. Integrals over age are the rectangle sums h * sum(g_j u_j)
 over all nodes. This is the one module that turns exit rates into survival
-products (`survival`, `scheme_survival`, `block_products`); the other
-modules form only the rates or the per-node factors.
+products and the scheme's decay factors (`survival`, `scheme_factors`,
+`scheme_survival`, `block_products`); the other modules form only the
+rates.
 """
 
 from __future__ import annotations
@@ -243,11 +244,21 @@ def survival(rates: np.ndarray, h: float) -> np.ndarray:
     return np.exp(-hazard)
 
 
+def scheme_factors(rates: np.ndarray, h: float) -> np.ndarray:
+    """The scheme's one-step decay factors of exit-rate rows (J or (C, J)),
+    written one node on as `block_products` reads them: factors[..., 0] = 1
+    and factors[..., j] = 1 - h * rates[..., j - 1], the share of a cohort at
+    node j - 1 that reaches node j."""
+    factors = np.empty(rates.shape)
+    factors[..., 0] = 1.0
+    np.subtract(1.0, h * rates[..., :-1], out=factors[..., 1:])
+    return factors
+
+
 def scheme_survival(rates: np.ndarray, h: float) -> np.ndarray:
-    """The explicit scheme's survival of an exit-rate array:
+    """The scheme's survival of an exit-rate array:
     prod_{m<j} (1 - h * rates[m]), the share of a cohort left after j steps."""
-    products = np.ones_like(rates)
-    np.cumprod(1.0 - h * rates[:-1], out=products[1:])
+    products = np.cumprod(scheme_factors(rates, h))
     # Below the smallest normal float the product stalls (x * f rounds back
     # to x) instead of underflowing, and would leave the stepper working on
     # subnormals: flush it to 0, as the exponential underflows.

@@ -86,7 +86,6 @@ class RunSummary:
     label: str
     final_metric: float
     balance_error: float
-    limiter_events: int
     aborted: bool
 
 
@@ -108,8 +107,8 @@ class ExitReport:
         for run in self.runs:
             status = "ABORTED" if run.aborted else "ok"
             out.append(
-                f"run d={run.label}: {status} final_convergence_metric={run.final_metric:.6g} "
-                f"balance_error={run.balance_error:.3g} limiter_events={run.limiter_events}"
+                f"run d={run.label}: {status} balance_error={run.balance_error:.3g} "
+                f"final_convergence_metric={run.final_metric:.6g}"
             )
         return out
 
@@ -300,7 +299,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ExitReport:
                 observer=evaluator.observer(times, values) if evaluator is not None else None,
             )
         except AbortedRunError:
-            summaries.append(RunSummary(label, float("nan"), float("nan"), 0, True))
+            summaries.append(RunSummary(label, float("nan"), float("nan"), True))
             ok = False
             continue
         _write_timeseries(out / f"run_d{label}.csv", result.timeseries)
@@ -313,7 +312,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ExitReport:
             label=label,
             final_metric=diagnostics.convergence_metric(result.final_state, steady, params.n0),
             balance_error=result.timeseries.balance_error(params.n0),
-            limiter_events=result.clamp_events,
             aborted=False,
         ))
     return ExitReport(

@@ -1,13 +1,13 @@
-"""Time stepper for the scaled system: forward Euler for S and V, transport
-along characteristics for the age densities, rectangle-rule renewal
-integrals for the theta = 0 boundaries.
+"""Time stepper for the scaled system: linearly implicit transfers for S and
+V, transport along characteristics for the age densities, rectangle-rule
+renewal integrals for the theta = 0 boundaries.
 
 The time step equals the age step h, so one step moves each density one
 node along its characteristic and multiplies it by the explicit decay
-factor: x^{n+1}[j+1] = x^n[j] * (1 - h * exit_rate[j]). Boundary values
-feeding a step are always evaluated on the previous state (explicit
-coupling). Mass reaching the oldest node leaves the system (absorbing
-boundary at theta_max).
+factor: x^{n+1}[j+1] = x^n[j] * (1 - h * exit_rate[j]). The force of
+infection and the renewal integrals feeding a step are evaluated on the
+previous state (explicit coupling). Mass reaching the oldest node leaves
+the system (absorbing boundary at theta_max).
 
 The densities are kept in a moving frame instead of being shifted in
 memory. The age axis is cut into blocks of L nodes, and Q[c, j] is the
@@ -33,20 +33,24 @@ integrals and the recovered flux together, and sample masses are
 h * (Q[c] @ u[c]) over the same spans. The densities are rebuilt as Q * u
 on all nodes only for the observer, the snapshots and the final state.
 
-At t = 0 the functionals are instead the unscaled dot products of the
-given densities, the arithmetic of `force_of_infection` and
-`boundary_values` (and of the renewal oracle's first step), so every reader
-of an initial state gets the same numbers, not numbers that agree to
-round-off.
+At t = 0 the force of infection and the renewal integrals are instead the
+unscaled dot products of the given densities, the arithmetic of
+`force_of_infection` and of `boundary_values`' alpha and iota (and of the
+renewal oracle's first step), so every reader of an initial state gets the
+same numbers, not numbers that agree to round-off.
 
-With nonnegative state and the setup stability bound h * max(exit rate) < 1
-the density updates cannot go negative. The S and V updates can, when the
-force of infection spikes above ~1/h, so their outflows are limited: if one
-step would remove more than the pool holds, every outflow of that pool
-(including the infection flux feeding the latent boundary) is scaled down
-by phi = 1/(h * total rate), which empties the pool exactly. The limiter
-keeps the discrete mass ledger exact, reduces to the plain explicit update
-whenever h * total rate <= 1, and every limited step is counted.
+S and V take their deaths explicitly and their transfers implicitly
+(Mickens' nonstandard finite-difference form):
+
+    S' = (S (1 - h mu) + h mu N0) / (1 + h (p + beta))
+    V' = (V (1 - h mu) + h p S') / (1 + h (zeta epsilon + (1 - epsilon) beta))
+
+The latent boundary the step writes, which is also the sample's `eps`, is
+beta * (S' + (1 - epsilon) V'), and the recovered ledger gains
+h * zeta * epsilon * V': each transfer leaves and enters at one value, so
+the mass ledger is exact. The numerators are nonnegative under the
+stability bound, which covers h * mu, and the denominators are at least 1,
+so S and V stay nonnegative at any h and any force of infection.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from sveair.errors import AbortedRunError, ParameterError
-from sveair.grid import AgeProfile, Units, block_products, rect_integral
+from sveair.grid import AgeProfile, Units, block_products, rect_integral, scheme_factors
 from sveair.params import ParameterSet
 
 
@@ -142,8 +146,10 @@ class TimeSeries:
 class SimulationResult:
     timeseries: TimeSeries
     final_state: State
-    clamp_events: int
     beta_steps: np.ndarray  # force of infection at every step, n_steps + 1 values
+    # No step is limited since the S/V transfers became implicit; the
+    # benchmark tracer (bench/child.py) still sums this count.
+    clamp_events = 0
 
 
 def _functionals(params: ParameterSet, s, v, e, a, i):
@@ -235,7 +241,7 @@ def simulate(
     snapshot_times: Sequence[float] = (),
     observer=None,
 ) -> SimulationResult:
-    """Run the explicit scheme over [init.t, init.t + t_max].
+    """Run the scheme over [init.t, init.t + t_max].
 
     Args:
         init: Initial state on the parameter grid.
@@ -251,7 +257,7 @@ def simulate(
 
     Returns:
         SimulationResult with the sampled TimeSeries, the per-step force
-        of infection, the final State, and the count of limited steps.
+        of infection and the final State.
 
     Raises:
         StabilityError: at setup when h * max exit rate >= 1.
@@ -278,11 +284,8 @@ def simulate(
     last = n_nodes - int(support[::-1].argmax()) if support[first] else first
     del support
 
-    # Row c of q holds compartment c's decay factors 1 - h * rate, one node on.
-    q = np.empty((3, n_nodes))
-    for row, rate in zip(q, (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i)):
-        np.multiply(rate[:-1], -h, out=row[1:])
-        row[1:] += 1.0
+    q = scheme_factors(
+        np.stack((params.exit_rate_e, params.exit_rate_a, params.exit_rate_i)), h)
     block, products = block_products(q)
     frame = np.empty((3, n_nodes + n_steps))
     start = n_steps
@@ -297,27 +300,26 @@ def simulate(
     densities = np.empty((3, n_nodes)) if observer is not None else None
 
     mu, p, n0 = params.mu, params.p, params.n0
-    mu_n0 = mu * n0
+    keep = 1.0 - h * mu
+    born = h * mu * n0
     zeta_eps = params.zeta * params.epsilon
     one_minus_eps = 1.0 - params.epsilon
     s, v = init.s, init.v
     samples: list[tuple] = []
     beta_steps = np.empty(n_steps + 1)
     snapshots: list[DensitySnapshot] = []
-    limiter_events = 0
     r_tilde = None
     for n in range(n_steps + 1):
         t = init.t + n * h
         window = frame[:, start:start + n_nodes]
         spans = _live_spans(n, first, last, n_nodes)
         if n == 0:
-            beta, eps, alpha, iota, recovered = initial
+            beta, _, alpha, iota, recovered = initial
         else:
             to_asym, to_symp = _span_dot(kernel_e, window[0], spans).tolist()
             infect_a, branch_a, recover_a = _span_dot(kernel_a, window[1], spans).tolist()
             infect_i, recover_i = _span_dot(kernel_i, window[2], spans).tolist()
             beta = h * (infect_a + infect_i)
-            eps = beta * (s + one_minus_eps * v)
             alpha = h * to_asym
             iota = h * (to_symp + branch_a)
             recovered = h * (recover_a + recover_i)
@@ -325,6 +327,9 @@ def simulate(
                 and math.isfinite(s) and math.isfinite(v)):
             raise AbortedRunError(f"non-finite value at step {n} (t={t})", step_index=n)
         beta_steps[n] = beta
+        s_next = (s * keep + born) / (1.0 + h * (p + beta))
+        v_next = (v * keep + h * p * s_next) / (1.0 + h * (zeta_eps + one_minus_eps * beta))
+        eps = beta * (s_next + one_minus_eps * v_next)
         if n % stride == 0 or n == n_steps:
             e_tot, a_tot, i_tot = (h * float(_span_dot(q_row, u, spans))
                                    for q_row, u in zip(q, window))
@@ -345,29 +350,14 @@ def simulate(
         if n == n_steps:
             break
 
-        rate_s = p + beta + mu
-        rate_v = zeta_eps + beta * one_minus_eps + mu
-        phi_s = phi_v = 1.0
-        keep_s = 1.0 - h * rate_s
-        keep_v = 1.0 - h * rate_v
-        # keep < 0 exactly when h * rate > 1: the limited pool empties.
-        if keep_s < 0.0:
-            phi_s = 1.0 / (h * rate_s)
-            keep_s = 0.0
-            limiter_events += 1
-        if keep_v < 0.0:
-            phi_v = 1.0 / (h * rate_v)
-            keep_v = 0.0
-            limiter_events += 1
-        eps_in = beta * (phi_s * s + one_minus_eps * phi_v * v)
-        # Explicit recovered-compartment integration (conservation diagnostic);
-        # the vaccine-immunity inflow honors the V outflow limiter.
-        r_tilde = r_tilde + h * (zeta_eps * phi_v * v + recovered - mu * r_tilde)
-        s, v = s * keep_s + h * mu_n0, v * keep_v + h * phi_s * p * s
+        # Recovered-compartment ledger (conservation diagnostic); the
+        # vaccine-immunity inflow leaves V at its new value.
+        r_tilde = r_tilde + h * (zeta_eps * v_next + recovered - mu * r_tilde)
+        s, v = s_next, v_next
 
         start -= 1
         frame[:, start + block:start + n_nodes:block] *= products
-        frame[0, start] = eps_in
+        frame[0, start] = eps
         frame[1, start] = alpha
         frame[2, start] = iota
 
@@ -391,6 +381,5 @@ def simulate(
     return SimulationResult(
         timeseries=timeseries,
         final_state=final_state,
-        clamp_events=limiter_events,
         beta_steps=beta_steps,
     )

@@ -10,7 +10,8 @@ discretization machinery beyond the grid itself:
   - survival kernels are exact exponentials of the cumulative hazard, not
     products of explicit Euler factors;
   - S and V come from their exponential-integral formulas driven by the
-    cumulative force of infection, not from forward Euler;
+    cumulative force of infection, not from the stepper's linearly
+    implicit update;
   - history integrals over [0, t] use the trapezoid rule (the newest force
     term uses the previous step's boundary values; everything else is
     known when needed).

@@ -1,8 +1,8 @@
-"""Reference stepper: the shift form of the explicit characteristic scheme.
+"""Reference stepper: the shift form of the characteristic scheme.
 
 Every step rewrites the three densities, x^{n+1}[j+1] = x^n[j] * (1 - h *
 exit_rate[j]), and evaluates the boundary functionals on the shifted
-arrays. `sveair.solver.simulate` keeps the densities in a moving frame
+arrays. S and V take the linearly implicit update of `sveair.solver`. `sveair.solver.simulate` keeps the densities in a moving frame
 instead; the property tests require the two to agree to round-off.
 """
 
@@ -16,7 +16,7 @@ from sveair.solver import DensitySnapshot, SimulationResult, State, TimeSeries
 
 
 class _Precomputed:
-    """Step-invariant arrays and scalars of the explicit scheme."""
+    """Step-invariant arrays and scalars of the scheme."""
 
     def __init__(self, params):
         grid = params.grid
@@ -50,62 +50,33 @@ class _Precomputed:
         self.zeta_eps = params.zeta * params.epsilon
         self.one_minus_eps = 1.0 - params.epsilon
 
-    def functionals(self, s, v, e, a, i):
-        """(beta, eps, alpha, iota) of raw state arrays."""
+    def functionals(self, e, a, i):
+        """(beta, alpha, iota) of raw density arrays."""
         h = self.h
         beta = h * (self.beta_a @ a + self.beta_i @ i)
-        eps = beta * (s + self.one_minus_eps * v)
         alpha = h * (self.kq @ e)
         iota = h * (self.k1q @ e + self.chi_branch @ a)
-        return beta, eps, alpha, iota
+        return beta, alpha, iota
+
+    def pools(self, beta, s, v):
+        """(S', V', eps) of one step: explicit deaths, implicit transfers,
+        and the latent boundary fed by the transfers."""
+        h = self.h
+        s_next = (s * (1.0 - h * self.mu) + h * self.mu_n0) / (1.0 + h * (self.p + beta))
+        v_next = (v * (1.0 - h * self.mu) + h * self.p * s_next) / (
+            1.0 + h * (self.zeta_eps + self.one_minus_eps * beta))
+        return s_next, v_next, beta * (s_next + self.one_minus_eps * v_next)
 
 
-class _ClampCounter:
-    __slots__ = ("events",)
-
-    def __init__(self):
-        self.events = 0
-
-    def scalar(self, value):
-        if value < 0.0:
-            self.events += 1
-            return 0.0
-        return value
-
-    def arrays(self, h, *arrays):
-        for arr in arrays:
-            neg = arr < 0.0
-            if neg.any():
-                self.events += int(neg.sum())
-                arr[neg] = 0.0
-
-
-def _advance(pre, s, v, e, a, i, out_e, out_a, out_i, clamps):
-    """One explicit step from raw arrays into the out buffers; returns
-    (s_next, v_next, phi_v)."""
-    beta, _, alpha, iota = pre.functionals(s, v, e, a, i)
-    h = pre.h
-    rate_s = pre.p + beta + pre.mu
-    rate_v = pre.zeta_eps + beta * pre.one_minus_eps + pre.mu
-    phi_s = phi_v = 1.0
-    if h * rate_s > 1.0:
-        phi_s = 1.0 / (h * rate_s)
-        clamps.events += 1
-    if h * rate_v > 1.0:
-        phi_v = 1.0 / (h * rate_v)
-        clamps.events += 1
-    eps = beta * (phi_s * s + pre.one_minus_eps * phi_v * v)
-    s_next = s * (1.0 - h * phi_s * rate_s) + h * pre.mu_n0
-    v_next = v * (1.0 - h * phi_v * rate_v) + h * phi_s * pre.p * s
-    s_next = clamps.scalar(s_next)
-    v_next = clamps.scalar(v_next)
+def _shift(pre, e, a, i, out_e, out_a, out_i, eps, alpha, iota):
+    """Move the densities one node on into the out buffers and write the
+    boundary values at node 0."""
     np.multiply(e[:-1], pre.decay_e, out=out_e[1:])
     np.multiply(a[:-1], pre.decay_a, out=out_a[1:])
     np.multiply(i[:-1], pre.decay_i, out=out_i[1:])
     out_e[0] = eps
     out_a[0] = alpha
     out_i[0] = iota
-    return s_next, v_next, phi_v
 
 
 def simulate_shift(init, params, t_max, sample_every=1.0, snapshot_times=(), observer=None):
@@ -128,7 +99,6 @@ def simulate_shift(init, params, t_max, sample_every=1.0, snapshot_times=(), obs
     samples = []
     beta_steps = []
     snapshots = []
-    clamps = _ClampCounter()
     nodes = params.grid.nodes
 
     e_next = np.empty_like(e)
@@ -138,13 +108,13 @@ def simulate_shift(init, params, t_max, sample_every=1.0, snapshot_times=(), obs
     r_tilde = None
     for n in range(n_steps + 1):
         t = init.t + n * h
-        beta, eps, alpha, iota = pre.functionals(s, v, e, a, i)
+        beta, alpha, iota = pre.functionals(e, a, i)
+        s_next, v_next, eps = pre.pools(beta, s, v)
         if not (math.isfinite(beta) and math.isfinite(alpha) and math.isfinite(iota)
                 and math.isfinite(s) and math.isfinite(v)):
             raise AbortedRunError(f"non-finite value at step {n} (t={t})", step_index=n)
         beta_steps.append(beta)
         if n % stride == 0 or n == n_steps:
-            clamps.arrays(h, e, a, i)
             e_tot = h * float(e.sum())
             a_tot = h * float(a.sum())
             i_tot = h * float(i.sum())
@@ -164,9 +134,9 @@ def simulate_shift(init, params, t_max, sample_every=1.0, snapshot_times=(), obs
         if n == n_steps:
             break
         recov_flux = h * (pre.recov_a @ a + pre.recov_i @ i)
-        s_new, v_new, phi_v = _advance(pre, s, v, e, a, i, e_next, a_next, i_next, clamps)
-        r_tilde = r_tilde + h * (pre.zeta_eps * phi_v * v + recov_flux - pre.mu * r_tilde)
-        s, v = s_new, v_new
+        _shift(pre, e, a, i, e_next, a_next, i_next, eps, alpha, iota)
+        r_tilde = r_tilde + h * (pre.zeta_eps * v_next + recov_flux - pre.mu * r_tilde)
+        s, v = s_next, v_next
         e, e_next = e_next, e
         a, a_next = a_next, a
         i, i_next = i_next, i
@@ -188,6 +158,5 @@ def simulate_shift(init, params, t_max, sample_every=1.0, snapshot_times=(), obs
     return SimulationResult(
         timeseries=timeseries,
         final_state=final_state,
-        clamp_events=clamps.events,
         beta_steps=np.array(beta_steps),
     )

@@ -4,10 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to watch the verdict lines
 as the criteria complete. The heavy 1500-day Table-2 sweeps are shared
 through module-scoped fixtures.
 
-Documented deviations (see the endemic-Lyapunov test's docstring): the
+Documented deviation (see the endemic-Lyapunov test's docstring): the
 endemic monotonicity check runs along strictly positive steady-profile
-initial data about the scheme's own fixed point, with a 5-day startup
-window excluded for the over-seeded amplitudes.
+initial data about the scheme's own fixed point.
 """
 
 import numpy as np
@@ -290,19 +289,18 @@ def _lyapunov_series(evaluator, init, params, t_max):
 
 
 def test_criterion_8_lyapunov_monotonicity(desk_c1, desk_c2):
-    """Zero monotonicity violations along both scenarios.
+    """Zero monotonicity violations along both scenarios, over the full
+    window of every run.
 
     Disease-free leg: as specified (shipped band sweep, closed-form steady
     state, default tolerance).
 
-    Endemic leg (documented deviations, see decisions ledger): the shipped
+    Endemic leg (documented deviation, see decisions ledger): the shipped
     band initial data give an infinite endemic Lyapunov value (zero density
     at weighted ages for every t < 20 years), so the monitor runs
     steady-profile-scaled positive seeds with the sweep masses, S and V at
     their steady values, about the evaluator's reference (the scheme's own
-    fixed point). For the over-seeded amplitudes (d >= 1e6) the first few
-    days are numerically under-resolved at h=0.5; a 5-day startup window is
-    excluded there and the startup increments are checked to shrink with h.
+    fixed point).
     """
     params_c1, _, steady_c1 = desk_c1
     evaluator_c1 = dg.LyapunovEvaluator(params_c1, steady_c1)
@@ -318,57 +316,24 @@ def test_criterion_8_lyapunov_monotonicity(desk_c1, desk_c2):
     params_c2, _, steady_c2 = desk_c2
     evaluator_c2 = dg.LyapunovEvaluator(params_c2, steady_c2)
     reference = evaluator_c2.steady
-    startup_window = 5.0
-    startup_incs = {}
     for d in D_SWEEP:
         init = sc.steady_scaled_initial_state(
             params_c2, reference, reference.s_star, reference.v_star, d
         )
         times, values = _lyapunov_series(evaluator_c2, init, params_c2, 1500.0)
-        full = dg.monotonicity_check(values, times)
-        settled_mask = times >= startup_window
-        settled = dg.monotonicity_check(values[settled_mask], times[settled_mask])
-        ok &= settled.n_violations == 0
-        if d <= 1e4:
-            ok &= full.n_violations == 0
-            details.append(f"c2 d={d:g}: {full.n_violations} violations (full window)")
-        else:
-            startup_incs[d] = max((iv[3] for iv in full.intervals), default=0.0)
-            details.append(
-                f"c2 d={d:g}: {settled.n_violations} violations after t>=5d "
-                f"({full.n_violations} startup, max inc {startup_incs[d]:.3g})"
-            )
-    # Startup increments are discretization error: halving h must shrink them.
-    grid_half = build_grid(0.25, THETA_MAX)
-    params_half = sc.builtin_scenario("table2-c2", grid_half)
-    _, steady_half = rep.matching_steady_state(params_half)
-    evaluator_half = dg.LyapunovEvaluator(params_half, steady_half)
-    ref_half = evaluator_half.steady
-    init_half = sc.steady_scaled_initial_state(
-        params_half, ref_half, ref_half.s_star, ref_half.v_star, 1e6
-    )
-    times_h, values_h = _lyapunov_series(evaluator_half, init_half, params_half, 20.0)
-    startup_half = max(
-        (iv[3] for iv in dg.monotonicity_check(values_h, times_h).intervals),
-        default=0.0,
-    )
-    shrinks = startup_half < startup_incs.get(1e6, np.inf)
-    ok &= shrinks
-    details.append(
-        f"c2 d=1e6 startup increment {startup_incs.get(1e6, 0):.3g} at h=0.5 "
-        f"-> {startup_half:.3g} at h=0.25"
-    )
+        report = dg.monotonicity_check(values, times)
+        ok &= report.n_violations == 0
+        details.append(f"c2 d={d:g}: {report.n_violations} violations")
     verdict(8, "Lyapunov monotonicity", ok, "; ".join(details))
 
 
 def test_criterion_9_nonnegativity(desk_c2):
     """50 random nonnegative initial conditions at h=0.25: no negative
-    sample anywhere and zero limiter/clamp events."""
+    sample anywhere."""
     grid = build_grid(0.25, THETA_MAX)
     params = sc.builtin_scenario("table2-c2", grid)
     rng = np.random.default_rng(99)
     worst_min = np.inf
-    total_clamps = 0
     for _ in range(50):
         shapes = []
         for _ in range(3):
@@ -383,7 +348,6 @@ def test_criterion_9_nonnegativity(desk_c2):
         init = State(t=0.0, s=rng.uniform(0.0, 2e6), v=rng.uniform(0.0, 2e6),
                      e=shapes[0], a=shapes[1], i=shapes[2])
         result = simulate(init, params, t_max=40.0, sample_every=1.0)
-        total_clamps += result.clamp_events
         ts = result.timeseries
         worst_min = min(
             worst_min,
@@ -392,5 +356,4 @@ def test_criterion_9_nonnegativity(desk_c2):
             result.final_state.a.values.min(),
             result.final_state.i.values.min(),
         )
-    verdict(9, "nonnegativity", worst_min >= 0.0 and total_clamps == 0,
-            f"min sample value {worst_min:.3g}, clamp/limiter events {total_clamps}")
+    verdict(9, "nonnegativity", worst_min >= 0.0, f"min sample value {worst_min:.3g}")

@@ -5,15 +5,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import band_density, make_constant_params, rate_profile, zero_density
 from sveair import diagnostics as dg
 from sveair import reproduction as rep
-from sveair.errors import LyapunovDomainError, ParameterError
+from sveair.errors import LyapunovDomainError, ParameterError, StabilityError
 from sveair.grid import Units, build_grid, rect_integral
-from sveair.scenarios import steady_initial_state
+from sveair.scenarios import (band_initial_state, steady_initial_state,
+                              steady_scaled_initial_state)
 from sveair.solver import State, boundary_values, force_of_infection, simulate, step
 
 
@@ -58,7 +59,7 @@ def _backward_tail_loop(source: np.ndarray, rates: np.ndarray, h: float) -> np.n
     n = source.shape[0]
     out = np.empty(n)
     acc = 0.0
-    decay = np.exp(-h * rates)
+    decay = 1.0 - h * rates
     for j in range(n - 1, -1, -1):
         acc = h * source[j] + decay[j] * acc
         out[j] = acc
@@ -81,9 +82,9 @@ class TestBackwardTail:
         top = rng.uniform(0.0, 0.99) / h
         rates = rate_profile(rng, build_grid(h, h * (n - 1)), top, Units.RATE).values
         if regime == "underflow":
-            # h * rate >= 0.3 on at least 3000 nodes: the product is below e^-900.
+            # h * rate >= 0.3 on at least 3000 nodes: the product is below 0.7^3000.
             rates = np.maximum(rates, rng.uniform(0.3, 0.99, n) / h)
-            assert np.prod(np.exp(-h * rates)) == 0.0
+            assert np.prod(1.0 - h * rates) == 0.0
         source = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-6.0, 6.0)
         for _ in range(rng.integers(0, 4)):
             low = int(rng.integers(0, n))
@@ -102,6 +103,13 @@ class TestWeights:
         weights = dg.lyapunov_weights(params, steady)
         np.testing.assert_array_equal(weights.f_i, 0.0)
 
+    def test_stability_guard(self):
+        # At h * rate >= 1 a scheme factor is not positive: the weights raise
+        # the stepper's StabilityError, not a domain error of the blocking.
+        params = make_constant_params(build_grid(0.5, 50.0), k=3.0)
+        with pytest.raises(StabilityError, match="reduce h"):
+            dg.lyapunov_weights(params, rep.steady_state(params, 0.0))
+
     def test_constant_rate_tail_integral(self):
         grid = build_grid(0.05, 2000.0)
         params = make_constant_params(grid)
@@ -114,14 +122,15 @@ class TestWeights:
 
     def test_f_e0_matches_reproduction_blocks(self, dfe_setup):
         _, params, steady, weights = dfe_setup
-        blocks = rep.kernels(params)
+        blocks = rep.scheme_kernels(params)
         expected = (weights.f_a0 * blocks.latent_to_asym
                     + weights.f_i0 * blocks.latent_to_symp)
         assert weights.f_e[0] == pytest.approx(expected, rel=1e-13)
 
     def test_f_e0_equals_r0_at_disease_free_state(self, dfe_setup):
         _, params, _, weights = dfe_setup
-        assert weights.f_e[0] == pytest.approx(rep.compute_R0(params).r0, rel=1e-12)
+        assert weights.f_e[0] == pytest.approx(
+            rep.compute_R0(params, rep.scheme_kernels(params)).r0, rel=1e-12)
 
     def test_tail_vanishes_at_oldest_node(self, dfe_setup):
         # The truncated tail integral shrinks to one quadrature cell at the
@@ -307,6 +316,85 @@ class TestConvergenceMetric:
         )
 
 
+def _ramped_params(grid, r0, r0_of, ramp, beta_ratio, **rates):
+    """Constant rates except k, chi and gamma_i, which ramp linearly with
+    age, so the survival products must line up with the age nodes; the
+    transmission rates are scaled so that r0_of(params) = r0 (R0 is linear
+    in them)."""
+
+    def build(scale):
+        params = make_constant_params(grid, n0=1e7, beta_a=1e-9 * scale,
+                                      beta_i=1e-9 * beta_ratio * scale, **rates)
+        ramped = np.linspace(1.0, ramp, grid.n_nodes)
+        return replace(params, **{name: getattr(params, name).with_values(
+            ramped * getattr(params, name).values) for name in ("k", "chi", "gamma_i")})
+
+    return build(r0 / r0_of(build(1.0)))
+
+
+def _scheme_r0(params):
+    return rep.compute_R0(params, rep.scheme_kernels(params)).r0
+
+
+_RATES = dict(
+    mu=st.floats(1e-5, 1e-3), p=st.floats(0.0, 1e-2),
+    epsilon=st.floats(0.0, 1.0), zeta=st.floats(0.0, 0.1),
+    k=st.floats(0.05, 0.5), q=st.floats(0.0, 1.0), xi=st.floats(0.0, 1.0),
+    chi=st.floats(0.01, 0.3), gamma_a=st.floats(0.02, 0.3), gamma_i=st.floats(0.02, 0.3),
+    ramp=st.floats(0.5, 1.8), beta_ratio=st.floats(0.01, 100.0),
+)
+
+
+class TestLyapunovDecrease:
+    """The scheme's Lyapunov functions do not increase along a run."""
+
+    @given(
+        h=st.sampled_from([0.25, 0.5, 1.0]), theta_max=st.floats(50.0, 400.0),
+        r0=st.floats(1.05, 20.0), mass=st.floats(0.0, 7.0), s_off=st.floats(-1.0, 1.0),
+        v_off=st.floats(-1.0, 1.0), **{**_RATES, "p": st.floats(1e-4, 1e-2),
+                                         "q": st.floats(0.05, 0.95)},
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_endemic(self, h, theta_max, r0, mass, s_off, v_off, **rates):
+        # Steady-scaled seeds of mass 10^mass about the scheme's fixed point,
+        # S and V up to 10x off their steady values, scheme r0 in [1.05, 20].
+        # q inside (0, 1) gives A* and I* mass, and p > 0 gives V* mass.
+        params = _ramped_params(build_grid(h, theta_max), r0, _scheme_r0, **rates)
+        evaluator = dg.LyapunovEvaluator(params, rep.matching_steady_state(params)[1])
+        ref = evaluator.steady
+        init = steady_scaled_initial_state(params, ref, ref.s_star * 10.0 ** s_off,
+                                           ref.v_star * 10.0 ** v_off, 10.0 ** mass)
+        self._assert_no_increase(evaluator, init, params)
+
+    @given(
+        h=st.sampled_from([0.25, 0.5, 1.0]), theta_max=st.floats(50.0, 400.0),
+        r0=st.floats(0.05, 0.95), mass=st.floats(0.0, 7.0), s_off=st.floats(-1.0, 1.0),
+        v_off=st.floats(-1.0, 1.0), band=st.tuples(st.floats(0.0, 0.5), st.floats(0.01, 0.5)),
+        **{**_RATES, "p": st.floats(1e-4, 1e-2)},
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_disease_free(self, h, theta_max, r0, mass, s_off, v_off, band, **rates):
+        # Band seeds of mass 10^mass below the threshold (r0 < 1, so the
+        # scheme's r0 is too), S and V up to 10x off the disease-free values
+        # (p > 0, so V* > 0).
+        grid = build_grid(h, theta_max)
+        params = _ramped_params(grid, r0, lambda p: rep.compute_R0(p).r0, **rates)
+        _, free = rep.matching_steady_state(params)
+        assert free.kind != rep.ENDEMIC
+        low = band[0] * theta_max
+        init = band_initial_state(params, free.s_star * 10.0 ** s_off,
+                                  free.v_star * 10.0 ** v_off, 10.0 ** mass,
+                                  (low, low + max(band[1] * theta_max, h)))
+        self._assert_no_increase(dg.LyapunovEvaluator(params, free), init, params)
+
+    @staticmethod
+    def _assert_no_increase(evaluator, init, params):
+        times, values = [], []
+        simulate(init, params, t_max=300.0, observer=evaluator.observer(times, values))
+        report = dg.monotonicity_check(values, times)
+        assert report.n_violations == 0, report.intervals[:3]
+
+
 class TestDiscreteFixedPoint:
     def test_closed_form_is_stationary(self):
         grid = build_grid(0.5, 400.0)
@@ -326,35 +414,12 @@ class TestDiscreteFixedPoint:
                            sample_every=8000.0).final_state
         assert dg.convergence_metric(relaxed, ref, params.n0) < 1e-11
 
-    @given(
-        h=st.sampled_from([0.25, 0.5, 1.0]),
-        theta_max=st.floats(50.0, 400.0),
-        mu=st.floats(1e-5, 1e-3), p=st.floats(0.0, 1e-2),
-        epsilon=st.floats(0.0, 1.0), zeta=st.floats(0.0, 0.1),
-        k=st.floats(0.05, 0.5), q=st.floats(0.0, 1.0), xi=st.floats(0.0, 1.0),
-        chi=st.floats(0.01, 0.3), gamma_a=st.floats(0.02, 0.3), gamma_i=st.floats(0.02, 0.3),
-        ramp=st.floats(0.5, 1.8),
-        beta_ratio=st.floats(0.01, 100.0), r0_scheme=st.floats(1.05, 20.0),
-    )
+    @given(h=st.sampled_from([0.25, 0.5, 1.0]), theta_max=st.floats(50.0, 400.0),
+           r0_scheme=st.floats(1.05, 20.0), **_RATES)
     @settings(max_examples=40, deadline=None)
-    def test_reproduces_its_functionals(self, h, theta_max, ramp, beta_ratio, r0_scheme, **rates):
-        grid = build_grid(h, theta_max)
-
-        def build(scale):
-            # One stage rate per compartment ramps linearly with age, so
-            # the survival products must line up with the age nodes.
-            params = make_constant_params(grid, n0=1e7, beta_a=1e-9 * scale,
-                                          beta_i=1e-9 * beta_ratio * scale, **rates)
-            ramped = np.linspace(1.0, ramp, grid.n_nodes)
-            return replace(params, **{name: getattr(params, name).with_values(
-                ramped * getattr(params, name).values) for name in ("k", "chi", "gamma_i")})
-
-        # R0 is linear in the transmission rates: scale them to the drawn scheme r0.
-        base = build(1.0)
-        params = build(r0_scheme / rep.compute_R0(base, rep.scheme_kernels(base)).r0)
+    def test_reproduces_its_functionals(self, h, theta_max, r0_scheme, **rates):
+        params = _ramped_params(build_grid(h, theta_max), r0_scheme, _scheme_r0, **rates)
         ref = dg.discrete_fixed_point(params, rep.matching_steady_state(params)[1])
-        # The fixed point of the unlimited scheme: no S/V outflow limiting.
-        assume(h * (rates["p"] + ref.beta_star + rates["mu"]) < 1.0)
 
         state = steady_initial_state(ref)
         bounds = boundary_values(state, params)
