@@ -6,6 +6,11 @@ disease-free Lyapunov function is linear in the densities, the endemic one
 integrates x - 1 - ln(x) of the density ratios against steady-state tail
 masses, and monotonicity of a sampled Lyapunov series is asserted up to a
 tolerance tied to its magnitude.
+
+The weights decay with the scheme's own factors, and the steady states of
+`reproduction` are built on the scheme's own survival, so the Lyapunov
+reference and `convergence_metric` both measure against the state the
+stepper converges to.
 """
 
 from __future__ import annotations
@@ -15,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sveair.errors import LyapunovDomainError, ParameterError
+from sveair.errors import LyapunovDomainError
 from sveair.grid import block_products, rect_integral, scheme_factors
 from sveair.params import ParameterSet
-from sveair.reproduction import (ENDEMIC, SteadyState, compute_R0, scheme_kernels,
-                                 solve_beta_star, steady_state)
+from sveair.reproduction import ENDEMIC, SteadyState
 from sveair.solver import State, simulate
 
 # Steady densities below this are excluded from ratio integrands; their
@@ -50,7 +54,7 @@ def _backward_tail(source: np.ndarray, rates: np.ndarray, h: float) -> np.ndarra
     Discretizes F(theta) = integral_theta^theta_max src(s) *
     exp(-integral_theta^s rate) ds with the scheme's own decay factors, so
     F[0] equals the rectangle quadrature of src * `grid.scheme_survival`
-    exactly, and f_e(0) at the disease-free state is the scheme's r0.
+    exactly, and f_e(0) at the disease-free state is `reproduction`'s r0.
 
     Solved in the age blocks of `grid.block_products`, from the oldest
     down. Within a block [low, high), with P[j] the product of the factors
@@ -127,17 +131,15 @@ def _masked(weight: np.ndarray, steady_values: np.ndarray):
 
 
 class LyapunovEvaluator:
-    """L(s, v, e, a, i) on raw state arrays, about the scheme's steady state.
+    """L(s, v, e, a, i) on raw state arrays, about a steady state.
 
-    `steady` is the one `reproduction.matching_steady_state` returns. A
-    disease-free one is used as given; an endemic one carries the
-    quadrature's O(h) bias, so `self.steady` is the scheme's own fixed point
-    (`discrete_fixed_point`). The weights are computed once, here.
+    `steady` is used as given, of either kind; the one
+    `reproduction.matching_steady_state` returns is the scheme's own, so L
+    is taken about the state the stepper converges to. The weights are
+    computed once, here.
     """
 
     def __init__(self, params: ParameterSet, steady: SteadyState):
-        if steady.kind == ENDEMIC:
-            steady = discrete_fixed_point(params, steady)
         weights = lyapunov_weights(params, steady)
         self.steady = steady
         self.grid = params.grid
@@ -178,27 +180,12 @@ class LyapunovEvaluator:
         return observe
 
 
+# The benchmark tracer (bench/child.py) wraps this name; the steady states
+# of `reproduction` are the scheme's own, so there is no second fixed point
+# to build. The next benchmark change deletes it.
 def discrete_fixed_point(params: ParameterSet, steady: SteadyState) -> SteadyState:
-    """The scheme's own endemic fixed point, in closed form.
-
-    The closed-form steady state carries the quadrature's O(h) bias, so the
-    scheme drifts away from it, and Lyapunov monotonicity about it measures
-    the bias, not stability. The scheme's fixed point solves the same
-    quadratic on `reproduction.scheme_kernels`; it is stationary under
-    `simulate` to round-off. Raises ParameterError when the scheme's own r0
-    at this h is <= 1 although the continuous r0 is > 1.
-    """
-    if steady.kind != ENDEMIC:
-        raise ParameterError("discrete_fixed_point expects the endemic steady state")
-    blocks = scheme_kernels(params)
-    beta_star = solve_beta_star(params, blocks)
-    if beta_star == 0.0:
-        raise ParameterError(
-            f"r0 = {compute_R0(params).r0:.6g} > 1, but the scheme's own r0 at "
-            f"h = {params.grid.h:g} is {compute_R0(params, blocks).r0:.6g} <= 1, so "
-            "the scheme has no endemic fixed point; use a smaller h"
-        )
-    return steady_state(params, beta_star, blocks)
+    """The scheme's fixed point: `steady` itself."""
+    return steady
 
 
 def monitor_lyapunov(

@@ -27,6 +27,9 @@ _BREAKPOINT_SNAP = 1e-6
 # Lower bound on a survival product over one age block of `block_products`.
 BLOCK_FLOOR = 1e-250
 
+# Nodes per running-product chunk of `scheme_survival`.
+SURVIVAL_CHUNK = 1024
+
 
 class Units(enum.Enum):
     """Unit tag of an age profile, fixing its admissible value range."""
@@ -256,13 +259,25 @@ def scheme_factors(rates: np.ndarray, h: float) -> np.ndarray:
 
 
 def scheme_survival(rates: np.ndarray, h: float) -> np.ndarray:
-    """The scheme's survival of an exit-rate array:
-    prod_{m<j} (1 - h * rates[m]), the share of a cohort left after j steps."""
-    products = np.cumprod(scheme_factors(rates, h))
-    # Below the smallest normal float the product stalls (x * f rounds back
-    # to x) instead of underflowing, and would leave the stepper working on
-    # subnormals: flush it to 0, as the exponential underflows.
-    products[products < np.finfo(np.float64).tiny] = 0.0
+    """The scheme's survival of an exit-rate array with h * rates < 1:
+    prod_{m<j} (1 - h * rates[m]), the share of a cohort left after j steps.
+
+    Below the smallest normal float the product would stall among the
+    subnormals (x * f rounds back to x), and the stepper would work on
+    them, so it is flushed to 0, as the exponential underflows. The product
+    runs chunk by chunk, bit for bit as one `np.cumprod`, and stops at its
+    first value below that float: every later one is flushed too.
+    """
+    products = scheme_factors(rates, h)
+    tiny = np.finfo(np.float64).tiny
+    carry = 1.0
+    for low in range(0, products.shape[0], SURVIVAL_CHUNK):
+        chunk = products[low:low + SURVIVAL_CHUNK]
+        chunk[0] *= carry
+        carry = np.multiply.accumulate(chunk, out=chunk)[-1]
+        if carry < tiny:
+            products[low + int(np.argmax(chunk < tiny)):] = 0.0
+            break
     return products
 
 

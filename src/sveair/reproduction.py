@@ -7,9 +7,12 @@ routed through the asymptomatic stage, and R_I the symptomatic counterpart
 route). The endemic force of infection beta* is the positive root of a
 quadratic whose constant term changes sign exactly at R0 = 1.
 
-All quadratures are the shared rectangle rule on the parameter grid, so the
-assembled steady state reproduces its own boundary functionals to round-off.
-On `scheme_kernels` the same quadratic gives the scheme's own fixed point.
+All quadratures are the rectangle rule on the parameter grid, taken over
+the scheme's own survival (`kernels`). So the r0 reported here is the
+scheme's threshold, and the assembled steady state reproduces its own
+boundary functionals to round-off and is the state the stepper is
+stationary at: the disease-free state below the threshold, the endemic
+fixed point above it.
 """
 
 from __future__ import annotations
@@ -17,10 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from sveair.errors import ParameterError
-from sveair.grid import AgeProfile, Units, rect_integral, scheme_survival, survival
+from sveair.grid import AgeProfile, Units, rect_integral, scheme_survival
 from sveair.params import ParameterSet
 
 # R0 within this distance of 1 is treated as the subcritical case (beta*=0).
@@ -74,27 +75,16 @@ class _Kernels:
 
 
 def kernels(params: ParameterSet) -> _Kernels:
-    """Compute the five quadrature blocks shared by R0 and the steady state."""
-    h = params.grid.h
-    return _assemble(params, survival(params.k.values + params.mu, h),
-                     survival(params.exit_rate_a, h),
-                     survival(params.gamma_i.values + params.mu, h))
-
-
-def scheme_kernels(params: ParameterSet) -> _Kernels:
-    """The five blocks with the explicit scheme's survival in place of the
-    exponential: prod_{m<j} (1 - h * exit_rate[m]), the share of a cohort
-    left after j steps. Steady states built on them are the scheme's own."""
+    """The five quadrature blocks shared by R0 and the steady state, on the
+    scheme's survival prod_{m<j} (1 - h * exit_rate[m]), the share of a
+    cohort left after j steps. Steady states built on them are the ones the
+    stepper is stationary at. Raises StabilityError when h * max exit rate
+    >= 1, where the scheme has no survival and so no r0."""
     params.stable_exit_rate()
     h = params.grid.h
-    return _assemble(params, *(scheme_survival(rate, h) for rate in
-                               (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i)))
-
-
-def _assemble(params: ParameterSet, *survivals: np.ndarray) -> _Kernels:
-    """The blocks of _Kernels, in field order, from the three stage survivals."""
-    surv_e, surv_a, surv_i = (AgeProfile(params.grid, surv, Units.PROPORTION)
-                              for surv in survivals)
+    surv_e, surv_a, surv_i = (
+        AgeProfile(params.grid, scheme_survival(rate, h), Units.PROPORTION)
+        for rate in (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i))
     kv, qv = params.k.values, params.q.values
     chi_branch = params.chi.values * (1.0 - params.xi.values)
     blocks = (rect_integral(weight * surv.values, params.grid) for weight, surv in (
@@ -153,11 +143,9 @@ def quadratic_coefficients(params: ParameterSet, r_sum: float) -> tuple[float, f
     """
     eps = params.epsilon
     p, mu, zeta = params.p, params.mu, params.zeta
-    mun_r = mu * params.n0 * r_sum
     b2 = 1.0 - eps
-    b1 = (p + mu) * (1.0 - eps) + zeta * eps + mu - mun_r * (1.0 - eps)
-    r0 = mun_r / (p + mu) * (1.0 + p * (1.0 - eps) / (zeta * eps + mu))
-    b0 = (p + mu) * (eps * zeta + mu) * (1.0 - r0)
+    b1 = (p + mu) * (1.0 - eps) + zeta * eps + mu - mu * params.n0 * r_sum * (1.0 - eps)
+    b0 = (p + mu) * (eps * zeta + mu) * (1.0 - r0_prefactor(params) * r_sum)
     return b2, b1, b0
 
 

@@ -6,8 +6,9 @@ The time step equals the age step h, so one step moves each density one
 node along its characteristic and multiplies it by the explicit decay
 factor: x^{n+1}[j+1] = x^n[j] * (1 - h * exit_rate[j]). The force of
 infection and the renewal integrals feeding a step are evaluated on the
-previous state (explicit coupling). Mass reaching the oldest node leaves
-the system (absorbing boundary at theta_max).
+previous state (explicit coupling). The share that the oldest node
+passes on leaves the system (absorbing boundary at theta_max); the
+recovered ledger counts it, so the ledger stays exact once mass ages out.
 
 The densities are kept in a moving frame instead of being shifted in
 memory. The age axis is cut into blocks of L nodes, and Q[c, j] is the
@@ -284,9 +285,12 @@ def simulate(
     last = n_nodes - int(support[::-1].argmax()) if support[first] else first
     del support
 
-    q = scheme_factors(
-        np.stack((params.exit_rate_e, params.exit_rate_a, params.exit_rate_i)), h)
+    rates = np.stack((params.exit_rate_e, params.exit_rate_a, params.exit_rate_i))
+    q = scheme_factors(rates, h)
     block, products = block_products(q)
+    # Q times the share that node J - 1 passes on, out of the grid.
+    aged_out_weight = q[:, -1] * (1.0 - h * rates[:, -1])
+    del rates
     frame = np.empty((3, n_nodes + n_steps))
     start = n_steps
     for row, q_row, profile in zip(frame, q, (init.e, init.a, init.i)):
@@ -351,8 +355,10 @@ def simulate(
             break
 
         # Recovered-compartment ledger (conservation diagnostic); the
-        # vaccine-immunity inflow leaves V at its new value.
-        r_tilde = r_tilde + h * (zeta_eps * v_next + recovered - mu * r_tilde)
+        # vaccine-immunity inflow leaves V at its new value, and the mass
+        # that ages out through theta_max is counted with the recovered.
+        aged_out = float(aged_out_weight @ window[:, -1])
+        r_tilde = r_tilde + h * (zeta_eps * v_next + recovered + aged_out - mu * r_tilde)
         s, v = s_next, v_next
 
         start -= 1

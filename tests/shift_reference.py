@@ -37,6 +37,9 @@ class _Precomputed:
         self.decay_e = (1.0 - h * params.exit_rate_e)[:-1]
         self.decay_a = (1.0 - h * params.exit_rate_a)[:-1]
         self.decay_i = (1.0 - h * params.exit_rate_i)[:-1]
+        # The shares that the oldest node passes on, out of the grid.
+        self.aged_out = [1.0 - h * rate[-1] for rate in
+                         (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i)]
         self.beta_a = params.beta_a.values
         self.beta_i = params.beta_i.values
         self.kq = params.k.values * params.q.values
@@ -134,8 +137,10 @@ def simulate_shift(init, params, t_max, sample_every=1.0, snapshot_times=(), obs
         if n == n_steps:
             break
         recov_flux = h * (pre.recov_a @ a + pre.recov_i @ i)
+        aged_out = sum(keep * x[-1] for keep, x in zip(pre.aged_out, (e, a, i)))
         _shift(pre, e, a, i, e_next, a_next, i_next, eps, alpha, iota)
-        r_tilde = r_tilde + h * (pre.zeta_eps * v_next + recov_flux - pre.mu * r_tilde)
+        r_tilde = r_tilde + h * (pre.zeta_eps * v_next + recov_flux + aged_out
+                                 - pre.mu * r_tilde)
         s, v = s_next, v_next
         e, e_next = e_next, e
         a, a_next = a_next, a

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sveair import cli, diagnostics, io, reproduction, runner, volterra
+from contact_labeling import contact_labeling_outcomes, write_contact_labeling_report
+from sveair import cli, diagnostics, io, runner, volterra
 from sveair.config import load_config
 from sveair.errors import ConfigError
 from sveair.io import format_value, read_csv, write_csv
-from sveair.runner import build_model, contact_labeling_outcomes, run_scenario, write_contact_labeling_report
+from sveair.runner import build_model, run_scenario
 from sveair.solver import simulate
 
 TINY = """
@@ -312,18 +313,16 @@ class TestCli:
         assert code == 2
         assert "error: S and V must be positive" in capsys.readouterr().err
 
-    def test_scheme_below_threshold_is_reported(self, tmp_path, capsys):
-        # n0 scales r0 linearly: put the continuous r0 at 1.03, where the
-        # scheme's own r0 at h = 1 is below 1 and it has no endemic state.
-        text = TINY.replace("grid.h = 0.5", "grid.h = 1") + "init.mode = steady-scaled\n"
-        _, params = build_model(load_config(write_cfg(tmp_path, text)))
-        n0 = params.n0 * 1.03 / reproduction.compute_R0(params).r0
-        cfg_path = write_cfg(tmp_path, text + f"params.n0 = {n0!r}\n")
-        code = cli.main(["lyapunov", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    def test_unstable_step_stops_before_r0(self, tmp_path, capsys):
+        # At h * max exit rate >= 1 the scheme has no survival, so no r0:
+        # r0-report stops with the step bound and writes no r0.csv.
+        cfg_path = write_cfg(tmp_path, TINY + "params.gamma_i = 2.5\n")
+        out = tmp_path / "o"
+        code = cli.main(["r0-report", "--config", str(cfg_path), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "error: r0 = 1.03 > 1, but the scheme's own r0 at h = 1 is" in err
-        assert "use a smaller h" in err
+        assert "error: h * max exit rate = 1.25 >= 1; reduce h below 0.4 days" in err
+        assert not (out / "r0.csv").exists()
 
     def test_oracle_window_over_cap_stops_before_the_sweep(self, tmp_path, capsys):
         text = TINY.replace("run.t_max = 10", "run.t_max = 2100") + "run.oracle_t_max = 2100\n"

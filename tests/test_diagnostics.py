@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import band_density, make_constant_params, rate_profile, zero_density
 from sveair import diagnostics as dg
 from sveair import reproduction as rep
-from sveair.errors import LyapunovDomainError, ParameterError, StabilityError
+from sveair.errors import LyapunovDomainError, StabilityError
 from sveair.grid import Units, build_grid, rect_integral
 from sveair.scenarios import (band_initial_state, steady_initial_state,
                               steady_scaled_initial_state)
@@ -122,15 +122,14 @@ class TestWeights:
 
     def test_f_e0_matches_reproduction_blocks(self, dfe_setup):
         _, params, steady, weights = dfe_setup
-        blocks = rep.scheme_kernels(params)
+        blocks = rep.kernels(params)
         expected = (weights.f_a0 * blocks.latent_to_asym
                     + weights.f_i0 * blocks.latent_to_symp)
         assert weights.f_e[0] == pytest.approx(expected, rel=1e-13)
 
     def test_f_e0_equals_r0_at_disease_free_state(self, dfe_setup):
         _, params, _, weights = dfe_setup
-        assert weights.f_e[0] == pytest.approx(
-            rep.compute_R0(params, rep.scheme_kernels(params)).r0, rel=1e-12)
+        assert weights.f_e[0] == pytest.approx(rep.compute_R0(params).r0, rel=1e-12)
 
     def test_tail_vanishes_at_oldest_node(self, dfe_setup):
         # The truncated tail integral shrinks to one quadrature cell at the
@@ -162,14 +161,11 @@ class TestWeights:
 class TestEvaluatorReference:
     def test_endemic_reference_is_the_discrete_fixed_point(self, endemic_setup,
                                                            endemic_evaluator):
-        _, params, steady = endemic_setup
-        ref = dg.discrete_fixed_point(params, steady)
-        got = endemic_evaluator.steady
-        assert got.kind == ref.kind == rep.ENDEMIC
-        for name in ("s_star", "v_star", "beta_star", "eps_star", "alpha_star", "iota_star"):
-            assert getattr(got, name) == getattr(ref, name)
-        for name in ("e_star", "a_star", "i_star"):
-            np.testing.assert_array_equal(getattr(got, name).values, getattr(ref, name).values)
+        # The steady states of `reproduction` are the scheme's fixed points,
+        # so the evaluator uses the given one, as for the disease-free state.
+        _, _, steady = endemic_setup
+        assert steady.kind == rep.ENDEMIC
+        assert endemic_evaluator.steady is steady
 
     def test_disease_free_reference_is_the_given_state(self, dfe_setup, dfe_evaluator):
         _, _, steady, _ = dfe_setup
@@ -316,11 +312,11 @@ class TestConvergenceMetric:
         )
 
 
-def _ramped_params(grid, r0, r0_of, ramp, beta_ratio, **rates):
+def _ramped_params(grid, r0, ramp, beta_ratio, **rates):
     """Constant rates except k, chi and gamma_i, which ramp linearly with
     age, so the survival products must line up with the age nodes; the
-    transmission rates are scaled so that r0_of(params) = r0 (R0 is linear
-    in them)."""
+    transmission rates are scaled so that the scheme's r0 is r0 (R0 is
+    linear in them)."""
 
     def build(scale):
         params = make_constant_params(grid, n0=1e7, beta_a=1e-9 * scale,
@@ -329,11 +325,7 @@ def _ramped_params(grid, r0, r0_of, ramp, beta_ratio, **rates):
         return replace(params, **{name: getattr(params, name).with_values(
             ramped * getattr(params, name).values) for name in ("k", "chi", "gamma_i")})
 
-    return build(r0 / r0_of(build(1.0)))
-
-
-def _scheme_r0(params):
-    return rep.compute_R0(params, rep.scheme_kernels(params)).r0
+    return build(r0 / rep.compute_R0(build(1.0)).r0)
 
 
 _RATES = dict(
@@ -359,9 +351,9 @@ class TestLyapunovDecrease:
         # Steady-scaled seeds of mass 10^mass about the scheme's fixed point,
         # S and V up to 10x off their steady values, scheme r0 in [1.05, 20].
         # q inside (0, 1) gives A* and I* mass, and p > 0 gives V* mass.
-        params = _ramped_params(build_grid(h, theta_max), r0, _scheme_r0, **rates)
-        evaluator = dg.LyapunovEvaluator(params, rep.matching_steady_state(params)[1])
-        ref = evaluator.steady
+        params = _ramped_params(build_grid(h, theta_max), r0, **rates)
+        _, ref = rep.matching_steady_state(params)
+        evaluator = dg.LyapunovEvaluator(params, ref)
         init = steady_scaled_initial_state(params, ref, ref.s_star * 10.0 ** s_off,
                                            ref.v_star * 10.0 ** v_off, 10.0 ** mass)
         self._assert_no_increase(evaluator, init, params)
@@ -374,11 +366,10 @@ class TestLyapunovDecrease:
     )
     @settings(max_examples=40, deadline=None)
     def test_disease_free(self, h, theta_max, r0, mass, s_off, v_off, band, **rates):
-        # Band seeds of mass 10^mass below the threshold (r0 < 1, so the
-        # scheme's r0 is too), S and V up to 10x off the disease-free values
-        # (p > 0, so V* > 0).
+        # Band seeds of mass 10^mass below the threshold (r0 < 1), S and V
+        # up to 10x off the disease-free values (p > 0, so V* > 0).
         grid = build_grid(h, theta_max)
-        params = _ramped_params(grid, r0, lambda p: rep.compute_R0(p).r0, **rates)
+        params = _ramped_params(grid, r0, **rates)
         _, free = rep.matching_steady_state(params)
         assert free.kind != rep.ENDEMIC
         low = band[0] * theta_max
@@ -400,26 +391,21 @@ class TestDiscreteFixedPoint:
         grid = build_grid(0.5, 400.0)
         params = make_constant_params(grid, beta_i=1e-6, n0=1e7)
         steady = rep.steady_state(params, rep.solve_beta_star(params))
-        ref = dg.discrete_fixed_point(params, steady)
 
-        after = step(steady_initial_state(ref), params)
-        drift_ref = dg.convergence_metric(after, ref, params.n0)
-        drift_closed_form = dg.convergence_metric(
-            step(steady_initial_state(steady), params), steady, params.n0
-        )
-        assert drift_ref < 1e-15
-        assert drift_ref < 1e-3 * drift_closed_form
-        # The former construction, relaxation under the solver, lands on it.
-        relaxed = simulate(steady_initial_state(steady), params, t_max=8000.0,
-                           sample_every=8000.0).final_state
-        assert dg.convergence_metric(relaxed, ref, params.n0) < 1e-11
+        after = step(steady_initial_state(steady), params)
+        assert dg.convergence_metric(after, steady, params.n0) < 1e-15
+        # Relaxation under the solver from a perturbed S and V lands on it.
+        perturbed = replace(steady_initial_state(steady), s=1.01 * steady.s_star,
+                            v=0.99 * steady.v_star)
+        relaxed = simulate(perturbed, params, t_max=8000.0, sample_every=8000.0).final_state
+        assert dg.convergence_metric(relaxed, steady, params.n0) < 1e-11
 
     @given(h=st.sampled_from([0.25, 0.5, 1.0]), theta_max=st.floats(50.0, 400.0),
-           r0_scheme=st.floats(1.05, 20.0), **_RATES)
+           r0=st.floats(1.05, 20.0), **_RATES)
     @settings(max_examples=40, deadline=None)
-    def test_reproduces_its_functionals(self, h, theta_max, r0_scheme, **rates):
-        params = _ramped_params(build_grid(h, theta_max), r0_scheme, _scheme_r0, **rates)
-        ref = dg.discrete_fixed_point(params, rep.matching_steady_state(params)[1])
+    def test_reproduces_its_functionals(self, h, theta_max, r0, **rates):
+        params = _ramped_params(build_grid(h, theta_max), r0, **rates)
+        _, ref = rep.matching_steady_state(params)
 
         state = steady_initial_state(ref)
         bounds = boundary_values(state, params)
@@ -429,17 +415,3 @@ class TestDiscreteFixedPoint:
         assert bounds.iota == pytest.approx(ref.iota_star, rel=1e-13)
         later = simulate(state, params, t_max=10.0, sample_every=10.0).final_state
         assert dg.convergence_metric(later, ref, params.n0) <= 1e-14
-
-    def test_scheme_below_threshold_is_rejected(self):
-        # The scheme's survival is below the exponential's, so its r0 is
-        # smaller: 0.946 at h = 1 where the continuous r0 is 1.03.
-        grid = build_grid(1.0, 400.0)
-        scale = 1.03 / rep.compute_R0(make_constant_params(grid)).r0
-        params = make_constant_params(grid, beta_a=1e-9 * scale, beta_i=2e-9 * scale)
-        _, steady = rep.matching_steady_state(params)
-        assert steady.kind == rep.ENDEMIC
-        with pytest.raises(ParameterError, match=(
-            r"r0 = 1\.03 > 1, but the scheme's own r0 at h = 1 is 0\.9457\d* <= 1"
-            r".*use a smaller h"
-        )):
-            dg.discrete_fixed_point(params, steady)

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sveair.errors import InvalidGridError, ProfileError
 from sveair.grid import (
     BLOCK_FLOOR,
+    SURVIVAL_CHUNK,
     AgeGrid,
     AgeProfile,
     Units,
@@ -17,6 +18,8 @@ from sveair.grid import (
     sample_contact,
     sample_step_function,
     block_products,
+    scheme_factors,
+    scheme_survival,
     survival,
 )
 
@@ -220,6 +223,31 @@ class TestSurvival:
         log_f = np.log(factor[solid])
         slopes = -np.diff(log_f) / grid.h
         np.testing.assert_allclose(slopes, k.values[solid][:-1] + mu, rtol=1e-9)
+
+
+def _flushed_cumprod(rates, h):
+    """`scheme_survival` as one running product over all J nodes plus the
+    flush of values below the smallest normal float, kept as its reference."""
+    products = np.cumprod(scheme_factors(rates, h))
+    products[products < np.finfo(np.float64).tiny] = 0.0
+    return products
+
+
+class TestSchemeSurvival:
+    @given(seed=st.integers(0, 2**32 - 1), chunks=st.integers(0, 4),
+           extra=st.one_of(st.just(0), st.integers(1, SURVIVAL_CHUNK - 1)),
+           top=st.floats(1e-3, 0.7), constant=st.booleans())
+    @example(seed=0, chunks=20, extra=17, top=0.05, constant=True)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_flushed_cumprod(self, seed, chunks, extra, top, constant):
+        # J on both sides of whole chunks, h * rate up to `top`: at 0.7 the
+        # product underflows within the first chunks, at 1e-3 not at all,
+        # and at 0.05 throughout (the example) in the middle of chunk 13.
+        rng = np.random.default_rng(seed)
+        n_nodes = max(1, chunks * SURVIVAL_CHUNK + extra)
+        h = rng.uniform(0.1, 1.0)
+        rates = (np.full(n_nodes, top) if constant else rng.uniform(0.0, top, n_nodes)) / h
+        assert np.array_equal(scheme_survival(rates, h), _flushed_cumprod(rates, h))
 
 
 def _factor_rows(rng, regime):

@@ -16,15 +16,16 @@ from conftest import (
 )
 from sveair import reproduction as rep
 from sveair.errors import StabilityError
-from sveair.grid import build_grid
+from sveair.grid import build_grid, survival
 from sveair.runner import ExitReport
 from sveair.solver import boundary_values, force_of_infection
 from sveair import scenarios as sc
 from sveair.scenarios import steady_initial_state
 
-# Rates and grid of the constant-parameter quadrature example; at h=0.05 the
-# rectangle rule's first-order bias for these rates is ~1%, so the closed
-# form is matched at 1.5% there and at 0.5% on the h=0.0125 grid.
+# Rates and grid of the constant-parameter quadrature example. On the
+# scheme's survival the rectangle sums of constant rates are geometric
+# series equal to the closed form up to the theta_max tail, well inside the
+# 1.5% and 0.5% tolerances used here.
 EXAMPLE_RATES = dict(k=0.25, q=0.4, mu=4.38356e-5, beta_a=1e-9,
                      gamma_a=0.125, xi=0.5, chi=0.2)
 
@@ -43,7 +44,7 @@ class TestRA:
             assert rep.compute_RA(params) == pytest.approx(expected, rel=rtol)
 
     def test_constant_rates_low_rate_regime(self):
-        # Slow rates keep the rectangle bias well under 0.5% at h=0.05.
+        # Slow rates: the sum is the closed form up to a negligible theta_max tail.
         grid = build_grid(0.05, 32400.0)
         params = make_constant_params(grid, k=0.05, gamma_a=0.03, chi=0.02)
         expected = analytic_RA(k=0.05, q=0.4, mu=5e-5, beta_a=1e-9,
@@ -229,7 +230,7 @@ class TestSteadyState:
 class TestSchemeKernels:
     def test_constant_rate_survival_is_geometric(self, small_grid):
         params = make_constant_params(small_grid)
-        blocks = rep.scheme_kernels(params)
+        blocks = rep.kernels(params)
         steps = np.arange(small_grid.n_nodes)
         for surv, rate in ((blocks.surv_e, params.exit_rate_e),
                            (blocks.surv_a, params.exit_rate_a),
@@ -239,18 +240,19 @@ class TestSchemeKernels:
             )
 
     def test_below_exponential_survival(self, small_params):
-        # 1 - x < exp(-x): the scheme keeps less of each cohort, so its
-        # blocks, and its r0, fall below the exponential ones.
-        scheme, exact = rep.scheme_kernels(small_params), rep.kernels(small_params)
-        assert np.all(scheme.surv_i.values[1:] < exact.surv_i.values[1:])
-        assert (rep.compute_R0(small_params, scheme).r0
-                < rep.compute_R0(small_params, exact).r0)
+        # 1 - x < exp(-x): the scheme keeps less of each cohort than the
+        # exponential survival of the same rates.
+        blocks, h = rep.kernels(small_params), small_params.grid.h
+        for surv, rate in ((blocks.surv_e, small_params.exit_rate_e),
+                           (blocks.surv_a, small_params.exit_rate_a),
+                           (blocks.surv_i, small_params.exit_rate_i)):
+            assert np.all(surv.values[1:] < survival(rate, h)[1:])
 
     def test_long_tail_underflows_to_zero(self):
         # A running product of factors near 1 stalls among the subnormals
         # instead of reaching 0; the stepper would then run on subnormals.
         grid = build_grid(0.5, 32400.0)
-        blocks = rep.scheme_kernels(make_constant_params(grid))
+        blocks = rep.kernels(make_constant_params(grid))
         for surv in (blocks.surv_e, blocks.surv_a, blocks.surv_i):
             values = surv.values
             assert values[-1] == 0.0
@@ -259,4 +261,4 @@ class TestSchemeKernels:
     def test_unstable_step_rejected(self):
         grid = build_grid(1.0, 50.0)
         with pytest.raises(StabilityError, match="reduce h"):
-            rep.scheme_kernels(make_constant_params(grid, k=1.0))
+            rep.kernels(make_constant_params(grid, k=1.0))
