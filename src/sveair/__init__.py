@@ -14,8 +14,6 @@ from sveair.reproduction import (
     R0Breakdown,
     SteadyState,
     compute_R0,
-    compute_RA,
-    compute_RI,
     solve_beta_star,
     steady_state,
 )
@@ -32,7 +30,7 @@ from sveair.diagnostics import (
 __all__ = [
     "AgeGrid", "AgeProfile", "Units", "build_grid", "survival",
     "ParameterSet",
-    "R0Breakdown", "SteadyState", "compute_R0", "compute_RA", "compute_RI",
+    "R0Breakdown", "SteadyState", "compute_R0",
     "solve_beta_star", "steady_state",
     "State", "TimeSeries", "aggregate", "boundary_values", "force_of_infection",
     "simulate", "step",

@@ -196,11 +196,11 @@ def _validate(cfg: ScenarioConfig, base: Path) -> None:
     if len(cfg.band) != 2 or not 0 <= cfg.band[0] < cfg.band[1]:
         raise ConfigError(f"init.band must be 'low,high' with 0 <= low < high, got {cfg.band}")
     for name, value in cfg.scalar_overrides.items():
-        if name == "mu" and not value > 0:
-            raise ConfigError("params.mu must be strictly positive")
+        if name in ("n0", "mu") and not value > 0:
+            raise ConfigError(f"params.{name} must be strictly positive")
         if name in ("epsilon", "q", "xi") and not 0 <= value <= 1:
             raise ConfigError(f"params.{name} must lie in [0, 1]")
-        if name not in ("mu",) and value < 0:
+        if value < 0:
             raise ConfigError(f"params.{name} must be nonnegative")
     resolved = {}
     for name, rel in cfg.profile_overrides.items():

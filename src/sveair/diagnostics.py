@@ -10,7 +10,9 @@ tolerance tied to its magnitude.
 The weights decay with the scheme's own factors, and the steady states of
 `reproduction` are built on the scheme's own survival, so the Lyapunov
 reference and `convergence_metric` both measure against the state the
-stepper converges to.
+stepper converges to. Each tail is computed once, by `_backward_tail`: a
+steady density c* decays with the same factors, so the endemic ratio
+weights are c* * f_c.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ class LyapunovWeights:
     f_e: np.ndarray
     f_a: np.ndarray
     f_i: np.ndarray
-    f_a0: float
-    f_i0: float
 
 
 def _backward_tail(source: np.ndarray, rates: np.ndarray, h: float) -> np.ndarray:
@@ -90,38 +90,26 @@ def lyapunov_weights(params: ParameterSet, steady: SteadyState) -> LyapunovWeigh
     h = params.grid.h
     pool = steady.s_star + (1.0 - params.epsilon) * steady.v_star
     f_i = _backward_tail(pool * params.beta_i.values, params.exit_rate_i, h)
-    f_i0 = float(f_i[0])
     chi_branch = params.chi.values * (1.0 - params.xi.values)
     f_a = _backward_tail(
-        pool * params.beta_a.values + f_i0 * chi_branch, params.exit_rate_a, h
+        pool * params.beta_a.values + f_i[0] * chi_branch, params.exit_rate_a, h
     )
-    f_a0 = float(f_a[0])
     kv, qv = params.k.values, params.q.values
-    f_e = _backward_tail(f_a0 * kv * qv + f_i0 * kv * (1.0 - qv), params.exit_rate_e, h)
-    return LyapunovWeights(f_e=f_e, f_a=f_a, f_i=f_i, f_a0=f_a0, f_i0=f_i0)
+    f_e = _backward_tail(f_a[0] * kv * qv + f_i[0] * kv * (1.0 - qv), params.exit_rate_e, h)
+    return LyapunovWeights(f_e=f_e, f_a=f_a, f_i=f_i)
 
 
-def endemic_tail_weights(params: ParameterSet, steady: SteadyState,
-                         weights: LyapunovWeights) -> tuple:
+def endemic_tail_weights(steady: SteadyState, weights: LyapunovWeights) -> tuple:
     """(mask, weight, steady density) ratio terms of the endemic function for
-    e, a and i; the weights combine reversed cumulative rectangle sums of
-    the steady-state integrands."""
-    h = params.grid.h
+    e, a and i, with weight c* * f_c.
 
-    def tail(values: np.ndarray) -> np.ndarray:
-        return h * np.cumsum(values[::-1])[::-1]
-
-    kv, qv = params.k.values, params.q.values
-    chi_branch = params.chi.values * (1.0 - params.xi.values)
-    pool = steady.s_star + (1.0 - params.epsilon) * steady.v_star
-    e_star, a_star, i_star = steady.e_star.values, steady.a_star.values, steady.i_star.values
-    return tuple(_masked(weight, star) for weight, star in (
-        (weights.f_a0 * tail(kv * qv * e_star) + weights.f_i0 * tail(kv * (1.0 - qv) * e_star),
-         e_star),
-        (pool * tail(params.beta_a.values * a_star) + weights.f_i0 * tail(chi_branch * a_star),
-         a_star),
-        (pool * tail(params.beta_i.values * i_star), i_star),
-    ))
+    The ratio weight at node j is the tail sum h * sum_{m >= j} src_c[m] *
+    c*[m] of the steady-state integrand. c* decays with the factors
+    1 - h * rate that `_backward_tail` uses, so that sum is c*[j] * f_c[j].
+    """
+    return tuple(_masked(profile * star.values, star.values) for profile, star in (
+        (weights.f_e, steady.e_star), (weights.f_a, steady.a_star),
+        (weights.f_i, steady.i_star)))
 
 
 def _masked(weight: np.ndarray, steady_values: np.ndarray):
@@ -144,17 +132,17 @@ class LyapunovEvaluator:
         self.steady = steady
         self.grid = params.grid
         if steady.kind == ENDEMIC:
-            self.ratio_terms = endemic_tail_weights(params, steady, weights)
+            self.ratio_terms = endemic_tail_weights(steady, weights)
         else:
             self.profiles = (weights.f_e, weights.f_a, weights.f_i)
 
     def __call__(self, s, v, e, a, i) -> float:
         steady = self.steady
-        if s <= 0.0 or v <= 0.0:
+        if s <= 0.0 or (v <= 0.0 and steady.v_star > 0.0):
             raise LyapunovDomainError(f"S and V must be positive, got S={s}, V={v}")
-        total = steady.s_star * entropy_f(s / steady.s_star) + steady.v_star * entropy_f(
-            v / steady.v_star
-        )
+        total = steady.s_star * entropy_f(s / steady.s_star)
+        # Without vaccination V* = 0, and V* f(V / V*) tends to V.
+        total += steady.v_star * entropy_f(v / steady.v_star) if steady.v_star > 0.0 else v
         if steady.kind != ENDEMIC:
             for weight, density in zip(self.profiles, (e, a, i)):
                 total += rect_integral(weight * density, self.grid)

@@ -15,8 +15,8 @@ from sveair.grid import AgeGrid, AgeProfile, Units
 class ParameterSet:
     """All scalar and age-dependent model parameters.
 
-    Scalars: population size n0, birth/death rate mu (the only parameter
-    required to be strictly positive), vaccination rate p, vaccine
+    Scalars: population size n0 and birth/death rate mu (the two required
+    to be strictly positive), vaccination rate p, vaccine
     effectiveness epsilon in [0, 1] and vaccine-induced immunity rate zeta.
 
     Age profiles, all on one shared grid: transmission rates beta_a/beta_i,
@@ -40,9 +40,11 @@ class ParameterSet:
     gamma_i: AgeProfile
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ParameterError(f"mu must be strictly positive, got {self.mu}")
-        for name in ("n0", "p", "zeta"):
+        for name in ("n0", "mu"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ParameterError(f"{name} must be strictly positive, got {value}")
+        for name in ("p", "zeta"):
             value = getattr(self, name)
             if not value >= 0:
                 raise ParameterError(f"{name} must be nonnegative, got {value}")

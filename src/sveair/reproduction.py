@@ -93,19 +93,6 @@ def kernels(params: ParameterSet) -> _Kernels:
     return _Kernels(surv_e, surv_a, surv_i, *blocks)
 
 
-def compute_RA(params: ParameterSet, blocks: _Kernels | None = None) -> float:
-    """Asymptomatic-route reproduction factor."""
-    blocks = kernels(params) if blocks is None else blocks
-    return blocks.latent_to_asym * blocks.infectivity_a
-
-
-def compute_RI(params: ParameterSet, blocks: _Kernels | None = None) -> float:
-    """Symptomatic-route reproduction factor (direct plus via-asymptomatic)."""
-    blocks = kernels(params) if blocks is None else blocks
-    bracket = blocks.latent_to_symp + blocks.latent_to_asym * blocks.asym_to_symp
-    return bracket * blocks.infectivity_i
-
-
 def r0_prefactor(params: ParameterSet) -> float:
     """Effective susceptible pool at the disease-free state."""
     veff = 1.0 + params.p * (1.0 - params.epsilon) / (params.zeta * params.epsilon + params.mu)
@@ -115,15 +102,18 @@ def r0_prefactor(params: ParameterSet) -> float:
 def compute_R0(params: ParameterSet, blocks: _Kernels | None = None) -> R0Breakdown:
     """R0 with its factors and the theta_max truncation bound.
 
-    The truncated tails of all reproduction integrals are bounded relative
-    to the computed values by exp(-r_min * theta_max): every integrand
-    carries the survival factor of its disease stage, and r_min is the
-    smallest age-minimum of the three stage exit rates (death included).
-    The bound is reported as its base-10 logarithm.
+    r_a is the asymptomatic-route factor, r_i the symptomatic one (direct
+    plus via-asymptomatic). The truncated tails of all reproduction
+    integrals are bounded relative to the computed values by
+    exp(-r_min * theta_max): every integrand carries the survival factor
+    of its disease stage, and r_min is the smallest age-minimum of the
+    three stage exit rates (death included). The bound is reported as its
+    base-10 logarithm.
     """
     blocks = kernels(params) if blocks is None else blocks
-    r_a = compute_RA(params, blocks)
-    r_i = compute_RI(params, blocks)
+    r_a = blocks.latent_to_asym * blocks.infectivity_a
+    bracket = blocks.latent_to_symp + blocks.latent_to_asym * blocks.asym_to_symp
+    r_i = bracket * blocks.infectivity_i
     prefactor = r0_prefactor(params)
     r_min = min(
         float(params.exit_rate_e.min()),

@@ -9,9 +9,11 @@ Deliberate differences from the PDE solver, so the two routes share no
 discretization machinery beyond the grid itself:
   - survival kernels are exact exponentials of the cumulative hazard, not
     products of explicit Euler factors;
-  - S and V come from their exponential-integral formulas driven by the
-    cumulative force of infection, not from the stepper's linearly
-    implicit update;
+  - S and V advance one exponential step at a time: over each step a pool
+    decays by the exact exponential of its hazard, with the force of
+    infection integrated by the trapezoid rule, and takes the trapezoid of
+    its source, not the stepper's linearly implicit update. The decay
+    factors are at most 1, so no exponent grows with t;
   - history integrals over [0, t] use the trapezoid rule (the newest force
     term uses the previous step's boundary values; everything else is
     known when needed).
@@ -44,9 +46,6 @@ from sveair.solver import State
 # A march of n steps costs O(n^2) in the history sums and O(n * support) in
 # the initial data; longer windows raise ParameterError.
 T_MAX_CAP = 2000.0
-
-# exp() guard for the cumulative-hazard exponents of the S/V formulas.
-_EXP_GUARD = 700.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,20 +147,16 @@ def solve_renewal(
     iota = np.zeros(size)
     s_arr = np.zeros(size)
     v_arr = np.zeros(size)
+    s_arr[0] = init.s
+    v_arr[0] = init.v
 
     one_minus_eff = 1.0 - params.epsilon
-    zeta_eff = params.zeta * params.epsilon
-    mu_n0 = params.mu * params.n0
-    p = params.p
-
-    cum_beta = 0.0          # trapezoid integral of beta over [0, t_n]
-    source_s = 0.0          # trapezoid integral of exp(G_s) ds
-    source_v = 0.0          # trapezoid integral of p S(s) exp(H_s) ds
-    exp_g_prev = 1.0
-    sexp_h_prev = init.s
+    exit_s = (params.p + params.mu) * h
+    exit_v = (params.zeta * params.epsilon + params.mu) * h
+    half_mu_n0 = 0.5 * h * params.mu * params.n0
+    half_p = 0.5 * h * params.p
 
     for n in range(size):
-        t = n * h
         if n == 0:
             hist = 0.0
             init_beta, init_alpha, init_iota = initial_part(e0, a0, i0, 0)
@@ -194,28 +189,15 @@ def solve_renewal(
             raise AbortedRunError(f"non-finite force of infection at step {n}", n)
         beta[n] = beta_n
 
-        if n == 0:
-            s_arr[0] = init.s
-            v_arr[0] = init.v
-        else:
-            cum_beta += 0.5 * h * (beta[n - 1] + beta[n])
-            g_exp = (p + params.mu) * t + cum_beta
-            h_exp = (zeta_eff + params.mu) * t + one_minus_eff * cum_beta
-            if g_exp > _EXP_GUARD or h_exp > _EXP_GUARD:
-                raise AbortedRunError(
-                    f"cumulative hazard overflow at step {n}; shorten the run", n
-                )
-            exp_g = math.exp(g_exp)
-            source_s += 0.5 * h * (exp_g_prev + exp_g)
-            s_n = (init.s + mu_n0 * source_s) / exp_g
-            exp_h = math.exp(h_exp)
-            sexp_h = s_n * exp_h
-            source_v += 0.5 * h * (sexp_h_prev + sexp_h)
-            v_n = (init.v + p * source_v) / exp_h
-            exp_g_prev = exp_g
-            sexp_h_prev = sexp_h
-            s_arr[n] = s_n
-            v_arr[n] = v_n
+        if n > 0:
+            # The exponential-integral formulas over one step: the pool
+            # decays by d and takes the trapezoid of its decayed source.
+            beta_bar = 0.5 * h * (beta[n - 1] + beta[n])
+            d_s = math.exp(-exit_s - beta_bar)
+            d_v = math.exp(-exit_v - one_minus_eff * beta_bar)
+            s_prev = s_arr[n - 1]
+            s_arr[n] = d_s * s_prev + half_mu_n0 * (d_s + 1.0)
+            v_arr[n] = d_v * v_arr[n - 1] + half_p * (d_v * s_prev + s_arr[n])
 
         eps[n] = beta[n] * (s_arr[n] + one_minus_eff * v_arr[n])
         alpha[n] = _trapezoid_dot(k_alpha_eps, eps, n, h) + init_alpha

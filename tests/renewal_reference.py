@@ -2,9 +2,11 @@
 
 `solve_renewal` here is the march as it was when every step shifted the
 three J-node initial cohorts and took the initial-data dot products over
-all J nodes. `sveair.volterra.solve_renewal` transports and reads only the
-moved initial support; the property test in `test_volterra.py` checks that
-the two agree to round-off, and bit for bit at t = 0.
+all J nodes, and carried S and V in their cumulative form, as exponentials
+of the cumulative hazard. `sveair.volterra.solve_renewal` transports and
+reads only the moved initial support and advances S and V one exponential
+step at a time; the property test in `test_volterra.py` checks that the two
+agree to round-off, and bit for bit at t = 0.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ from sveair.errors import AbortedRunError, ParameterError
 from sveair.grid import survival
 from sveair.params import ParameterSet
 from sveair.solver import State
-from sveair.volterra import _EXP_GUARD, T_MAX_CAP, RenewalPath
+from sveair.volterra import T_MAX_CAP, RenewalPath
+
+# exp() guard for the cumulative-hazard exponents of the S/V formulas.
+_EXP_GUARD = 700.0
 
 
 def _trapezoid_dot(kernel: np.ndarray, history: np.ndarray, n: int, h: float) -> float:

@@ -86,6 +86,8 @@ class TestLoadConfig:
             load_config(write_cfg(tmp_path, "params.epsilon = 1.5\n"))
         with pytest.raises(ConfigError, match="params.mu"):
             load_config(write_cfg(tmp_path, "params.mu = 0\n"))
+        with pytest.raises(ConfigError, match="params.n0"):
+            load_config(write_cfg(tmp_path, "params.n0 = 0\n"))
 
     def test_empty_d_list_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="d_list"):

@@ -41,7 +41,7 @@ class TestRA:
                 gamma_a=EXAMPLE_RATES["gamma_a"], xi=EXAMPLE_RATES["xi"],
                 chi=EXAMPLE_RATES["chi"],
             )
-            assert rep.compute_RA(params) == pytest.approx(expected, rel=rtol)
+            assert rep.compute_R0(params).r_a == pytest.approx(expected, rel=rtol)
 
     def test_constant_rates_low_rate_regime(self):
         # Slow rates: the sum is the closed form up to a negligible theta_max tail.
@@ -49,32 +49,32 @@ class TestRA:
         params = make_constant_params(grid, k=0.05, gamma_a=0.03, chi=0.02)
         expected = analytic_RA(k=0.05, q=0.4, mu=5e-5, beta_a=1e-9,
                                gamma_a=0.03, xi=0.5, chi=0.02)
-        assert rep.compute_RA(params) == pytest.approx(expected, rel=5e-3)
+        assert rep.compute_R0(params).r_a == pytest.approx(expected, rel=5e-3)
 
     def test_zero_transmission(self, small_grid):
         params = make_constant_params(small_grid, beta_a=0.0)
-        assert rep.compute_RA(params) == 0.0
+        assert rep.compute_R0(params).r_a == 0.0
 
     def test_zero_asymptomatic_proportion(self, small_grid):
         params = make_constant_params(small_grid, q=0.0)
-        assert rep.compute_RA(params) == 0.0
+        assert rep.compute_R0(params).r_a == 0.0
 
 
 class TestRI:
     def test_zero_transmission(self, small_grid):
         params = make_constant_params(small_grid, beta_i=0.0)
-        assert rep.compute_RI(params) == 0.0
+        assert rep.compute_R0(params).r_i == 0.0
 
     def test_no_symptomatic_inflow(self, small_grid):
         params = make_constant_params(small_grid, q=1.0, chi=0.0)
-        assert rep.compute_RI(params) == 0.0
+        assert rep.compute_R0(params).r_i == 0.0
 
     def test_constant_rates_closed_form(self):
         grid = build_grid(0.05, 32400.0)
         kw = dict(k=0.06, q=0.3, mu=4e-5, beta_i=2e-9, gamma_a=0.04,
                   gamma_i=0.05, xi=0.4, chi=0.03)
         params = make_constant_params(grid, **kw)
-        assert rep.compute_RI(params) == pytest.approx(analytic_RI(**kw), rel=5e-3)
+        assert rep.compute_R0(params).r_i == pytest.approx(analytic_RI(**kw), rel=5e-3)
 
 
 class TestR0:

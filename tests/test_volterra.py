@@ -25,15 +25,22 @@ class TestTrivialSolutions:
         np.testing.assert_array_equal(path.iota, 0.0)
         np.testing.assert_array_equal(path.eps, 0.0)
 
-    def test_no_infection_source_scalar_closed_forms(self, small_grid, small_params):
+    def test_no_infection_source_scalar_closed_forms(self, small_grid):
         init = State(t=0.0, s=3e5, v=1e5, e=zero_density(small_grid),
                      a=zero_density(small_grid), i=zero_density(small_grid))
-        path = solve_renewal(init, small_params, t_max=100.0)
-        np.testing.assert_array_equal(path.beta, 0.0)
-        p, mu, n0 = 1e-3, 5e-5, 1e6
-        g = p + mu
-        exact_s = 3e5 * np.exp(-g * path.t) + mu * n0 * (1.0 - np.exp(-g * path.t)) / g
-        np.testing.assert_allclose(path.s, exact_s, rtol=1e-9)
+        mu, n0 = 5e-5, 1e6
+        # In the second case (p + mu) * t_max = 800, a cumulative hazard
+        # that exp() cannot carry.
+        for p, t_max in ((1e-3, 100.0), (0.4, 2000.0)):
+            path = solve_renewal(init, make_constant_params(small_grid, p=p), t_max=t_max)
+            np.testing.assert_array_equal(path.beta, 0.0)
+            g = p + mu
+            decay = np.exp(-g * path.t)
+            source = mu * n0 * (1.0 - decay) / g
+            # The decay of S(0) is exact; the trapezoid weighs the source by
+            # (x/2) coth(x/2) with x = h g, which lies in [1, 1 + x^2 / 12].
+            bound = (small_grid.h * g) ** 2 / 12.0 * source + 1e-12 * (3e5 * decay + source)
+            assert np.all(np.abs(path.s - (3e5 * decay + source)) <= bound), p
 
     def test_t_max_cap(self, small_grid, small_params):
         init = State(t=0.0, s=1.0, v=0.0, e=zero_density(small_grid),
