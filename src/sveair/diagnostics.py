@@ -100,22 +100,27 @@ def lyapunov_weights(params: ParameterSet, steady: SteadyState) -> LyapunovWeigh
 
 
 def endemic_tail_weights(steady: SteadyState, weights: LyapunovWeights) -> tuple:
-    """(mask, weight, steady density) ratio terms of the endemic function for
-    e, a and i, with weight c* * f_c.
+    """(k, weight, steady density) ratio terms of the endemic function for
+    e, a and i: the integrand reads nodes [0, k), with weight c* * f_c.
 
     The ratio weight at node j is the tail sum h * sum_{m >= j} src_c[m] *
     c*[m] of the steady-state integrand. c* decays with the factors
     1 - h * rate that `_backward_tail` uses, so that sum is c*[j] * f_c[j].
+    A node is read where c* >= STEADY_DENSITY_FLOOR and its weight is
+    positive. Both hold on a prefix of the age grid, since c* does not
+    increase with age and a tail sum of a nonnegative integrand does not
+    either, so k counts the leading nodes where both hold.
     """
-    return tuple(_masked(profile * star.values, star.values) for profile, star in (
+    return tuple(_prefix(profile * star.values, star.values) for profile, star in (
         (weights.f_e, steady.e_star), (weights.f_a, steady.a_star),
         (weights.f_i, steady.i_star)))
 
 
-def _masked(weight: np.ndarray, steady_values: np.ndarray):
-    """(mask, weight, steady density) at the nodes a ratio integrand reads."""
-    mask = (steady_values >= STEADY_DENSITY_FLOOR) & (weight > 0.0)
-    return mask, weight[mask], steady_values[mask]
+def _prefix(weight: np.ndarray, steady_values: np.ndarray):
+    """(k, weight, steady density) on the leading nodes a ratio integrand reads."""
+    read = (steady_values >= STEADY_DENSITY_FLOOR) & (weight > 0.0)
+    k = read.size if read.all() else int(read.argmin())
+    return k, weight[:k], steady_values[:k]
 
 
 class LyapunovEvaluator:
@@ -124,7 +129,9 @@ class LyapunovEvaluator:
     `steady` is used as given, of either kind; the one
     `reproduction.matching_steady_state` returns is the scheme's own, so L
     is taken about the state the stepper converges to. The weights are
-    computed once, here.
+    computed once, here. `nodes` holds the number of leading e, a and i
+    nodes that L reads: the ratio prefixes on the endemic path, all J on
+    the disease-free one.
     """
 
     def __init__(self, params: ParameterSet, steady: SteadyState):
@@ -133,8 +140,10 @@ class LyapunovEvaluator:
         self.grid = params.grid
         if steady.kind == ENDEMIC:
             self.ratio_terms = endemic_tail_weights(steady, weights)
+            self.nodes = tuple(k for k, _, _ in self.ratio_terms)
         else:
             self.profiles = (weights.f_e, weights.f_a, weights.f_i)
+            self.nodes = (params.grid.n_nodes,) * 3
 
     def __call__(self, s, v, e, a, i) -> float:
         steady = self.steady
@@ -147,8 +156,8 @@ class LyapunovEvaluator:
             for weight, density in zip(self.profiles, (e, a, i)):
                 total += rect_integral(weight * density, self.grid)
             return total
-        for (mask, weight, star), density in zip(self.ratio_terms, (e, a, i)):
-            dens = density[mask]
+        for (k, weight, star), density in zip(self.ratio_terms, (e, a, i)):
+            dens = density[:k]
             if dens.size and dens.min() <= 0.0:
                 raise LyapunovDomainError(
                     "state density is nonpositive at a weighted node; the endemic "
@@ -159,12 +168,17 @@ class LyapunovEvaluator:
         return total
 
     def observer(self, times: list, values: list):
-        """An observer for `simulate` that appends each sample's t and L."""
+        """An observer for `simulate` that appends each sample's t and L.
+
+        It declares `nodes`, so `simulate` rebuilds and passes only the
+        density prefixes that L reads.
+        """
 
         def observe(t, s, v, e, a, i):
             values.append(self(s, v, e, a, i))
             times.append(t)
 
+        observe.nodes = self.nodes
         return observe
 
 

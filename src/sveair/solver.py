@@ -32,7 +32,9 @@ So three matrix-vector products against the kernel rows weight * Q,
 summed over the live spans, give the force of infection, the two boundary
 integrals and the recovered flux together, and sample masses are
 h * (Q[c] @ u[c]) over the same spans. The densities are rebuilt as Q * u
-on all nodes only for the observer, the snapshots and the final state.
+only where they are read: the snapshots and the final state on the live
+spans, with an exact 0 written elsewhere, and the observer on the leading
+nodes it declares (all J unless it says fewer).
 
 At t = 0 the force of infection and the renewal integrals are instead the
 unscaled dot products of the given densities, the arithmetic of
@@ -220,6 +222,18 @@ def _span_dot(matrix: np.ndarray, row: np.ndarray, spans) -> np.ndarray:
     return total
 
 
+def _rebuild(q: np.ndarray, window: np.ndarray, spans, out: np.ndarray) -> np.ndarray:
+    """Densities Q * u into out: multiplied on the live spans, an exact 0
+    written elsewhere (where u is 0). out may be q itself."""
+    done = 0
+    for low, high in spans:
+        out[:, done:low] = 0.0
+        np.multiply(q[:, low:high], window[:, low:high], out=out[:, low:high])
+        done = high
+    out[:, done:] = 0.0
+    return out
+
+
 def _kernel(q_row: np.ndarray, *weights: np.ndarray) -> np.ndarray:
     """Rows weight * Q of one compartment, stacked for one matrix-vector product."""
     out = np.empty((len(weights), q_row.shape[0]))
@@ -252,9 +266,12 @@ def simulate(
         snapshot_times: Times (relative to init.t) at which to capture the
             full age densities; matched to the nearest step within h/2.
         observer: Optional callable invoked at every sample as
-            observer(t, s, v, e, a, i) with the raw density arrays (views
-            into a reused buffer that the next sample overwrites; do not
-            mutate or retain them).
+            observer(t, s, v, e, a, i) with the raw density arrays (reused
+            buffers that the next sample overwrites; do not mutate or
+            retain them). An observer with a `nodes` attribute
+            (k_e, k_a, k_i) receives only the prefixes e[:k_e], a[:k_a]
+            and i[:k_i], and only those are rebuilt; without it the arrays
+            hold all J nodes.
 
     Returns:
         SimulationResult with the sampled TimeSeries, the per-step force
@@ -301,7 +318,10 @@ def simulate(
     kernel_a = _kernel(q[1], params.beta_a.values,
                        params.chi.values * (1.0 - xi), params.gamma_a.values * xi)
     kernel_i = _kernel(q[2], params.beta_i.values, params.gamma_i.values)
-    densities = np.empty((3, n_nodes)) if observer is not None else None
+    if observer is not None:
+        # The leading nodes the observer reads, rebuilt into reused buffers.
+        nodes = getattr(observer, "nodes", (n_nodes,) * 3)
+        densities = tuple(np.empty(k) for k in nodes)
 
     mu, p, n0 = params.mu, params.p, params.n0
     keep = 1.0 - h * mu
@@ -346,10 +366,11 @@ def simulate(
                  beta, eps, alpha, iota, r_tilde)
             )
             if observer is not None:
-                np.multiply(q, window, out=densities)
+                for q_row, u, out in zip(q, window, densities):
+                    np.multiply(q_row[:out.size], u[:out.size], out=out)
                 observer(t, s, v, *densities)
         if n in snap_steps:
-            e, a, i = q * window
+            e, a, i = _rebuild(q, window, spans, np.empty((3, n_nodes)))
             snapshots.append(DensitySnapshot(t=t, theta=grid.nodes, e=e, a=a, i=i))
         if n == n_steps:
             break
@@ -367,9 +388,10 @@ def simulate(
         frame[1, start] = alpha
         frame[2, start] = iota
 
-    # The kernels go before the final densities are rebuilt in Q's place.
-    del kernel_e, kernel_a, kernel_i, densities
-    e, a, i = np.multiply(q, frame[:, start:start + n_nodes], out=q)
+    # The kernels go before the final densities are rebuilt in Q's place;
+    # the loop ended at n = n_steps, so window and spans are the final ones.
+    del kernel_e, kernel_a, kernel_i
+    e, a, i = _rebuild(q, window, spans, out=q)
     cols = np.array(samples, dtype=np.float64).T
     timeseries = TimeSeries(
         t=cols[0], s=cols[1], v=cols[2], e=cols[3], a=cols[4], i=cols[5],

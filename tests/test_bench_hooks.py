@@ -45,6 +45,35 @@ print(names.count("volterra.solve_renewal"), int(tracer.counts["volterra.steps"]
 """
 
 
+# Installs the tracer over a simulate that records the observer it is handed,
+# then runs an endemic Lyapunov pass. The traced observer must still declare
+# the evaluator's prefixes, or traced runs would time a full-J rebuild.
+OBSERVER_SCRIPT = """
+import child, spans
+from sveair import build_grid, diagnostics, reproduction, scenarios, solver
+
+engine = solver.simulate
+received = []
+
+def recording_simulate(*args, **kwargs):
+    received.append(kwargs["observer"])
+    return engine(*args, **kwargs)
+
+solver.simulate = recording_simulate
+tracer = spans.Tracer()
+child._install_tracer(tracer)
+params = scenarios.builtin_scenario("table2-c2", build_grid(1.0, 32400.0))
+_, steady = reproduction.matching_steady_state(params)
+init = scenarios.steady_scaled_initial_state(params, steady, steady.s_star,
+                                             steady.v_star, 1e3)
+diagnostics.monitor_lyapunov(init, params, steady, 2.0)
+(observer,) = received
+nodes = diagnostics.LyapunovEvaluator(params, steady).nodes
+print(hasattr(observer, "__wrapped__"), observer.nodes == nodes,
+      max(nodes) < params.grid.n_nodes, int(tracer.counts["diagnostics.observer_calls"]))
+"""
+
+
 def _run(script, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")])
@@ -61,3 +90,9 @@ def test_tracer_wraps_existing_names(tmp_path):
 def test_tracer_times_the_oracle_of_a_run(tmp_path):
     # One initial condition, one renewal march over the 15-day window at h = 0.5.
     assert _run(ORACLE_SCRIPT, tmp_path) == ["1", "30"]
+
+
+def test_traced_observer_keeps_its_prefixes(tmp_path):
+    # Wrapped by the tracer, declaring prefixes shorter than J, called at
+    # t = 0, 1 and 2.
+    assert _run(OBSERVER_SCRIPT, tmp_path) == ["True", "True", "True", "3"]

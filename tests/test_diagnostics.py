@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import band_density, make_constant_params, rate_profile, zero_density
@@ -393,6 +393,14 @@ class TestLyapunovDecrease:
         assert report.n_violations == 0, report.intervals[:3]
 
 
+def _masked(weight, star):
+    """(mask, weight, steady density) at the nodes a ratio integrand reads,
+    selected by a boolean mask: the selection the evaluator's prefixes
+    replaced, kept as their reference."""
+    mask = (star >= dg.STEADY_DENSITY_FLOOR) & (weight > 0.0)
+    return mask, weight[mask], star[mask]
+
+
 def _endemic_terms_by_reversed_sums(params, steady, weights):
     """The endemic ratio terms as reversed cumulative rectangle sums of the
     steady-state integrands, the construction `endemic_tail_weights`
@@ -407,7 +415,7 @@ def _endemic_terms_by_reversed_sums(params, steady, weights):
     pool = steady.s_star + (1.0 - params.epsilon) * steady.v_star
     f_a0, f_i0 = weights.f_a[0], weights.f_i[0]
     e_star, a_star, i_star = steady.e_star.values, steady.a_star.values, steady.i_star.values
-    return tuple(dg._masked(weight, star) for weight, star in (
+    return tuple(_masked(weight, star) for weight, star in (
         (f_a0 * tail(kv * qv * e_star) + f_i0 * tail(kv * (1.0 - qv) * e_star), e_star),
         (pool * tail(params.beta_a.values * a_star) + f_i0 * tail(chi_branch * a_star),
          a_star),
@@ -429,11 +437,102 @@ class TestEndemicTailWeights:
         weights = dg.lyapunov_weights(params, steady)
         got = dg.endemic_tail_weights(steady, weights)
         want = _endemic_terms_by_reversed_sums(params, steady, weights)
-        for (mask, weight, star), (ref_mask, ref_weight, ref_star) in zip(got, want):
-            np.testing.assert_array_equal(mask, ref_mask)
+        for (k, weight, star), (ref_mask, ref_weight, ref_star) in zip(got, want):
+            np.testing.assert_array_equal(np.arange(ref_mask.size) < k, ref_mask)
             np.testing.assert_array_equal(star, ref_star)
             np.testing.assert_allclose(weight, ref_weight, rtol=0.0,
                                        atol=1e-12 * float(ref_weight.max(initial=0.0)))
+
+
+# Ages long enough that c* falls below STEADY_DENSITY_FLOOR in some draws,
+# so the read prefix is shorter than the grid.
+_LONG_THETA = st.floats(50.0, 4000.0)
+# A draw whose e prefix is 7660 of 12001 nodes.
+_SHORT_PREFIX = dict(h=0.25, theta_max=3000.0, r0=3.0, ramp=1.5, beta_ratio=1.0, mu=1e-4,
+                     p=1e-3, epsilon=0.5, zeta=0.05, k=0.3, q=0.5, xi=0.5, chi=0.1,
+                     gamma_a=0.1, gamma_i=0.1)
+
+
+class TestEndemicPrefix:
+    """The endemic function reads a leading prefix of each density, and
+    `simulate` rebuilds only that prefix for its observer."""
+
+    @given(h=st.sampled_from([0.25, 0.5, 1.0]), theta_max=_LONG_THETA,
+           r0=st.floats(1.05, 20.0), **_RATES)
+    @example(**_SHORT_PREFIX)
+    @settings(max_examples=60, deadline=None)
+    def test_mask_is_the_prefix(self, h, theta_max, r0, **rates):
+        params = _ramped_params(build_grid(h, theta_max), r0, **rates)
+        _, steady = rep.matching_steady_state(params)
+        weights = dg.lyapunov_weights(params, steady)
+        terms = dg.endemic_tail_weights(steady, weights)
+        for (k, weight, star), profile, c_star in zip(
+                terms, (weights.f_e, weights.f_a, weights.f_i),
+                (steady.e_star.values, steady.a_star.values, steady.i_star.values)):
+            mask, ref_weight, ref_star = _masked(profile * c_star, c_star)
+            np.testing.assert_array_equal(np.arange(mask.size) < k, mask)
+            np.testing.assert_array_equal(weight, ref_weight)
+            np.testing.assert_array_equal(star, ref_star)
+        assert dg.LyapunovEvaluator(params, steady).nodes == tuple(k for k, _, _ in terms)
+
+    @given(h=st.sampled_from([0.25, 0.5, 1.0]), theta_max=_LONG_THETA,
+           r0=st.floats(1.05, 20.0), mass=st.floats(0.0, 7.0), s_off=st.floats(-1.0, 1.0),
+           **{**_RATES, "q": st.floats(0.05, 0.95)})
+    @example(mass=3.0, s_off=0.5, **_SHORT_PREFIX)
+    @settings(max_examples=40, deadline=None)
+    def test_prefix_observer_equals_full_densities(self, h, theta_max, r0, mass, s_off,
+                                                   **rates):
+        # Each read node gets the same product Q * u and the same ratio in
+        # both runs, so the two series agree bit for bit. q inside (0, 1)
+        # gives A* and I* mass, which steady-scaled seeding needs.
+        params = _ramped_params(build_grid(h, theta_max), r0, **rates)
+        _, ref = rep.matching_steady_state(params)
+        evaluator = dg.LyapunovEvaluator(params, ref)
+        init = steady_scaled_initial_state(params, ref, ref.s_star * 10.0 ** s_off,
+                                           ref.v_star, 10.0 ** mass)
+        times, values, prefix_sizes = [], [], set()
+        observe = evaluator.observer(times, values)
+
+        def prefix(t, s, v, e, a, i):
+            prefix_sizes.add((e.size, a.size, i.size))
+            observe(t, s, v, e, a, i)
+
+        prefix.nodes = observe.nodes
+        simulate(init, params, t_max=60.0, observer=prefix)
+        full, full_sizes = [], set()
+
+        def plain(t, s, v, e, a, i):
+            full_sizes.add((e.size, a.size, i.size))
+            full.append(evaluator(s, v, e, a, i))
+
+        simulate(init, params, t_max=60.0, observer=plain)
+        assert prefix_sizes == {evaluator.nodes}
+        assert full_sizes == {(params.grid.n_nodes,) * 3}
+        np.testing.assert_array_equal(values, full)
+
+    @given(h=st.sampled_from([0.25, 0.5, 1.0]), theta_max=_LONG_THETA,
+           r0=st.floats(1.05, 20.0), **{**_RATES, "q": st.floats(0.05, 0.95)})
+    @example(**_SHORT_PREFIX)
+    @settings(max_examples=30, deadline=None)
+    def test_zero_inside_the_prefix_raises(self, h, theta_max, r0, **rates):
+        # A zero at the last read e node makes L infinite at t = 0; a zero at
+        # the first unread node, when there is one, is transported further
+        # out and never read.
+        params = _ramped_params(build_grid(h, theta_max), r0, **rates)
+        _, ref = rep.matching_steady_state(params)
+        evaluator = dg.LyapunovEvaluator(params, ref)
+        k_e = evaluator.nodes[0]
+        init = steady_scaled_initial_state(params, ref, ref.s_star, ref.v_star, 1e3)
+
+        def holed(node):
+            values = init.e.values.copy()
+            values[node] = 0.0
+            return replace(init, e=init.e.with_values(values))
+
+        with pytest.raises(LyapunovDomainError):
+            simulate(holed(k_e - 1), params, t_max=3.0, observer=evaluator.observer([], []))
+        if k_e < params.grid.n_nodes:
+            simulate(holed(k_e), params, t_max=3.0, observer=evaluator.observer([], []))
 
 
 class TestDiscreteFixedPoint:
