@@ -131,9 +131,15 @@ def _write_timeseries(path: Path, ts) -> None:
     )
 
 
-def _write_snapshots(out_dir: Path, label: str, ts) -> None:
+def _write_snapshots(out_dir: Path, label: str, ts, cfg: ScenarioConfig) -> None:
+    # Each file is named after its configured time, not the step time n * h
+    # that the snapshot carries: 3 * 0.1 is 0.30000000000000004. Every
+    # initial state starts at t = 0.
+    requested = {}
+    for time in cfg.snapshot_times:
+        requested.setdefault(round(time / cfg.h), time)
     for snap in ts.snapshots:
-        name = f"snapshot_d{label}_t{format_value(snap.t)}.csv"
+        name = f"snapshot_d{label}_t{format_value(requested[round(snap.t / cfg.h)])}.csv"
         write_csv(out_dir / name, ["theta", "e", "a", "i"],
                   [snap.theta, snap.e, snap.a, snap.i])
 
@@ -214,7 +220,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ExitReport:
             ok = False
             continue
         _write_timeseries(out / f"run_d{label}.csv", result.timeseries)
-        _write_snapshots(out, label, result.timeseries)
+        _write_snapshots(out, label, result.timeseries, cfg)
         if cfg.run_oracle:
             _oracle_compare(out, label, init, params, window, result)
         if evaluator is not None:

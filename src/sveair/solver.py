@@ -109,7 +109,8 @@ class Aggregates(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class DensitySnapshot:
-    """Age densities captured at one requested sample time."""
+    """Age densities captured at one requested sample time. `theta` is the
+    pass's one read-only array of age nodes, shared by its snapshots."""
 
     t: float
     theta: np.ndarray
@@ -332,6 +333,7 @@ def simulate(
     samples: list[tuple] = []
     beta_steps = np.empty(n_steps + 1)
     snapshots: list[DensitySnapshot] = []
+    theta = None
     r_tilde = None
     for n in range(n_steps + 1):
         t = init.t + n * h
@@ -370,8 +372,11 @@ def simulate(
                     np.multiply(q_row[:out.size], u[:out.size], out=out)
                 observer(t, s, v, *densities)
         if n in snap_steps:
+            if theta is None:
+                theta = grid.nodes
+                theta.flags.writeable = False
             e, a, i = _rebuild(q, window, spans, np.empty((3, n_nodes)))
-            snapshots.append(DensitySnapshot(t=t, theta=grid.nodes, e=e, a=a, i=i))
+            snapshots.append(DensitySnapshot(t=t, theta=theta, e=e, a=a, i=i))
         if n == n_steps:
             break
 

@@ -45,6 +45,29 @@ print(names.count("volterra.solve_renewal"), int(tracer.counts["volterra.steps"]
 """
 
 
+# Installs the tracer, then runs a tiny scenario with snapshots through the
+# runner, whose every CSV must go through the wrapped `io.write_csv`: one span
+# per file, and the rows and bytes it counts are those of the files.
+CSV_SCRIPT = """
+import pathlib
+import child, spans
+from sveair.config import ScenarioConfig
+from sveair.runner import run_scenario
+
+tracer = spans.Tracer()
+child._install_tracer(tracer)
+cfg = ScenarioConfig(h=0.5, theta_max=720.0, t_max=20.0, d_list=(10.0, 100.0),
+                     band=(100.0, 300.0), snapshot_times=(5.0, 20.0))
+run_scenario(cfg, out_dir="out")
+files = sorted(pathlib.Path("out").glob("*.csv"))
+names = [span[0] for span in tracer.spans]
+rows = sum(len(path.read_text().splitlines()) - 1 for path in files)
+size = sum(path.stat().st_size for path in files)
+print(len(files), names.count("io.write_csv"), rows, int(tracer.counts["io.rows_written"]),
+      size == tracer.counts["io.bytes_written"])
+"""
+
+
 # Installs the tracer over a simulate that records the observer it is handed,
 # then runs an endemic Lyapunov pass. The traced observer must still declare
 # the evaluator's prefixes, or traced runs would time a full-J rebuild.
@@ -96,3 +119,8 @@ def test_traced_observer_keeps_its_prefixes(tmp_path):
     # Wrapped by the tracer, declaring prefixes shorter than J, called at
     # t = 0, 1 and 2.
     assert _run(OBSERVER_SCRIPT, tmp_path) == ["True", "True", "True", "3"]
+
+
+def test_tracer_counts_every_csv_of_a_run(tmp_path):
+    # r0.csv, two run_d*.csv and four snapshot_*.csv: 1 + 2 * 21 + 4 * 1441 rows.
+    assert _run(CSV_SCRIPT, tmp_path) == ["7", "7", "5807", "5807", "True"]

@@ -155,6 +155,54 @@ class TestCsvRoundTrip:
             ",".join(map(format_value, row)) + "\n" for row in zip(*cols))
         assert path.read_bytes() == want.encode()
 
+    # Groups of values that compare equal, format alike or sit one ulp apart:
+    # zeros of both signs, NaNs of both signs with distinct payloads and a
+    # signalling NaN, both infinities, integral values on either side of
+    # +-1e16, and subnormals. A block drawn from one to three groups is mostly
+    # duplicates.
+    GROUPS = (
+        [0.0, -0.0],
+        list(np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF80000DEADBEEF,
+                       0xFFF8000000000123, 0x7FF0000000000001],
+                      dtype=np.uint64).view(np.float64)),
+        [np.inf, -np.inf],
+        [1e16 - 2.0, 1e16, 1e16 + 2.0, -1e16 + 2.0, -1e16, -1e16 - 2.0, 12345.0, -7.0],
+        [5e-324, -5e-324, 1e-310, 2.225073858507201e-308],
+    )
+
+    # About 0.3 s for the 60 examples on a 2-vCPU machine.
+    @given(length=st.sampled_from([1, io._BLOCK_ROWS - 1, io._BLOCK_ROWS,
+                                   io._BLOCK_ROWS + 1, 3 * io._BLOCK_ROWS + 17]),
+           n_cols=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_values_match_row_by_row_format_value(self, tmp_path_factory, length,
+                                                           n_cols, seed):
+        # Each block of a pooled column draws its cells from a few groups;
+        # the other columns hold random bit patterns, mostly distinct.
+        rng = np.random.default_rng(seed)
+        jittered = rng.standard_normal(3) * 10.0 ** rng.integers(-30, 30, 3)
+        groups = self.GROUPS + (list(np.concatenate(
+            [jittered, np.nextafter(jittered, np.inf), np.nextafter(jittered, -np.inf)])),)
+        cols = []
+        for _ in range(n_cols):
+            if rng.random() < 0.25:
+                cols.append(rng.integers(0, 2**64, size=length, dtype=np.uint64)
+                            .view(np.float64))
+                continue
+            col = np.empty(length)
+            for low in range(0, length, io._BLOCK_ROWS):
+                block = col[low:low + io._BLOCK_ROWS]
+                chosen = rng.choice(len(groups), size=int(rng.integers(1, 4)), replace=False)
+                values = np.concatenate([groups[k] for k in chosen])
+                block[:] = values[rng.integers(values.size, size=block.size)]
+            cols.append(col)
+        header = [f"c{j}" for j in range(n_cols)]
+        path = tmp_path_factory.getbasetemp() / "repeated.csv"
+        write_csv(path, header, cols)
+        want = ",".join(header) + "\n" + "".join(
+            ",".join(map(format_value, row)) + "\n" for row in zip(*cols))
+        assert path.read_bytes() == want.encode()
+
 
 class TestRunner:
     def test_products_and_determinism(self, tmp_path):
@@ -177,6 +225,38 @@ class TestRunner:
                           "beta", "eps", "alpha", "iota"]
         assert cols[0][0] == 0.0 and cols[0][-1] == 10.0
         np.testing.assert_array_equal(cols[7], 8e7)
+
+    def test_snapshot_files_match_row_by_row_format_value(self, tmp_path, monkeypatch):
+        # Band-seeded densities are mostly exact zeros and a few values
+        # repeated over whole age groups, some a few ulps apart: the data
+        # that formatting each distinct value once is for.
+        text = TINY.replace("run.snapshot_times = 5", "run.snapshot_times = 0,5,10")
+        cfg = load_config(write_cfg(tmp_path, text))
+        results = []
+
+        def recording_simulate(*args, **kwargs):
+            results.append(simulate(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(runner, "simulate", recording_simulate)
+        out = tmp_path / "o"
+        assert run_scenario(cfg, out_dir=out).ok
+        assert len(results) == 2
+        near_ties = 0
+        for label, result in zip(("10", "100"), results):
+            assert [snap.t for snap in result.timeseries.snapshots] == [0.0, 5.0, 10.0]
+            for snap in result.timeseries.snapshots:
+                columns = (snap.theta, snap.e, snap.a, snap.i)
+                for density in columns[1:]:
+                    assert density.size > 5 * io._BLOCK_ROWS
+                    distinct = np.unique(density)
+                    assert distinct.size < density.size / 40
+                    near_ties += int(np.sum(np.diff(distinct)[1:] <= 4 * np.spacing(distinct[2:])))
+                want = "theta,e,a,i\n" + "".join(
+                    ",".join(map(format_value, row)) + "\n" for row in zip(*columns))
+                path = out / f"snapshot_d{label}_t{format_value(snap.t)}.csv"
+                assert path.read_bytes() == want.encode()
+        assert near_ties > 0
 
     def test_r0_only(self, tmp_path):
         cfg = replace(load_config(write_cfg(tmp_path, TINY, name="r0only.cfg")), r0_only=True)
@@ -334,6 +414,20 @@ class TestCli:
         assert code == 2
         assert "error: run.oracle_t_max" in capsys.readouterr().err
         assert not list(out.glob("run_d*.csv"))
+
+    def test_snapshot_files_are_named_after_the_configured_times(self, tmp_path):
+        # 3 * 0.1 and 7 * 0.1 are 0.30000000000000004 and 0.7000000000000001;
+        # the file names keep the configured times, the t column the step times.
+        text = TINY.replace("grid.h = 0.5", "grid.h = 0.1").replace(
+            "run.sample_every = 1", "run.sample_every = 0.1").replace(
+            "run.snapshot_times = 5", "run.snapshot_times = 0.3,0.7,0.30000000000000004")
+        cfg_path = write_cfg(tmp_path, text.replace("run.t_max = 10", "run.t_max = 1"))
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.glob("snapshot_d10_*.csv")) == [
+            "snapshot_d10_t0.3.csv", "snapshot_d10_t0.7.csv"]
+        _, cols = read_csv(out / "run_d10.csv")
+        assert cols[0][3] == 3 * 0.1 and cols[0][7] == 7 * 0.1
 
     def test_snapshot_time_outside_the_run_is_rejected(self, tmp_path, capsys):
         text = TINY.replace("run.snapshot_times = 5", "run.snapshot_times = 5,50,-3")
