@@ -89,13 +89,11 @@ def lyapunov_weights(params: ParameterSet, steady: SteadyState) -> LyapunovWeigh
     params.stable_exit_rate()
     h = params.grid.h
     pool = steady.s_star + (1.0 - params.epsilon) * steady.v_star
-    f_i = _backward_tail(pool * params.beta_i.values, params.exit_rate_i, h)
-    chi_branch = params.chi.values * (1.0 - params.xi.values)
-    f_a = _backward_tail(
-        pool * params.beta_a.values + f_i[0] * chi_branch, params.exit_rate_a, h
-    )
-    kv, qv = params.k.values, params.q.values
-    f_e = _backward_tail(f_a[0] * kv * qv + f_i[0] * kv * (1.0 - qv), params.exit_rate_e, h)
+    f_i = _backward_tail(pool * params.flux_rows(2)[0], params.exit_rate_i, h)
+    infect_a, branch_a = params.flux_rows(1)[:2]
+    f_a = _backward_tail(pool * infect_a + f_i[0] * branch_a, params.exit_rate_a, h)
+    to_asym, to_symp = params.flux_rows(0)
+    f_e = _backward_tail(f_a[0] * to_asym + f_i[0] * to_symp, params.exit_rate_e, h)
     return LyapunovWeights(f_e=f_e, f_a=f_a, f_i=f_i)
 
 

@@ -1,4 +1,4 @@
-"""Model parameter container, the three compartment exit rates and their step bound."""
+"""Model parameters: profile units, routing rows, exit rates and the step bound."""
 
 from __future__ import annotations
 
@@ -9,6 +9,14 @@ import numpy as np
 
 from sveair.errors import ParameterError, StabilityError
 from sveair.grid import AgeGrid, AgeProfile, Units
+
+# The unit of each age profile, in field order: the one table that the
+# container checks and that config overrides are built with.
+PROFILE_UNITS = {
+    "beta_a": Units.TRANSMISSION, "beta_i": Units.TRANSMISSION, "k": Units.RATE,
+    "q": Units.PROPORTION, "xi": Units.PROPORTION, "chi": Units.RATE,
+    "gamma_a": Units.RATE, "gamma_i": Units.RATE,
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,17 +58,11 @@ class ParameterSet:
                 raise ParameterError(f"{name} must be nonnegative, got {value}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ParameterError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        for name in ("q", "xi"):
-            if getattr(self, name).units is not Units.PROPORTION:
-                raise ParameterError(f"{name} must be a proportion profile")
-        for name in ("k", "chi", "gamma_a", "gamma_i"):
-            if getattr(self, name).units is not Units.RATE:
-                raise ParameterError(f"{name} must be a rate profile")
-        for name in ("beta_a", "beta_i"):
-            if getattr(self, name).units is not Units.TRANSMISSION:
-                raise ParameterError(f"{name} must be a transmission profile")
+        for name, units in PROFILE_UNITS.items():
+            if getattr(self, name).units is not units:
+                raise ParameterError(f"{name} must be a {units.name.lower()} profile")
         grid = self.beta_a.grid
-        for name in ("beta_i", "k", "q", "xi", "chi", "gamma_a", "gamma_i"):
+        for name in PROFILE_UNITS:
             if getattr(self, name).grid != grid:
                 raise ParameterError(f"profile {name} is not on the shared grid")
 
@@ -68,7 +70,29 @@ class ParameterSet:
     def grid(self) -> AgeGrid:
         return self.beta_a.grid
 
-    # The three exit rates of the transport equations (death rate included).
+    def flux_rows(self, c: int) -> tuple:
+        """The routing rows of compartment c, in the frame's row order. Each
+        row, integrated against the compartment's density, is one flux:
+
+          c = 0, e: k q (to a), k (1 - q) (to i)
+          c = 1, a: beta_a (infection), chi (1 - xi) (to i), gamma_a xi (recovery)
+          c = 2, i: beta_i (infection), gamma_i (recovery)
+
+        The rows are built on each call and not kept. A row that is a single
+        profile is that profile's read-only `values`, not a copy.
+        """
+        if c == 0:
+            k, q = self.k.values, self.q.values
+            return k * q, k * (1.0 - q)
+        if c == 1:
+            xi = self.xi.values
+            return self.beta_a.values, self.chi.values * (1.0 - xi), self.gamma_a.values * xi
+        if c == 2:
+            return self.beta_i.values, self.gamma_i.values
+        raise ValueError(f"compartment index must be 0, 1 or 2, got {c}")
+
+    # The three exit rates of the transport equations (death rate included);
+    # those of a and i are their outflow rows plus mu.
 
     @cached_property
     def exit_rate_e(self) -> np.ndarray:
@@ -78,13 +102,13 @@ class ParameterSet:
     @cached_property
     def exit_rate_a(self) -> np.ndarray:
         """Asymptomatic compartment: gamma_a*xi + chi*(1-xi) + mu."""
-        xi = self.xi.values
-        return self.gamma_a.values * xi + self.chi.values * (1.0 - xi) + self.mu
+        _, to_symp, recover = self.flux_rows(1)
+        return recover + to_symp + self.mu
 
     @cached_property
     def exit_rate_i(self) -> np.ndarray:
         """Symptomatic compartment: gamma_i + mu."""
-        return self.gamma_i.values + self.mu
+        return self.flux_rows(2)[1] + self.mu
 
     def stable_exit_rate(self) -> float:
         """The largest exit rate, once h times it is checked to be below 1, the

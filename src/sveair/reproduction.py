@@ -75,22 +75,22 @@ class _Kernels:
 
 
 def kernels(params: ParameterSet) -> _Kernels:
-    """The five quadrature blocks shared by R0 and the steady state, on the
+    """The five quadrature blocks shared by R0 and the steady state: the
+    `ParameterSet.flux_rows` that route a cohort on, integrated against the
     scheme's survival prod_{m<j} (1 - h * exit_rate[m]), the share of a
     cohort left after j steps. Steady states built on them are the ones the
     stepper is stationary at. Raises StabilityError when h * max exit rate
     >= 1, where the scheme has no survival and so no r0."""
     params.stable_exit_rate()
-    h = params.grid.h
+    grid = params.grid
     surv_e, surv_a, surv_i = (
-        AgeProfile(params.grid, scheme_survival(rate, h), Units.PROPORTION)
+        AgeProfile(grid, scheme_survival(rate, grid.h), Units.PROPORTION)
         for rate in (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i))
-    kv, qv = params.k.values, params.q.values
-    chi_branch = params.chi.values * (1.0 - params.xi.values)
-    blocks = (rect_integral(weight * surv.values, params.grid) for weight, surv in (
-        (kv * qv, surv_e), (kv * (1.0 - qv), surv_e), (chi_branch, surv_a),
-        (params.beta_a.values, surv_a), (params.beta_i.values, surv_i)))
-    return _Kernels(surv_e, surv_a, surv_i, *blocks)
+    to_asym, to_symp = (rect_integral(row * surv_e.values, grid) for row in params.flux_rows(0))
+    infect_a, branch_a = (rect_integral(row * surv_a.values, grid)
+                          for row in params.flux_rows(1)[:2])
+    infect_i = rect_integral(params.flux_rows(2)[0] * surv_i.values, grid)
+    return _Kernels(surv_e, surv_a, surv_i, to_asym, to_symp, branch_a, infect_a, infect_i)
 
 
 def r0_prefactor(params: ParameterSet) -> float:

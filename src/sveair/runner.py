@@ -28,9 +28,9 @@ import numpy as np
 from sveair import diagnostics, reproduction, scenarios, volterra
 from sveair.config import ScenarioConfig, check_on_grid
 from sveair.errors import AbortedRunError, ConfigError
-from sveair.grid import AgeGrid, Units, build_grid, constant_profile, load_profile_csv
+from sveair.grid import AgeGrid, build_grid, constant_profile, load_profile_csv
 from sveair.io import format_value, write_csv
-from sveair.params import ParameterSet
+from sveair.params import PROFILE_UNITS, ParameterSet
 from sveair.solver import State, simulate
 
 
@@ -39,22 +39,11 @@ def build_model(cfg: ScenarioConfig) -> tuple[AgeGrid, ParameterSet]:
     grid = build_grid(cfg.h, cfg.theta_max)
     overrides = {}
     for name, value in cfg.scalar_overrides.items():
-        if name in ("q", "xi"):
-            overrides[name] = constant_profile(grid, value, Units.PROPORTION)
-        elif name in ("gamma_a", "gamma_i"):
-            overrides[name] = constant_profile(grid, value, Units.RATE)
-        else:
-            overrides[name] = value
-    units_by_field = {
-        "q_csv": ("q", Units.PROPORTION),
-        "k_csv": ("k", Units.RATE),
-        "chi_csv": ("chi", Units.RATE),
-        "beta_a_csv": ("beta_a", Units.TRANSMISSION),
-        "beta_i_csv": ("beta_i", Units.TRANSMISSION),
-    }
+        units = PROFILE_UNITS.get(name)
+        overrides[name] = value if units is None else constant_profile(grid, value, units)
     for key, path in cfg.profile_overrides.items():
-        field_name, units = units_by_field[key]
-        overrides[field_name] = load_profile_csv(path, grid, units)
+        name = key.removesuffix("_csv")
+        overrides[name] = load_profile_csv(path, grid, PROFILE_UNITS[name])
     return grid, scenarios.builtin_scenario(cfg.builtin, grid, **overrides)
 
 
@@ -67,12 +56,16 @@ def initial_states(
     params: ParameterSet,
     steady: reproduction.SteadyState,
 ) -> list[tuple[str, State]]:
-    """(label, State) pairs for the configured sweep."""
+    """(label, State) pairs for the configured sweep; labels name files, so must differ."""
     if cfg.init_mode == "steady":
         return [("steady", scenarios.steady_initial_state(steady))]
+    labels = [_d_label(d) for d in cfg.d_list]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ConfigError(f"init.d_list lists d = {label} more than once; "
+                              f"every value writes its own run_d{label}.csv")
     pairs = []
-    for d in cfg.d_list:
-        label = _d_label(d)
+    for label, d in zip(labels, cfg.d_list):
         if cfg.init_mode == "band":
             state = scenarios.band_initial_state(params, cfg.s0, cfg.v0, d, cfg.band)
         else:
@@ -195,6 +188,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ExitReport:
             "the endemic Lyapunov function is infinite for band-seeded initial data "
             "(zero density at weighted ages); use init.mode=steady-scaled"
         )
+    if cfg.run_lyapunov and cfg.init_mode == "steady-scaled" and 0.0 in cfg.d_list:
+        raise ConfigError("init.d_list: the endemic Lyapunov function is infinite for the "
+                          "zero steady-scaled seed d = 0 (zero densities); use d > 0")
     window = min(cfg.oracle_t_max, cfg.t_max)
     if cfg.run_oracle:
         if window > volterra.T_MAX_CAP:

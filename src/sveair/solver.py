@@ -27,8 +27,9 @@ exchange a density must stay below about 1e58 to be representable as u.
 
 Each step reads only the live span of the window. After n steps a node
 can be nonzero only in the boundary history [0, n) or in the initial
-support [first, last) moved n nodes on; every other node holds an exact 0.
-So three matrix-vector products against the kernel rows weight * Q,
+support [first, last) (`State.support`) moved n nodes on; every other node
+holds an exact 0. So three matrix-vector products against the kernel rows
+weight * Q, with the weights from `ParameterSet.flux_rows`,
 summed over the live spans, give the force of infection, the two boundary
 integrals and the recovered flux together, and sample masses are
 h * (Q[c] @ u[c]) over the same spans. The densities are rebuilt as Q * u
@@ -91,6 +92,14 @@ class State:
                 raise ParameterError(f"density {name} must be density-typed")
             if profile.grid != self.e.grid:
                 raise ParameterError("state densities must share one grid")
+
+    def support(self) -> tuple[int, int]:
+        """The union support [first, last) of the three densities: every node
+        outside it is 0 in all three. first == last when they are all zero."""
+        nonzero = (self.e.values != 0.0) | (self.a.values != 0.0) | (self.i.values != 0.0)
+        first = int(nonzero.argmax())
+        last = nonzero.size - int(nonzero[::-1].argmax()) if nonzero[first] else first
+        return first, last
 
 
 class BoundaryValues(NamedTuple):
@@ -156,24 +165,24 @@ class SimulationResult:
     clamp_events = 0
 
 
-def _functionals(params: ParameterSet, s, v, e, a, i):
-    """(beta, eps, alpha, iota, recovered flux) of raw state arrays, as the
-    unscaled rectangle-rule dot products h * (weight @ density)."""
+def _functionals(params: ParameterSet, state: State):
+    """(beta, eps, alpha, iota, recovered flux) of a state, as the unscaled
+    rectangle-rule dot products h * (row @ density) of the flux rows."""
     h = params.grid.h
-    kv, qv, xi = params.k.values, params.q.values, params.xi.values
-    beta = h * float(params.beta_a.values @ a + params.beta_i.values @ i)
-    eps = beta * (s + (1.0 - params.epsilon) * v)
-    alpha = h * float((kv * qv) @ e)
-    iota = h * float((kv * (1.0 - qv)) @ e + (params.chi.values * (1.0 - xi)) @ a)
-    recovered = h * float((params.gamma_a.values * xi) @ a + params.gamma_i.values @ i)
+    to_asym, to_symp = (row @ state.e.values for row in params.flux_rows(0))
+    infect_a, branch_a, recover_a = (row @ state.a.values for row in params.flux_rows(1))
+    infect_i, recover_i = (row @ state.i.values for row in params.flux_rows(2))
+    beta = h * float(infect_a + infect_i)
+    eps = beta * (state.s + (1.0 - params.epsilon) * state.v)
+    alpha = h * float(to_asym)
+    iota = h * float(to_symp + branch_a)
+    recovered = h * float(recover_a + recover_i)
     return beta, eps, alpha, iota, recovered
 
 
 def force_of_infection(state: State, params: ParameterSet) -> float:
     """Force of infection: h * (beta_a @ a + beta_i @ i) over all nodes."""
-    return _functionals(
-        params, state.s, state.v, state.e.values, state.a.values, state.i.values
-    )[0]
+    return _functionals(params, state)[0]
 
 
 def boundary_values(state: State, params: ParameterSet) -> BoundaryValues:
@@ -183,9 +192,7 @@ def boundary_values(state: State, params: ParameterSet) -> BoundaryValues:
     deliberate naming split between the vaccine effectiveness epsilon and
     the boundary density eps.
     """
-    _, eps, alpha, iota, _ = _functionals(
-        params, state.s, state.v, state.e.values, state.a.values, state.i.values
-    )
+    _, eps, alpha, iota, _ = _functionals(params, state)
     return BoundaryValues(eps=eps, alpha=alpha, iota=iota)
 
 
@@ -236,7 +243,7 @@ def _rebuild(q: np.ndarray, window: np.ndarray, spans, out: np.ndarray) -> np.nd
 
 
 def _kernel(q_row: np.ndarray, *weights: np.ndarray) -> np.ndarray:
-    """Rows weight * Q of one compartment, stacked for one matrix-vector product."""
+    """Flux rows weight * Q of one compartment, stacked for one matrix-vector product."""
     out = np.empty((len(weights), q_row.shape[0]))
     for row, weight in zip(out, weights):
         np.multiply(weight, q_row, out=row)
@@ -292,16 +299,9 @@ def simulate(
     n_steps = int(round(t_max / h))
     stride = max(1, int(round(sample_every / h)))
     snap_steps = {int(round(ts / h)) for ts in snapshot_times}
-    initial = _functionals(
-        params, init.s, init.v, init.e.values, init.a.values, init.i.values
-    )
+    initial = _functionals(params, init)
 
-    # The initial support [first, last) of the three densities; first == last
-    # when they are all zero.
-    support = (init.e.values != 0.0) | (init.a.values != 0.0) | (init.i.values != 0.0)
-    first = int(support.argmax())
-    last = n_nodes - int(support[::-1].argmax()) if support[first] else first
-    del support
+    first, last = init.support()
 
     rates = np.stack((params.exit_rate_e, params.exit_rate_a, params.exit_rate_i))
     q = scheme_factors(rates, h)
@@ -313,12 +313,7 @@ def simulate(
     start = n_steps
     for row, q_row, profile in zip(frame, q, (init.e, init.a, init.i)):
         np.divide(profile.values, q_row, out=row[start:])
-    xi = params.xi.values
-    kernel_e = _kernel(q[0], params.k.values * params.q.values,
-                       params.k.values * (1.0 - params.q.values))
-    kernel_a = _kernel(q[1], params.beta_a.values,
-                       params.chi.values * (1.0 - xi), params.gamma_a.values * xi)
-    kernel_i = _kernel(q[2], params.beta_i.values, params.gamma_i.values)
+    kernel_e, kernel_a, kernel_i = (_kernel(q[c], *params.flux_rows(c)) for c in range(3))
     if observer is not None:
         # The leading nodes the observer reads, rebuilt into reused buffers.
         nodes = getattr(observer, "nodes", (n_nodes,) * 3)

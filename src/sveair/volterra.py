@@ -5,8 +5,10 @@ force of infection, then S and V, then the latent/asymptomatic/symptomatic
 boundary densities are evaluated from the history and from the transported
 initial data.
 
-Deliberate differences from the PDE solver, so the two routes share no
-discretization machinery beyond the grid itself:
+The two routes share the model, not the scheme: the grid, the routing rows
+and exit rates of `ParameterSet` (`flux_rows`, `exit_rate_*`) and the
+initial support `State.support`. They share no discretization machinery
+beyond these; the deliberate differences from the PDE solver are:
   - survival kernels are exact exponentials of the cumulative hazard, not
     products of explicit Euler factors;
   - S and V advance one exponential step at a time: over each step a pool
@@ -14,18 +16,19 @@ discretization machinery beyond the grid itself:
     infection integrated by the trapezoid rule, and takes the trapezoid of
     its source, not the stepper's linearly implicit update. The decay
     factors are at most 1, so no exponent grows with t;
-  - history integrals over [0, t] use the trapezoid rule (the newest force
-    term uses the previous step's boundary values; everything else is
-    known when needed).
+  - history integrals over [0, t] use the trapezoid rule, all by
+    `_trapezoid_dot` (the newest force term uses the previous step's
+    boundary values; everything else is known when needed).
 Initial-data integrals keep the solver's rectangle rule and absorbing
 truncation at theta_max, so both routes evaluate identical functionals of
 the identical initial state at t = 0.
 
 The initial cohorts are nonzero only on the union support [first, last) of
-the three initial densities, found once at the start. After n steps that
-support has moved to [first + n, last + n), cut at the J age nodes, so the
-march ages and reads only those nodes: each step costs O(min(n, J)) for
-the history and O(last - first) for the initial data, not O(J). The t = 0
+the three initial densities, found once at the start by `State.support`.
+After n steps that support has moved to [first + n, last + n), cut at the
+J age nodes, so the march ages and reads only those nodes: each step costs
+O(min(n, J)) for the history and O(last - first) for the initial data, not
+O(J). The t = 0
 step alone takes its initial-data products over all J nodes, the same
 arithmetic as `solver._functionals`, so the two routes agree bit for bit
 there.
@@ -104,11 +107,10 @@ def solve_renewal(
     surv_e, surv_a, surv_i = (survival(rate, h) for rate in
                               (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i))
 
-    kv, qv = params.k.values, params.q.values
-    beta_a, beta_i = params.beta_a.values, params.beta_i.values
-    latent_to_asym = kv * qv
-    latent_to_symp = kv * (1.0 - qv)
-    chi_branch = params.chi.values * (1.0 - params.xi.values)
+    # The routing rows the march reads; it does not read the recovery rows.
+    latent_to_asym, latent_to_symp = params.flux_rows(0)
+    beta_a, chi_branch = params.flux_rows(1)[:2]
+    beta_i = params.flux_rows(2)[0]
     k_beta_alpha = beta_a * surv_a
     k_beta_iota = beta_i * surv_i
     k_alpha_eps = latent_to_asym * surv_e
@@ -131,9 +133,7 @@ def solve_renewal(
     # here raised a run's peak RSS.
     n_nodes = grid.n_nodes
     e0, a0, i0 = init.e.values, init.a.values, init.i.values
-    support = (e0 != 0.0) | (a0 != 0.0) | (i0 != 0.0)
-    first = int(support.argmax())
-    last = n_nodes - int(support[::-1].argmax()) if support[first] else first
+    first, last = init.support()
     cohorts = np.stack([e0[first:last], a0[first:last], i0[first:last]])
     aging = np.empty((3, n_nodes - 1))
     for row, rate in zip(aging, (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i)):
@@ -162,19 +162,12 @@ def solve_renewal(
             init_beta, init_alpha, init_iota = initial_part(e0, a0, i0, 0)
         else:
             # History part of beta; its lag-0 term needs this step's alpha
-            # and iota, which are not yet known: previous step's values
-            # stand in.
-            length = min(n, n_nodes - 1)
-            win_a = alpha[n - length:n + 1][::-1].copy()
-            win_i = iota[n - length:n + 1][::-1].copy()
-            win_a[0] = alpha[n - 1]
-            win_i[0] = iota[n - 1]
-            ka = k_beta_alpha[:length + 1]
-            ki = k_beta_iota[:length + 1]
-            hist = float(ka @ win_a + ki @ win_i)
-            hist -= 0.5 * (ka[0] * win_a[0] + ka[length] * win_a[length])
-            hist -= 0.5 * (ki[0] * win_i[0] + ki[length] * win_i[length])
-            hist *= h
+            # and iota, which are not yet known: the previous step's values
+            # stand in at index n until this step overwrites them.
+            alpha[n] = alpha[n - 1]
+            iota[n] = iota[n - 1]
+            hist = (_trapezoid_dot(k_beta_alpha, alpha, n, h)
+                    + _trapezoid_dot(k_beta_iota, iota, n, h))
             # Age the cohorts still inside the grid by one cell; the rest
             # have left through theta_max.
             live = min(last, n_nodes - n) - first

@@ -297,6 +297,37 @@ class TestRunner:
         with pytest.raises(ConfigError, match="steady-scaled"):
             run_scenario(cfg, out_dir=tmp_path / "o")
 
+    def test_zero_steady_scaled_seed_with_lyapunov_rejected(self, tmp_path):
+        # d = 0 seeds zero densities, where the endemic L is infinite: the
+        # sweep stops before its first pass, not in the middle.
+        text = (TINY.replace("init.d_list = 10,100", "init.d_list = 10,0")
+                + "init.mode = steady-scaled\ntoggles.run_lyapunov = true\n")
+        cfg = load_config(write_cfg(tmp_path, text))
+        out = tmp_path / "o"
+        with pytest.raises(ConfigError, match="^init.d_list: .* d = 0 "):
+            run_scenario(cfg, out_dir=out)
+        assert not list(out.glob("run_d*.csv"))
+        report = run_scenario(replace(cfg, run_lyapunov=False), out_dir=out)
+        assert report.ok and (out / "run_d0.csv").is_file()
+
+    def test_repeated_d_label_rejected_before_any_pass(self, tmp_path, capsys):
+        # 10, 10.0 and 1e1 would all write run_d10.csv.
+        text = TINY.replace("init.d_list = 10,100", "init.d_list = 10,100,10.0,1e1")
+        out = tmp_path / "o"
+        code = cli.main(["run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: init.d_list lists d = 10 more than once" in captured.err
+        assert "run d=" not in captured.out
+        assert not list(out.glob("run_d*.csv"))
+
+    def test_repeated_label_check_reads_the_file_label(self, tmp_path, monkeypatch):
+        # The check and the file names share one label function.
+        monkeypatch.setattr(runner, "_d_label", lambda d: "same")
+        cfg = load_config(write_cfg(tmp_path, TINY))
+        with pytest.raises(ConfigError, match="d = same more than once"):
+            run_scenario(cfg, out_dir=tmp_path / "o")
+
     def test_steady_scaled_mode_runs(self, tmp_path):
         text = TINY + "init.mode = steady-scaled\ntoggles.run_lyapunov = true\n"
         cfg = load_config(write_cfg(tmp_path, text, name="lyap3.cfg"))
@@ -394,6 +425,16 @@ class TestCli:
         code = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error: S and V must be positive" in capsys.readouterr().err
+
+    def test_lyapunov_subcommand_rejects_a_zero_seed(self, tmp_path, capsys):
+        text = (TINY.replace("init.d_list = 10,100", "init.d_list = 0")
+                + "init.mode = steady-scaled\n")
+        cfg_path = write_cfg(tmp_path, text)
+        out = tmp_path / "o"
+        code = cli.main(["lyapunov", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert "error: init.d_list: " in capsys.readouterr().err
+        assert not list(out.glob("run_d*.csv"))
 
     def test_unstable_step_stops_before_r0(self, tmp_path, capsys):
         # At h * max exit rate >= 1 the scheme has no survival, so no r0:

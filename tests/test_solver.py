@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import band_density, make_constant_params, rate_profile, zero_density
 from sveair import reproduction as rep
 from sveair.errors import AbortedRunError, StabilityError
 from shift_reference import simulate_shift
-from sveair.grid import AgeProfile, Units, build_grid, constant_profile
+from sveair.grid import AgeGrid, AgeProfile, Units, build_grid, constant_profile
 from sveair.params import ParameterSet
 from sveair.scenarios import steady_initial_state
 from sveair.solver import (
@@ -51,6 +51,34 @@ class TestFunctionals:
         bounds = boundary_values(state, params)
         assert bounds.iota == 0.0
         assert bounds.alpha > 0.0
+
+
+# Cells of a random density: mostly exact zeros of either sign, else any
+# nonnegative float, subnormals included.
+_CELL = st.one_of(st.just(0.0), st.just(-0.0), st.floats(0.0, 1e300))
+
+
+class TestSupport:
+    @given(columns=st.integers(1, 40).flatmap(
+        lambda n: st.tuples(*[st.lists(_CELL, min_size=n, max_size=n)] * 3)))
+    @example(columns=([0.0] * 5, [0.0] * 5, [-0.0] * 5))            # all zero
+    @example(columns=([0.0, 0.0, 2.0, 0.0], [0.0] * 4, [0.0] * 4))  # one node
+    @example(columns=([1.0], [0.0], [0.0]))                          # one-node grid
+    @example(columns=([3.0, 0.0, 0.0], [0.0] * 3, [0.0, 0.0, 5e-324]))  # first and last
+    @example(columns=([-0.0, 0.0, 1.0, -0.0], [-0.0] * 4, [0.0, 7.0, 0.0, -0.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_nonzero_scan(self, columns):
+        # [first, last) runs from the first to one past the last node at
+        # which any density is nonzero; -0.0 counts as zero.
+        n = len(columns[0])
+        grid = AgeGrid(h=1.0, theta_max=float(max(n - 1, 1)), n_nodes=n)
+        e, a, i = (AgeProfile(grid, np.array(col), Units.DENSITY) for col in columns)
+        first, last = State(t=0.0, s=1.0, v=1.0, e=e, a=a, i=i).support()
+        nonzero = [j for j in range(n) if any(col[j] != 0.0 for col in columns)]
+        if nonzero:
+            assert (first, last) == (nonzero[0], nonzero[-1] + 1)
+        else:
+            assert first == last
 
 
 class TestAggregate:

@@ -1,5 +1,8 @@
 """Renewal-equation march and its agreement with the PDE scheme."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from sveair.errors import ParameterError
 from sveair.grid import AgeProfile, Units, build_grid, survival
 from sveair.params import ParameterSet
 from sveair.solver import State, simulate
+from sveair import volterra
 from sveair.volterra import solve_renewal
 
 
@@ -192,3 +196,26 @@ class TestSupportRestriction:
             assert mine[0] == ref[0]
             np.testing.assert_allclose(mine, ref, rtol=0.0,
                                        atol=1e-12 * float(np.max(np.abs(ref))))
+
+
+class TestIndependence:
+    def test_oracle_imports_none_of_the_stepper_machinery(self):
+        # The oracle shares the grid's exponential survival and the state
+        # type with the stepper, and nothing of its discretization: no
+        # scheme factors, block products, functionals or span sums.
+        tree = ast.parse(Path(volterra.__file__).read_text())
+        allowed = {"sveair.solver": {"State"}, "sveair.grid": {"survival"}}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not [alias.name for alias in node.names
+                            if alias.name in allowed or alias.name == "sveair"]
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                if node.module in allowed:
+                    assert names <= allowed[node.module], (node.module, names)
+                elif node.module == "sveair":
+                    assert not names & {"solver", "grid"}
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                assert not name.startswith("scheme_"), name
+                assert name not in {"block_products", "_functionals", "_span_dot"}, name
