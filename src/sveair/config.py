@@ -75,6 +75,37 @@ def _parse_float_list(key: str, text: str, lineno: int) -> tuple:
     return tuple(_parse_float(key, piece, lineno) for piece in items)
 
 
+def _choice(names: tuple):
+    """A parser that accepts exactly one of `names`."""
+
+    def parse(key: str, text: str, lineno: int) -> str:
+        if text not in names:
+            raise ConfigError(f"line {lineno}: {key} must be one of {names}, got {text!r}")
+        return text
+
+    return parse
+
+
+# Every key outside `params.*`: the ScenarioConfig field it sets and its parser.
+_KEYS = {
+    "scenario.builtin": ("builtin", _choice(BUILTIN_NAMES)),
+    "grid.h": ("h", _parse_float),
+    "grid.theta_max": ("theta_max", _parse_float),
+    "run.t_max": ("t_max", _parse_float),
+    "run.sample_every": ("sample_every", _parse_float),
+    "run.snapshot_times": ("snapshot_times", _parse_float_list),
+    "run.oracle_t_max": ("oracle_t_max", _parse_float),
+    "init.s0": ("s0", _parse_float),
+    "init.v0": ("v0", _parse_float),
+    "init.d_list": ("d_list", _parse_float_list),
+    "init.band": ("band", _parse_float_list),
+    "init.mode": ("init_mode", _choice(INIT_MODES)),
+    "toggles.run_oracle": ("run_oracle", _parse_bool),
+    "toggles.run_lyapunov": ("run_lyapunov", _parse_bool),
+    "output.dir": ("out_dir", lambda key, text, lineno: text),
+}
+
+
 def load_config(path) -> ScenarioConfig:
     """Parse and validate a scenario config file.
 
@@ -105,44 +136,9 @@ def load_config(path) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
 
-        if key == "scenario.builtin":
-            if value not in BUILTIN_NAMES:
-                raise ConfigError(
-                    f"line {lineno}: scenario.builtin must be one of {BUILTIN_NAMES}, got {value!r}"
-                )
-            cfg.builtin = value
-        elif key == "grid.h":
-            cfg.h = _parse_float(key, value, lineno)
-        elif key == "grid.theta_max":
-            cfg.theta_max = _parse_float(key, value, lineno)
-        elif key == "run.t_max":
-            cfg.t_max = _parse_float(key, value, lineno)
-        elif key == "run.sample_every":
-            cfg.sample_every = _parse_float(key, value, lineno)
-        elif key == "run.snapshot_times":
-            cfg.snapshot_times = _parse_float_list(key, value, lineno)
-        elif key == "run.oracle_t_max":
-            cfg.oracle_t_max = _parse_float(key, value, lineno)
-        elif key == "init.s0":
-            cfg.s0 = _parse_float(key, value, lineno)
-        elif key == "init.v0":
-            cfg.v0 = _parse_float(key, value, lineno)
-        elif key == "init.d_list":
-            cfg.d_list = _parse_float_list(key, value, lineno)
-        elif key == "init.band":
-            cfg.band = _parse_float_list(key, value, lineno)
-        elif key == "init.mode":
-            if value not in INIT_MODES:
-                raise ConfigError(
-                    f"line {lineno}: init.mode must be one of {INIT_MODES}, got {value!r}"
-                )
-            cfg.init_mode = value
-        elif key == "toggles.run_oracle":
-            cfg.run_oracle = _parse_bool(key, value, lineno)
-        elif key == "toggles.run_lyapunov":
-            cfg.run_lyapunov = _parse_bool(key, value, lineno)
-        elif key == "output.dir":
-            cfg.out_dir = value
+        if key in _KEYS:
+            name, parse = _KEYS[key]
+            setattr(cfg, name, parse(key, value, lineno))
         elif key.startswith("params."):
             name = key[len("params."):]
             if name in _SCALAR_OVERRIDES:

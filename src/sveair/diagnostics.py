@@ -146,7 +146,8 @@ class LyapunovEvaluator:
     def __call__(self, s, v, e, a, i) -> float:
         steady = self.steady
         if s <= 0.0 or (v <= 0.0 and steady.v_star > 0.0):
-            raise LyapunovDomainError(f"S and V must be positive, got S={s}, V={v}")
+            raise LyapunovDomainError(f"S and V must be positive, got S={s}, V={v}",
+                                      scalars=True)
         total = steady.s_star * entropy_f(s / steady.s_star)
         # Without vaccination V* = 0, and V* f(V / V*) tends to V.
         total += steady.v_star * entropy_f(v / steady.v_star) if steady.v_star > 0.0 else v
@@ -160,8 +161,7 @@ class LyapunovEvaluator:
                 raise LyapunovDomainError(
                     "state density is nonpositive at a weighted node; the endemic "
                     "Lyapunov function is infinite there (seed strictly positive "
-                    "densities, e.g. steady-scaled initial data)"
-                )
+                    "densities, e.g. steady-scaled initial data)", scalars=False)
             total += self.grid.h * float(weight @ entropy_f(dens / star))
         return total
 

@@ -34,7 +34,16 @@ class AbortedRunError(SveairError):
 
 
 class LyapunovDomainError(SveairError):
-    """A Lyapunov evaluation hit a nonpositive argument of x - 1 - ln(x)."""
+    """A Lyapunov evaluation hit a nonpositive argument of x - 1 - ln(x).
+
+    Attributes:
+        scalars: True when S or V is outside the domain, False when an age
+            density is.
+    """
+
+    def __init__(self, message: str, scalars: bool):
+        super().__init__(message)
+        self.scalars = scalars
 
 
 class ConfigError(SveairError):

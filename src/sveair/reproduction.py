@@ -39,9 +39,6 @@ class R0Breakdown:
     r_i: float
     prefactor: float
     r0: float
-    # log10 of the bound on the relative mass ignored beyond theta_max (a
-    # logarithm because the bound itself underflows for realistic rates).
-    log10_truncation_tail: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,30 +97,17 @@ def r0_prefactor(params: ParameterSet) -> float:
 
 
 def compute_R0(params: ParameterSet, blocks: _Kernels | None = None) -> R0Breakdown:
-    """R0 with its factors and the theta_max truncation bound.
+    """R0 with its factors.
 
     r_a is the asymptomatic-route factor, r_i the symptomatic one (direct
-    plus via-asymptomatic). The truncated tails of all reproduction
-    integrals are bounded relative to the computed values by
-    exp(-r_min * theta_max): every integrand carries the survival factor
-    of its disease stage, and r_min is the smallest age-minimum of the
-    three stage exit rates (death included). The bound is reported as its
-    base-10 logarithm.
+    plus via-asymptomatic).
     """
     blocks = kernels(params) if blocks is None else blocks
     r_a = blocks.latent_to_asym * blocks.infectivity_a
     bracket = blocks.latent_to_symp + blocks.latent_to_asym * blocks.asym_to_symp
     r_i = bracket * blocks.infectivity_i
     prefactor = r0_prefactor(params)
-    r_min = min(
-        float(params.exit_rate_e.min()),
-        float(params.exit_rate_a.min()),
-        float(params.exit_rate_i.min()),
-    )
-    return R0Breakdown(
-        r_a=r_a, r_i=r_i, prefactor=prefactor, r0=prefactor * (r_a + r_i),
-        log10_truncation_tail=-r_min * params.grid.theta_max / math.log(10.0),
-    )
+    return R0Breakdown(r_a=r_a, r_i=r_i, prefactor=prefactor, r0=prefactor * (r_a + r_i))
 
 
 def quadratic_coefficients(params: ParameterSet, r_sum: float) -> tuple[float, float, float]:

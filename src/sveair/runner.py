@@ -11,7 +11,9 @@ and writes the CSV products:
 
 Each initial condition is simulated once; the oracle window is a prefix of
 that pass's per-step force of infection, and the Lyapunov series comes from
-its observer, an evaluator built once per scenario.
+its observer, an evaluator built once per scenario. That evaluator also
+takes L of every seed before the first pass, so a seed outside its domain
+stops the sweep before any run file is written.
 
 Runs execute sequentially in d-order; all sums have fixed order, so
 identical configs give byte-identical files.
@@ -19,7 +21,6 @@ identical configs give byte-identical files.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from sveair import diagnostics, reproduction, scenarios, volterra
 from sveair.config import ScenarioConfig, check_on_grid
-from sveair.errors import AbortedRunError, ConfigError
+from sveair.errors import AbortedRunError, ConfigError, LyapunovDomainError
 from sveair.grid import AgeGrid, build_grid, constant_profile, load_profile_csv
 from sveair.io import format_value, write_csv
 from sveair.params import PROFILE_UNITS, ParameterSet
@@ -93,8 +94,7 @@ class ExitReport:
         bd = self.breakdown
         out = [
             f"r0 = {bd.r0:.6g} (r_a={bd.r_a:.6g}, r_i={bd.r_i:.6g}, "
-            f"prefactor={bd.prefactor:.6g}; "
-            f"truncation tail < 1e{math.ceil(bd.log10_truncation_tail)})",
+            f"prefactor={bd.prefactor:.6g})",
             f"beta* = {self.beta_star:.6g}",
         ]
         for run in self.runs:
@@ -171,6 +171,19 @@ def _write_lyapunov(out_dir: Path, label: str, times: list, values: list) -> Non
     )
 
 
+def _check_seed(evaluator: diagnostics.LyapunovEvaluator, mode: str, label: str,
+                init: State) -> None:
+    """Evaluate L once on a seed, so that a seed outside its domain stops
+    the sweep before any pass, with a ConfigError naming the key."""
+    try:
+        evaluator(init.s, init.v, init.e.values, init.a.values, init.i.values)
+    except LyapunovDomainError as exc:
+        if exc.scalars:
+            raise ConfigError(f"{exc} (init.s0, init.v0)") from exc
+        raise ConfigError(f"init.d_list: the {mode} seed d = {label} is outside "
+                          f"the Lyapunov domain: {exc}") from exc
+
+
 def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ExitReport:
     """Execute a scenario end to end, writing all configured products."""
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
@@ -181,16 +194,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ExitReport:
     if cfg.r0_only:
         return ExitReport(breakdown=breakdown, beta_star=steady.beta_star, runs=(), ok=True)
 
-    if cfg.init_mode == "steady-scaled" and steady.kind != reproduction.ENDEMIC:
-        raise ConfigError("init.mode=steady-scaled requires an endemic scenario (r0 > 1)")
-    if cfg.run_lyapunov and steady.kind == reproduction.ENDEMIC and cfg.init_mode == "band":
-        raise ConfigError(
-            "the endemic Lyapunov function is infinite for band-seeded initial data "
-            "(zero density at weighted ages); use init.mode=steady-scaled"
-        )
-    if cfg.run_lyapunov and cfg.init_mode == "steady-scaled" and 0.0 in cfg.d_list:
-        raise ConfigError("init.d_list: the endemic Lyapunov function is infinite for the "
-                          "zero steady-scaled seed d = 0 (zero densities); use d > 0")
     window = min(cfg.oracle_t_max, cfg.t_max)
     if cfg.run_oracle:
         if window > volterra.T_MAX_CAP:
@@ -200,10 +203,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ExitReport:
         check_on_grid("run.oracle_t_max", window, cfg.h)
 
     evaluator = diagnostics.LyapunovEvaluator(params, steady) if cfg.run_lyapunov else None
+    states = initial_states(cfg, params, steady)
+    if evaluator is not None:
+        for label, init in states:
+            _check_seed(evaluator, cfg.init_mode, label, init)
 
     summaries = []
     ok = True
-    for label, init in initial_states(cfg, params, steady):
+    for label, init in states:
         times, values = [], []
         try:
             result = simulate(

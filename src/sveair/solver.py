@@ -33,9 +33,9 @@ weight * Q, with the weights from `ParameterSet.flux_rows`,
 summed over the live spans, give the force of infection, the two boundary
 integrals and the recovered flux together, and sample masses are
 h * (Q[c] @ u[c]) over the same spans. The densities are rebuilt as Q * u
-only where they are read: the snapshots and the final state on the live
-spans, with an exact 0 written elsewhere, and the observer on the leading
-nodes it declares (all J unless it says fewer).
+only where they are read: the snapshots and the final state on all J
+nodes (off the live spans u, and so Q * u, is an exact +-0), and the
+observer on the leading nodes it declares (all J unless it says fewer).
 
 At t = 0 the force of infection and the renewal integrals are instead the
 unscaled dot products of the given densities, the arithmetic of
@@ -230,18 +230,6 @@ def _span_dot(matrix: np.ndarray, row: np.ndarray, spans) -> np.ndarray:
     return total
 
 
-def _rebuild(q: np.ndarray, window: np.ndarray, spans, out: np.ndarray) -> np.ndarray:
-    """Densities Q * u into out: multiplied on the live spans, an exact 0
-    written elsewhere (where u is 0). out may be q itself."""
-    done = 0
-    for low, high in spans:
-        out[:, done:low] = 0.0
-        np.multiply(q[:, low:high], window[:, low:high], out=out[:, low:high])
-        done = high
-    out[:, done:] = 0.0
-    return out
-
-
 def _kernel(q_row: np.ndarray, *weights: np.ndarray) -> np.ndarray:
     """Flux rows weight * Q of one compartment, stacked for one matrix-vector product."""
     out = np.empty((len(weights), q_row.shape[0]))
@@ -370,7 +358,7 @@ def simulate(
             if theta is None:
                 theta = grid.nodes
                 theta.flags.writeable = False
-            e, a, i = _rebuild(q, window, spans, np.empty((3, n_nodes)))
+            e, a, i = q * window
             snapshots.append(DensitySnapshot(t=t, theta=theta, e=e, a=a, i=i))
         if n == n_steps:
             break
@@ -389,9 +377,9 @@ def simulate(
         frame[2, start] = iota
 
     # The kernels go before the final densities are rebuilt in Q's place;
-    # the loop ended at n = n_steps, so window and spans are the final ones.
+    # the loop ended at n = n_steps, so window is the final one.
     del kernel_e, kernel_a, kernel_i
-    e, a, i = _rebuild(q, window, spans, out=q)
+    e, a, i = np.multiply(q, window, out=q)
     cols = np.array(samples, dtype=np.float64).T
     timeseries = TimeSeries(
         t=cols[0], s=cols[1], v=cols[2], e=cols[3], a=cols[4], i=cols[5],

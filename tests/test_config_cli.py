@@ -1,17 +1,19 @@
 """Config parsing, the runner's file products, and the CLI."""
 
+import re
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contact_labeling import contact_labeling_outcomes, write_contact_labeling_report
-from sveair import cli, diagnostics, io, runner, volterra
+from sveair import cli, config, diagnostics, io, reproduction, runner, volterra
 from sveair.config import load_config
-from sveair.errors import ConfigError
+from sveair.errors import ConfigError, LyapunovDomainError
 from sveair.io import format_value, read_csv, write_csv
 from sveair.runner import build_model, run_scenario
 from sveair.solver import simulate
@@ -92,6 +94,32 @@ class TestLoadConfig:
     def test_empty_d_list_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="d_list"):
             load_config(write_cfg(tmp_path, "init.d_list = ,\n"))
+
+    @pytest.mark.parametrize("key, choices", [
+        ("scenario.builtin", "('table2-c1', 'table2-c2')"),
+        ("init.mode", "('band', 'steady-scaled', 'steady')")])
+    def test_choice_key_names_its_choices(self, tmp_path, key, choices):
+        with pytest.raises(ConfigError) as info:
+            load_config(write_cfg(tmp_path, f"# header\n{key} = bogus\n"))
+        assert str(info.value) == f"line 2: {key} must be one of {choices}, got 'bogus'"
+
+    def test_readme_config_block_lists_the_key_table(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        keys = [line.split(" = ")[0] for line in block.splitlines() if line[:1].isalpha()]
+        assert sorted(key for key in keys if not key.startswith("params.")) == sorted(
+            config._KEYS)
+        # The params.* lines name the override tables in their comments.
+        params_text = block[block.index("params."):]
+        comments = " ".join(line.partition("#")[2].strip() for line in params_text.splitlines())
+        for label, names in (("scalar", config._SCALAR_OVERRIDES),
+                             ("profile", config._PROFILE_OVERRIDES)):
+            listed = re.search(rf"{label} overrides: ([\w ]+?) \(", comments).group(1)
+            assert tuple(listed.split()) == names
+        for key in keys:
+            if key.startswith("params."):
+                assert key[len("params."):] in (
+                    config._SCALAR_OVERRIDES + config._PROFILE_OVERRIDES)
 
 
 class TestCsvRoundTrip:
@@ -310,6 +338,82 @@ class TestRunner:
         report = run_scenario(replace(cfg, run_lyapunov=False), out_dir=out)
         assert report.ok and (out / "run_d0.csv").is_file()
 
+    def test_underflowing_seed_later_in_the_sweep_stops_it_before_any_pass(self, tmp_path):
+        # d = 1e-300 scales the steady densities to exact zeros at old
+        # weighted ages; the earlier seed d = 10 is fine.
+        text = (TINY.replace("init.d_list = 10,100", "init.d_list = 10,1e-300")
+                + "init.mode = steady-scaled\ntoggles.run_lyapunov = true\n")
+        out = tmp_path / "o"
+        with pytest.raises(ConfigError, match="^init.d_list: .* d = 1e-300 "):
+            run_scenario(load_config(write_cfg(tmp_path, text)), out_dir=out)
+        assert not (out / "run_d10.csv").exists()
+        assert not (out / "lyapunov_d10.csv").exists()
+
+    def test_band_over_every_weighted_node_is_monitored(self, tmp_path):
+        # The band covers the whole 720-day grid, so the endemic L is finite.
+        text = (TINY.replace("init.band = 100,300", "init.band = 0,721")
+                .replace("run.t_max = 10", "run.t_max = 200")
+                + "toggles.run_lyapunov = true\n")
+        out = tmp_path / "o"
+        code = cli.main(["run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)])
+        assert code == 0
+        for label in ("10", "100"):
+            _, cols = read_csv(out / f"lyapunov_d{label}.csv")
+            assert cols[0][-1] == 200.0 and np.all(np.isfinite(cols[1]))
+            assert not cols[3].any()
+
+    @given(
+        case=st.sampled_from([("table2-c2", "band"), ("table2-c2", "steady-scaled"),
+                              ("table2-c2", "steady"), ("disease-free", "band")]),
+        d_list=st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e-250]),
+                                  st.integers(-323, 7).map(lambda k: 10.0 ** k),
+                                  st.floats(0.0, 1e7)),
+                        min_size=1, max_size=2, unique_by=runner._d_label),
+        # Half-day nodes; a band from node 0 over 1442 nodes covers the grid.
+        low=st.one_of(st.just(0), st.integers(0, 1440)),
+        width=st.one_of(st.just(1442), st.integers(1, 1500)),
+        s0=st.one_of(st.just(0.0), st.floats(1e-300, 1e8)),
+        v0=st.one_of(st.just(0.0), st.floats(1e-300, 1e8)),
+    )
+    @example(case=("table2-c2", "band"), d_list=[10.0], low=0, width=1442, s0=2e7, v0=2e7)
+    @example(case=("table2-c2", "steady-scaled"), d_list=[10.0, 1e-300], low=0, width=1,
+             s0=2e7, v0=2e7)
+    @example(case=("table2-c2", "steady-scaled"), d_list=[10.0, 1e-200], low=0, width=1,
+             s0=2e7, v0=2e7)
+    @example(case=("disease-free", "band"), d_list=[0.0, 10.0], low=200, width=400,
+             s0=2e7, v0=2e7)
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_refused_before_any_pass_exactly_when_l_of_a_seed_raises(
+            self, tmp_path_factory, case, d_list, low, width, s0, v0):
+        tmp_path = tmp_path_factory.mktemp("verdict")
+        builtin, mode = case
+        text = TINY.replace("run.t_max = 10", "run.t_max = 5")
+        if builtin == "disease-free":
+            # Tiny transmission puts r0 below 1 on the 720-day grid.
+            beta_csv = write_cfg(tmp_path, "age_days,value\n0,1e-12\n720,1e-12\n", "beta.csv")
+            text += f"params.beta_a_csv = {beta_csv}\nparams.beta_i_csv = {beta_csv}\n"
+        cfg = replace(load_config(write_cfg(tmp_path, text)), init_mode=mode,
+                      d_list=tuple(d_list), band=(0.5 * low, 0.5 * (low + width)),
+                      s0=s0, v0=v0, run_lyapunov=True)
+        _, params = build_model(cfg)
+        _, steady = reproduction.matching_steady_state(params)
+        evaluator = diagnostics.LyapunovEvaluator(params, steady)
+        raises = False
+        for _, init in runner.initial_states(cfg, params, steady):
+            try:
+                evaluator(init.s, init.v, init.e.values, init.a.values, init.i.values)
+            except LyapunovDomainError:
+                raises = True
+        out = tmp_path / "o"
+        if raises:
+            with pytest.raises(ConfigError):
+                run_scenario(cfg, out_dir=out)
+            assert not list(out.glob("run_d*.csv")) and not list(out.glob("lyapunov_*.csv"))
+        else:
+            report = run_scenario(cfg, out_dir=out)
+            assert report.ok
+            assert len(list(out.glob("lyapunov_*.csv"))) == len(report.runs)
+
     def test_repeated_d_label_rejected_before_any_pass(self, tmp_path, capsys):
         # 10, 10.0 and 1e1 would all write run_d10.csv.
         text = TINY.replace("init.d_list = 10,100", "init.d_list = 10,100,10.0,1e1")
@@ -419,7 +523,7 @@ class TestCli:
         assert (out / "oracle_compare_d100.csv").is_file()
 
     def test_lyapunov_domain_error_is_reported(self, tmp_path, capsys):
-        # V = 0 at t = 0 puts the first Lyapunov sample outside the domain.
+        # V = 0 puts every seed outside the domain; the sweep stops before its first pass.
         text = TINY + "init.mode = steady-scaled\ninit.v0 = 0\ntoggles.run_lyapunov = true\n"
         cfg_path = write_cfg(tmp_path, text)
         code = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
@@ -434,6 +538,17 @@ class TestCli:
         code = cli.main(["lyapunov", "--config", str(cfg_path), "--out", str(out)])
         assert code == 2
         assert "error: init.d_list: " in capsys.readouterr().err
+        assert not list(out.glob("run_d*.csv"))
+
+    def test_underflowing_steady_scaled_seed_stops_before_any_pass(self, tmp_path, capsys):
+        text = (TINY.replace("init.d_list = 10,100", "init.d_list = 1e-300")
+                .replace("run.t_max = 10", "run.t_max = 20")
+                + "init.mode = steady-scaled\ntoggles.run_lyapunov = true\n")
+        out = tmp_path / "o"
+        code = cli.main(["run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)])
+        assert code == 2
+        assert "error: init.d_list: the steady-scaled seed d = 1e-300 " in (
+            capsys.readouterr().err)
         assert not list(out.glob("run_d*.csv"))
 
     def test_unstable_step_stops_before_r0(self, tmp_path, capsys):

@@ -1,7 +1,5 @@
 """Reproduction numbers, the endemic quadratic, and steady states."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +15,6 @@ from conftest import (
 from sveair import reproduction as rep
 from sveair.errors import StabilityError
 from sveair.grid import build_grid, survival
-from sveair.runner import ExitReport
 from sveair.solver import boundary_values, force_of_infection
 from sveair import scenarios as sc
 from sveair.scenarios import steady_initial_state
@@ -112,17 +109,6 @@ class TestR0:
         r_base = rep.compute_R0(make_constant_params(grid, beta_a=beta_a)).r0
         r_more = rep.compute_R0(make_constant_params(grid, beta_a=beta_a * scale)).r0
         assert r_more >= r_base * (1.0 - 1e-12)
-
-    def test_builtin_truncation_bound(self):
-        # The slowest stage exit of the built-ins is symptomatic recovery
-        # plus death, 1/14 + mu per day: exp(-(1/14 + mu) * 32400) ~ 1e-1006.
-        grid = build_grid(0.5, 90 * 360.0)
-        bd = rep.compute_R0(sc.builtin_scenario("table2-c2", grid))
-        expected = -(sc.GAMMA_I + sc.MU) * 90 * 360.0 / math.log(10.0)
-        assert bd.log10_truncation_tail == pytest.approx(expected, rel=1e-12)
-        assert -1006.0 < bd.log10_truncation_tail < -1005.0
-        report = ExitReport(breakdown=bd, beta_star=0.0, runs=(), ok=True)
-        assert "truncation tail < 1e-1005)" in report.lines()[0]
 
     def test_grid_refinement_first_order(self):
         values = {}
