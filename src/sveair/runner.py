@@ -22,6 +22,7 @@ identical configs give byte-identical files.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from sveair import diagnostics, reproduction, scenarios, volterra
 from sveair.config import ScenarioConfig, check_on_grid
 from sveair.errors import AbortedRunError, ConfigError, LyapunovDomainError
 from sveair.grid import AgeGrid, build_grid, constant_profile, load_profile_csv
-from sveair.io import format_value, write_csv
+from sveair.io import format_column, format_value, write_csv
 from sveair.params import PROFILE_UNITS, ParameterSet
 from sveair.solver import State, simulate
 
@@ -124,17 +125,18 @@ def _write_timeseries(path: Path, ts) -> None:
     )
 
 
-def _write_snapshots(out_dir: Path, label: str, ts, cfg: ScenarioConfig) -> None:
+def _write_snapshots(out_dir: Path, label: str, ts, cfg: ScenarioConfig, theta) -> None:
     # Each file is named after its configured time, not the step time n * h
     # that the snapshot carries: 3 * 0.1 is 0.30000000000000004. Every
-    # initial state starts at t = 0.
+    # initial state starts at t = 0. theta() gives the formatted age column,
+    # the grid's nodes, which every snapshot carries.
     requested = {}
     for time in cfg.snapshot_times:
         requested.setdefault(round(time / cfg.h), time)
     for snap in ts.snapshots:
         name = f"snapshot_d{label}_t{format_value(requested[round(snap.t / cfg.h)])}.csv"
         write_csv(out_dir / name, ["theta", "e", "a", "i"],
-                  [snap.theta, snap.e, snap.a, snap.i])
+                  [theta(), snap.e, snap.a, snap.i])
 
 
 def _oracle_compare(out_dir: Path, label: str, init: State, params, window, result) -> None:
@@ -208,6 +210,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ExitReport:
         for label, init in states:
             _check_seed(evaluator, cfg.init_mode, label, init)
 
+    # The age column of every snapshot of every mass, formatted at the first.
+    theta = cache(lambda: format_column(grid.nodes))
     summaries = []
     ok = True
     for label, init in states:
@@ -223,7 +227,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ExitReport:
             ok = False
             continue
         _write_timeseries(out / f"run_d{label}.csv", result.timeseries)
-        _write_snapshots(out, label, result.timeseries, cfg)
+        _write_snapshots(out, label, result.timeseries, cfg, theta)
         if cfg.run_oracle:
             _oracle_compare(out, label, init, params, window, result)
         if evaluator is not None:

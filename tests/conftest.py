@@ -104,8 +104,9 @@ def rate_profile(rng, grid, top, units):
     """Constant or piecewise-constant profile with values in [0, top]."""
     if rng.random() < 0.5:
         return constant_profile(grid, rng.uniform(0.0, top), units)
-    cuts = np.sort(rng.choice(np.arange(1, grid.n_nodes), size=rng.integers(1, 4),
-                              replace=False))
+    # At most n_nodes - 1 cuts fit: a two-node grid has room for one.
+    cuts = np.sort(rng.choice(np.arange(1, grid.n_nodes),
+                              size=rng.integers(1, min(4, grid.n_nodes)), replace=False))
     pieces = rng.uniform(0.0, top, cuts.size + 1)
     return AgeProfile(grid, pieces[np.searchsorted(cuts, np.arange(grid.n_nodes),
                                                    side="right")], units)

@@ -1,6 +1,7 @@
 """Config parsing, the runner's file products, and the CLI."""
 
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -122,6 +123,17 @@ class TestLoadConfig:
                     config._SCALAR_OVERRIDES + config._PROFILE_OVERRIDES)
 
 
+def _block_edge_shapes(min_length):
+    """(n_cols, length) of a CSV of one to four columns, with a length at or
+    across the block edges of a file with that many columns."""
+    def lengths(n_cols):
+        rows = io._BLOCK_CELLS // n_cols
+        candidates = [0, 1, rows - 1, rows, rows + 1, 3 * rows + 17]
+        return st.tuples(st.just(n_cols),
+                         st.sampled_from([k for k in candidates if k >= min_length]))
+    return st.integers(1, 4).flatmap(lengths)
+
+
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -140,13 +152,12 @@ class TestCsvRoundTrip:
         raw = path.read_bytes()
         assert b"\r" not in raw
 
-    @given(length=st.sampled_from([0, 1, io._BLOCK_ROWS - 1, io._BLOCK_ROWS,
-                                   io._BLOCK_ROWS + 1, 3 * io._BLOCK_ROWS + 17]),
-           n_cols=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+    @given(shape=_block_edge_shapes(0), seed=st.integers(0, 2**32 - 1),
            planted=st.lists(st.floats(), max_size=20))
     @settings(max_examples=60, deadline=None)
-    def test_matches_row_by_row_format_value(self, tmp_path_factory, length, n_cols,
-                                             seed, planted):
+    def test_matches_row_by_row_format_value(self, tmp_path_factory, shape, seed, planted):
+        n_cols, length = shape
+        rows_per_block = io._BLOCK_CELLS // n_cols
         rng = np.random.default_rng(seed)
         special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310,
                             2.2250738585072014e-308, 1e16, -1e16, 1e16 - 2.0,
@@ -164,10 +175,10 @@ class TestCsvRoundTrip:
             # Exact zeros of either sign over whole blocks, and a zero run
             # that straddles a block edge.
             signed_zeros = rng.choice([0.0, -0.0], length)
-            block = np.arange(length) // io._BLOCK_ROWS
+            block = np.arange(length) // rows_per_block
             col = np.where(rng.random(block.max(initial=0) + 1)[block] < 0.4, signed_zeros, col)
-            if length > io._BLOCK_ROWS:
-                edge = io._BLOCK_ROWS * int(rng.integers(1, (length - 1) // io._BLOCK_ROWS + 1))
+            if length > rows_per_block:
+                edge = rows_per_block * int(rng.integers(1, (length - 1) // rows_per_block + 1))
                 low, high = edge - int(rng.integers(1, 40)), edge + int(rng.integers(1, 40))
                 col[low:high] = signed_zeros[low:high]
             cols.append(col)
@@ -176,9 +187,11 @@ class TestCsvRoundTrip:
                 cols[rng.integers(n_cols)][rng.integers(length)] = value
             if rng.random() < 0.3:
                 cols[0] = rng.integers(-2**62, 2**62, size=length)
+        # Some columns arrive formatted, as the runner's age column does.
+        given_cols = [io.format_column(col) if rng.random() < 0.3 else col for col in cols]
         header = [f"c{j}" for j in range(n_cols)]
         path = tmp_path_factory.getbasetemp() / "row_by_row.csv"
-        write_csv(path, header, cols)
+        write_csv(path, header, given_cols)
         want = ",".join(header) + "\n" + "".join(
             ",".join(map(format_value, row)) + "\n" for row in zip(*cols))
         assert path.read_bytes() == want.encode()
@@ -198,15 +211,15 @@ class TestCsvRoundTrip:
         [5e-324, -5e-324, 1e-310, 2.225073858507201e-308],
     )
 
-    # About 0.3 s for the 60 examples on a 2-vCPU machine.
-    @given(length=st.sampled_from([1, io._BLOCK_ROWS - 1, io._BLOCK_ROWS,
-                                   io._BLOCK_ROWS + 1, 3 * io._BLOCK_ROWS + 17]),
-           n_cols=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    # About 3 s for the 60 examples on a 2-vCPU machine.
+    @given(shape=_block_edge_shapes(1), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_repeated_values_match_row_by_row_format_value(self, tmp_path_factory, length,
-                                                           n_cols, seed):
+    def test_repeated_values_match_row_by_row_format_value(self, tmp_path_factory, shape,
+                                                           seed):
         # Each block of a pooled column draws its cells from a few groups;
         # the other columns hold random bit patterns, mostly distinct.
+        n_cols, length = shape
+        rows_per_block = io._BLOCK_CELLS // n_cols
         rng = np.random.default_rng(seed)
         jittered = rng.standard_normal(3) * 10.0 ** rng.integers(-30, 30, 3)
         groups = self.GROUPS + (list(np.concatenate(
@@ -218,8 +231,8 @@ class TestCsvRoundTrip:
                             .view(np.float64))
                 continue
             col = np.empty(length)
-            for low in range(0, length, io._BLOCK_ROWS):
-                block = col[low:low + io._BLOCK_ROWS]
+            for low in range(0, length, rows_per_block):
+                block = col[low:low + rows_per_block]
                 chosen = rng.choice(len(groups), size=int(rng.integers(1, 4)), replace=False)
                 values = np.concatenate([groups[k] for k in chosen])
                 block[:] = values[rng.integers(values.size, size=block.size)]
@@ -230,6 +243,44 @@ class TestCsvRoundTrip:
         want = ",".join(header) + "\n" + "".join(
             ",".join(map(format_value, row)) + "\n" for row in zip(*cols))
         assert path.read_bytes() == want.encode()
+
+    def test_formatted_column_beside_special_values(self, tmp_path):
+        # A formatted column is copied as it is, next to zeros of both
+        # signs, NaNs, both infinities and integers on either side of 1e16,
+        # formatted here or on the way in.
+        special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e16 - 2.0,
+                            1e16, 1e16 + 2.0, -1e16, -1e16 - 2.0, 0.30000000000000004])
+        theta = np.arange(special.size) * 0.1
+        cols = [theta, special, special[::-1]]
+        path = tmp_path / "formatted.csv"
+        write_csv(path, ["theta", "x", "y"],
+                  [io.format_column(theta), special, io.format_column(special[::-1])])
+        want = "theta,x,y\n" + "".join(
+            ",".join(map(format_value, row)) + "\n" for row in zip(*cols))
+        assert path.read_bytes() == want.encode()
+
+    # The writer's transient peak as tracemalloc sees it, numpy's buffers
+    # included: 1.4 and 1.0 MiB for the two cases below with 8,192-cell
+    # blocks. Formatting a whole 3001 x 12 file at once is estimated at
+    # about 7 MB, and a whole snapshot at tens of MB.
+    TRANSIENT_BOUND = 4 * 2**20
+
+    @pytest.mark.parametrize("rows, n_cols", [(3001, 12), (129_601, 4)])
+    def test_transient_memory_is_bounded(self, tmp_path, rows, n_cols):
+        # Distinct values throughout: the run-file shape of a c2 sweep, and
+        # a J = 129,601 snapshot whose age column arrives formatted.
+        rng = np.random.default_rng(5)
+        cols = [rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+                for _ in range(n_cols)]
+        if n_cols == 4:
+            cols[0] = io.format_column(np.arange(rows) * 0.25)
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "distinct.csv", [f"c{j}" for j in range(n_cols)], cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.TRANSIENT_BOUND
 
 
 class TestRunner:
@@ -258,7 +309,11 @@ class TestRunner:
         # Band-seeded densities are mostly exact zeros and a few values
         # repeated over whole age groups, some a few ulps apart: the data
         # that formatting each distinct value once is for.
-        text = TINY.replace("run.snapshot_times = 5", "run.snapshot_times = 0,5,10")
+        # A 30-year grid, so every density column spans more than five
+        # blocks of a four-column file.
+        text = (TINY.replace("run.snapshot_times = 5", "run.snapshot_times = 0,5,10")
+                .replace("grid.theta_max = 720      # two 360-day years of age",
+                         "grid.theta_max = 10800"))
         cfg = load_config(write_cfg(tmp_path, text))
         results = []
 
@@ -276,7 +331,7 @@ class TestRunner:
             for snap in result.timeseries.snapshots:
                 columns = (snap.theta, snap.e, snap.a, snap.i)
                 for density in columns[1:]:
-                    assert density.size > 5 * io._BLOCK_ROWS
+                    assert density.size > 5 * (io._BLOCK_CELLS // 4)
                     distinct = np.unique(density)
                     assert distinct.size < density.size / 40
                     near_ties += int(np.sum(np.diff(distinct)[1:] <= 4 * np.spacing(distinct[2:])))
@@ -285,6 +340,46 @@ class TestRunner:
                 path = out / f"snapshot_d{label}_t{format_value(snap.t)}.csv"
                 assert path.read_bytes() == want.encode()
         assert near_ties > 0
+
+    def test_age_column_formatted_once_per_scenario(self, tmp_path, monkeypatch):
+        text = TINY.replace("run.snapshot_times = 5", "run.snapshot_times = 0,5,10")
+        calls = []
+
+        def counting_format_column(values):
+            calls.append(np.array(values))
+            return io.format_column(values)
+
+        monkeypatch.setattr(runner, "format_column", counting_format_column)
+        out = tmp_path / "o"
+        cfg = load_config(write_cfg(tmp_path, text))
+        assert run_scenario(cfg, out_dir=out).ok
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], build_model(cfg)[0].nodes)
+        # Two masses with three snapshots each share one age column.
+        files = sorted(out.glob("snapshot_d*_t*.csv"))
+        assert len(files) == 6
+        thetas = {tuple(line.split(b",", 1)[0] for line in path.read_bytes().splitlines())
+                  for path in files}
+        assert len(thetas) == 1
+
+    def test_readme_outputs_table_matches_the_written_headers(self, tmp_path):
+        text = (TINY + "init.mode = steady-scaled\ntoggles.run_oracle = true\n"
+                "toggles.run_lyapunov = true\n")
+        out = tmp_path / "o"
+        assert run_scenario(load_config(write_cfg(tmp_path, text)), out_dir=out).ok
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Outputs\n", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|$", section, re.M)
+        headers = {path.name: path.read_text().split("\n", 1)[0] for path in out.glob("*.csv")}
+        described = set()
+        for name, columns in rows:
+            pattern = re.escape(name).replace("<d>", "[^_]+").replace("<t>", "[^_]+")
+            files = [file for file in headers if re.fullmatch(pattern, file)]
+            assert files, name
+            for file in files:
+                assert headers[file] == columns, file
+            described.update(files)
+        assert described == set(headers)
 
     def test_r0_only(self, tmp_path):
         cfg = replace(load_config(write_cfg(tmp_path, TINY, name="r0only.cfg")), r0_only=True)
