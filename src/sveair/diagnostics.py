@@ -7,11 +7,12 @@ integrates x - 1 - ln(x) of the density ratios against steady-state tail
 masses, and monotonicity of a sampled Lyapunov series is asserted up to a
 tolerance tied to its magnitude.
 
-The weights decay with the scheme's own factors, and the steady states of
-`reproduction` are built on the scheme's own survival, so the Lyapunov
-reference and `convergence_metric` both measure against the state the
-stepper converges to. Each tail is computed once, by `_backward_tail`: a
-steady density c* decays with the same factors, so the endemic ratio
+The weights are the scheme's own tails (`grid.scheme_tail`), and the
+steady states of `reproduction` are built on the scheme's own survival
+(`grid.scheme_survival`), so the Lyapunov reference and
+`convergence_metric` both measure against the state the stepper converges
+to. This module forms no decay factor itself. Each tail is computed once:
+a steady density c* decays with the same factors, so the endemic ratio
 weights are c* * f_c.
 """
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sveair.errors import LyapunovDomainError
-from sveair.grid import block_products, rect_integral, scheme_factors
+from sveair.grid import rect_integral, scheme_tail
 from sveair.params import ParameterSet
 from sveair.reproduction import ENDEMIC, SteadyState
 from sveair.solver import State, simulate
@@ -48,52 +49,22 @@ class LyapunovWeights:
     f_i: np.ndarray
 
 
-def _backward_tail(source: np.ndarray, rates: np.ndarray, h: float) -> np.ndarray:
-    """F[j] = h*src[j] + (1 - h*rate[j]) * F[j+1], F beyond the last node 0.
-
-    Discretizes F(theta) = integral_theta^theta_max src(s) *
-    exp(-integral_theta^s rate) ds with the scheme's own decay factors, so
-    F[0] equals the rectangle quadrature of src * `grid.scheme_survival`
-    exactly, and f_e(0) at the disease-free state is `reproduction`'s r0.
-
-    Solved in the age blocks of `grid.block_products`, from the oldest
-    down. Within a block [low, high), with P[j] the product of the factors
-    over low .. j-1, F[j] is the reversed cumulative sum of h * src[m] *
-    P[m] over m >= j, divided by P[j], plus F[high] times the product of
-    the factors over j .. high-1.
-    """
-    n = source.shape[0]
-    q = scheme_factors(rates[np.newaxis], h)
-    block, products = block_products(q)
-    out = np.empty(n)
-    carry = 0.0
-    for low in range(block * ((n - 1) // block), -1, -block):
-        high = min(low + block, n)
-        head = q[0, low:high]
-        tail = np.cumsum((h * source[low:high] * head)[::-1])[::-1]
-        out[low:high] = tail / head
-        if high < n:
-            out[low:high] += carry * (products[0, low // block] / head)
-        carry = out[low]
-    return out
-
-
 def lyapunov_weights(params: ParameterSet, steady: SteadyState) -> LyapunovWeights:
     """Weight profiles for the Lyapunov functions at a given steady state.
 
     f_i depends only on the transmission and recovery structure; f_a folds
     in the asymptomatic-to-symptomatic route via f_i(0); f_e feeds both
-    routes with f_a(0) and f_i(0) as coefficients. Raises StabilityError
-    when h * max exit rate >= 1, where a scheme factor is not positive.
+    routes with f_a(0) and f_i(0) as coefficients. Raises StabilityError,
+    from `grid.scheme_factors`, when h * max exit rate >= 1, where a scheme
+    factor is not positive.
     """
-    params.stable_exit_rate()
     h = params.grid.h
     pool = steady.s_star + (1.0 - params.epsilon) * steady.v_star
-    f_i = _backward_tail(pool * params.flux_rows(2)[0], params.exit_rate_i, h)
+    f_i = scheme_tail(pool * params.flux_rows(2)[0], params.exit_rate_i, h)
     infect_a, branch_a = params.flux_rows(1)[:2]
-    f_a = _backward_tail(pool * infect_a + f_i[0] * branch_a, params.exit_rate_a, h)
+    f_a = scheme_tail(pool * infect_a + f_i[0] * branch_a, params.exit_rate_a, h)
     to_asym, to_symp = params.flux_rows(0)
-    f_e = _backward_tail(f_a[0] * to_asym + f_i[0] * to_symp, params.exit_rate_e, h)
+    f_e = scheme_tail(f_a[0] * to_asym + f_i[0] * to_symp, params.exit_rate_e, h)
     return LyapunovWeights(f_e=f_e, f_a=f_a, f_i=f_i)
 
 
@@ -103,7 +74,7 @@ def endemic_tail_weights(steady: SteadyState, weights: LyapunovWeights) -> tuple
 
     The ratio weight at node j is the tail sum h * sum_{m >= j} src_c[m] *
     c*[m] of the steady-state integrand. c* decays with the factors
-    1 - h * rate that `_backward_tail` uses, so that sum is c*[j] * f_c[j].
+    1 - h * rate that `grid.scheme_tail` uses, so that sum is c*[j] * f_c[j].
     A node is read where c* >= STEADY_DENSITY_FLOOR and its weight is
     positive. Both hold on a prefix of the age grid, since c* does not
     increase with age and a tail sum of a nonnegative integrand does not

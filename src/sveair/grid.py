@@ -4,9 +4,9 @@ Everything downstream shares one uniform age grid with nodes theta_j = j*h;
 the time stepper reuses the same h so the upwind stencil sits on
 characteristics. Integrals over age are the rectangle sums h * sum(g_j u_j)
 over all nodes. This is the one module that turns exit rates into survival
-products and the scheme's decay factors (`survival`, `scheme_factors`,
-`scheme_survival`, `block_products`); the other modules form only the
-rates.
+products: the oracle's exponential `survival`, and the scheme's decay factors,
+formed and bounded by `scheme_factors` and multiplied by `block_products` into
+every survival (`scheme_survival`) and tail (`scheme_tail`) the scheme reads.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sveair.errors import InvalidGridError, ProfileError
+from sveair.errors import InvalidGridError, ProfileError, StabilityError
 
 # Grid nodes within this many days of a step-table breakpoint are treated as
 # sitting exactly on it (right-closed semantics); h is always >> this.
@@ -26,9 +26,6 @@ _BREAKPOINT_SNAP = 1e-6
 
 # Lower bound on a survival product over one age block of `block_products`.
 BLOCK_FLOOR = 1e-250
-
-# Nodes per running-product chunk of `scheme_survival`.
-SURVIVAL_CHUNK = 1024
 
 
 class Units(enum.Enum):
@@ -251,34 +248,67 @@ def scheme_factors(rates: np.ndarray, h: float) -> np.ndarray:
     """The scheme's one-step decay factors of exit-rate rows (J or (C, J)),
     written one node on as `block_products` reads them: factors[..., 0] = 1
     and factors[..., j] = 1 - h * rates[..., j - 1], the share of a cohort at
-    node j - 1 that reaches node j."""
+    node j - 1 that reaches node j. Raises StabilityError when h times the
+    largest rate, the last node's included, is at least 1.
+    """
+    worst = float(rates.max())
+    if h * worst >= 1.0:
+        raise StabilityError(f"h * max exit rate = {h * worst:.3g} >= 1; "
+                             f"reduce h below {1.0 / worst:.3g} days")
     factors = np.empty(rates.shape)
     factors[..., 0] = 1.0
-    np.subtract(1.0, h * rates[..., :-1], out=factors[..., 1:])
+    np.multiply(rates[..., :-1], -h, out=factors[..., 1:])  # 1 - h * rate, bit for bit
+    factors[..., 1:] += 1.0
     return factors
 
 
 def scheme_survival(rates: np.ndarray, h: float) -> np.ndarray:
-    """The scheme's survival of an exit-rate array with h * rates < 1:
+    """The scheme's survival of exit-rate rows (J or (C, J), array-like):
     prod_{m<j} (1 - h * rates[m]), the share of a cohort left after j steps.
 
-    Below the smallest normal float the product would stall among the
-    subnormals (x * f rounds back to x), and the stepper would work on
-    them, so it is flushed to 0, as the exponential underflows. The product
-    runs chunk by chunk, bit for bit as one `np.cumprod`, and stops at its
-    first value below that float: every later one is flushed too.
+    It is Q of `block_products` times the running product of the whole-block
+    products before node j's block, and is flushed to 0 below the smallest
+    normal float, as the exponential underflows, so that the stepper never
+    works on subnormals. Raises StabilityError as `scheme_factors` does.
     """
-    products = scheme_factors(rates, h)
-    tiny = np.finfo(np.float64).tiny
-    carry = 1.0
-    for low in range(0, products.shape[0], SURVIVAL_CHUNK):
-        chunk = products[low:low + SURVIVAL_CHUNK]
-        chunk[0] *= carry
-        carry = np.multiply.accumulate(chunk, out=chunk)[-1]
-        if carry < tiny:
-            products[low + int(np.argmax(chunk < tiny)):] = 0.0
-            break
-    return products
+    q = scheme_factors(np.atleast_2d(rates), h)
+    block, products = block_products(q)
+    carry = np.cumprod(np.insert(products, 0, 1.0, axis=1), axis=1)
+    full = (q.shape[1] // block) * block
+    for row, row_carry in zip(q, carry):  # in place: no J-node temporary
+        blocks = row[:full].reshape(-1, block)
+        blocks *= row_carry[:blocks.shape[0], np.newaxis]
+        row[full:] *= row_carry[-1]
+    q[q < np.finfo(np.float64).tiny] = 0.0
+    return q.reshape(np.shape(rates))
+
+
+def scheme_tail(source: np.ndarray, rates: np.ndarray, h: float) -> np.ndarray:
+    """F[j] = h*src[j] + (1 - h*rate[j]) * F[j+1], F beyond the last node 0.
+
+    Discretizes F(theta) = integral_theta^theta_max src(s) *
+    exp(-integral_theta^s rate) ds with the scheme's own decay factors, so
+    F[0] equals the rectangle quadrature of src * `scheme_survival`
+    exactly. Raises StabilityError as `scheme_factors` does. Solved in the
+    age blocks of `block_products`, from the oldest down: within a block
+    [low, high), with Q[j] the product of the factors over low .. j-1, F[j]
+    is the reversed cumulative sum of h * src[m] * Q[m] over m >= j, divided
+    by Q[j], plus F[high] times the product of the factors over j .. high-1.
+    """
+    n = source.shape[0]
+    q = scheme_factors(rates[np.newaxis], h)
+    block, products = block_products(q)
+    out = np.empty(n)
+    carry = 0.0
+    for low in range(block * ((n - 1) // block), -1, -block):
+        high = min(low + block, n)
+        head = q[0, low:high]
+        tail = np.cumsum((h * source[low:high] * head)[::-1])[::-1]
+        out[low:high] = tail / head
+        if high < n:
+            out[low:high] += carry * (products[0, low // block] / head)
+        carry = out[low]
+    return out
 
 
 def block_products(q: np.ndarray) -> tuple[int, np.ndarray]:

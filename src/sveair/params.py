@@ -1,4 +1,7 @@
-"""Model parameters: profile units, routing rows, exit rates and the step bound."""
+"""Model parameters: profile units, routing rows and exit rates.
+
+The step bound h * rate < 1 on these rates is checked where the scheme's
+decay factors are formed, in `grid.scheme_factors`."""
 
 from __future__ import annotations
 
@@ -7,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from sveair.errors import ParameterError, StabilityError
+from sveair.errors import ParameterError
 from sveair.grid import AgeGrid, AgeProfile, Units
 
 # The unit of each age profile, in field order: the one table that the
@@ -109,14 +112,3 @@ class ParameterSet:
     def exit_rate_i(self) -> np.ndarray:
         """Symptomatic compartment: gamma_i + mu."""
         return self.flux_rows(2)[1] + self.mu
-
-    def stable_exit_rate(self) -> float:
-        """The largest exit rate, once h times it is checked to be below 1, the
-        bound that keeps every scheme factor 1 - h * rate positive."""
-        h = self.grid.h
-        worst = max(float(rate.max()) for rate in
-                    (self.exit_rate_e, self.exit_rate_a, self.exit_rate_i))
-        if h * worst >= 1.0:
-            raise StabilityError(f"h * max exit rate = {h * worst:.3g} >= 1; "
-                                 f"reduce h below {1.0 / worst:.3g} days")
-        return worst

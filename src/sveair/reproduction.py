@@ -76,13 +76,13 @@ def kernels(params: ParameterSet) -> _Kernels:
     `ParameterSet.flux_rows` that route a cohort on, integrated against the
     scheme's survival prod_{m<j} (1 - h * exit_rate[m]), the share of a
     cohort left after j steps. Steady states built on them are the ones the
-    stepper is stationary at. Raises StabilityError when h * max exit rate
-    >= 1, where the scheme has no survival and so no r0."""
-    params.stable_exit_rate()
+    stepper is stationary at. Raises StabilityError, from
+    `grid.scheme_factors`, when h * max exit rate >= 1, where the scheme has
+    no survival and so no r0."""
     grid = params.grid
-    surv_e, surv_a, surv_i = (
-        AgeProfile(grid, scheme_survival(rate, grid.h), Units.PROPORTION)
-        for rate in (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i))
+    rates = (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i)
+    surv_e, surv_a, surv_i = (AgeProfile(grid, surv, Units.PROPORTION)
+                              for surv in scheme_survival(rates, grid.h))
     to_asym, to_symp = (rect_integral(row * surv_e.values, grid) for row in params.flux_rows(0))
     infect_a, branch_a = (rect_integral(row * surv_a.values, grid)
                           for row in params.flux_rows(1)[:2])

@@ -274,7 +274,8 @@ def simulate(
         of infection and the final State.
 
     Raises:
-        StabilityError: at setup when h * max exit rate >= 1.
+        ParameterError: when a snapshot time matches no step of the run.
+        StabilityError: at setup when h * max exit rate >= 1 (`grid.scheme_factors`).
         AbortedRunError: when a non-finite value appears; carries the step.
     """
     if t_max <= 0:
@@ -283,10 +284,12 @@ def simulate(
     if init.e.grid != grid:
         raise ParameterError("initial state is not on the parameter grid")
     h, n_nodes = grid.h, grid.n_nodes
-    params.stable_exit_rate()
     n_steps = int(round(t_max / h))
     stride = max(1, int(round(sample_every / h)))
     snap_steps = {int(round(ts / h)) for ts in snapshot_times}
+    missed = [ts for ts in snapshot_times if not 0 <= round(ts / h) <= n_steps]
+    if missed:
+        raise ParameterError(f"snapshot times {missed} match no step of [0, {n_steps * h:g}]")
     initial = _functionals(params, init)
 
     first, last = init.support()

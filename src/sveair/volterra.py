@@ -84,7 +84,7 @@ def solve_renewal(
     params: ParameterSet,
     t_max: float,
 ) -> RenewalPath:
-    """March the renewal system over [0, t_max] with step h = grid.h.
+    """March the renewal system over [init.t, init.t + t_max] with step grid.h.
 
     Args:
         init: Initial state (same object the PDE solver accepts).
@@ -92,7 +92,7 @@ def solve_renewal(
             on the quadratic-cost history march.
 
     Returns:
-        RenewalPath sampled at every step.
+        RenewalPath sampled at every step, at t = init.t + n * h.
     """
     if t_max <= 0:
         raise ParameterError(f"t_max must be positive, got {t_max}")
@@ -201,6 +201,6 @@ def solve_renewal(
         )
 
     return RenewalPath(
-        t=np.arange(size) * h, beta=beta, eps=eps, alpha=alpha, iota=iota,
+        t=init.t + np.arange(size) * h, beta=beta, eps=eps, alpha=alpha, iota=iota,
         s=s_arr, v=v_arr,
     )

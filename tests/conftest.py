@@ -1,5 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,13 @@ def analytic_R0(n0, mu, p, epsilon, zeta, **rates):
     r_i = analytic_RI(rates["k"], rates["q"], mu, rates["beta_i"],
                       rates["gamma_a"], rates["gamma_i"], rates["xi"], rates["chi"])
     return analytic_prefactor(n0, mu, p, epsilon, zeta) * (r_a + r_i)
+
+
+def with_last_node_k(params, k_last):
+    """params with the latent rate k set to k_last at the last age node only."""
+    values = params.k.values.copy()
+    values[-1] = k_last
+    return replace(params, k=params.k.with_values(values))
 
 
 def bisect_beta_star(r_sum, n0, mu, p, epsilon, zeta, iters=200):

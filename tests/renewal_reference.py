@@ -170,6 +170,6 @@ def solve_renewal(
             cohort_e[0] = cohort_a[0] = cohort_i[0] = 0.0
 
     return RenewalPath(
-        t=np.arange(size) * h, beta=beta, eps=eps, alpha=alpha, iota=iota,
+        t=init.t + np.arange(size) * h, beta=beta, eps=eps, alpha=alpha, iota=iota,
         s=s_arr, v=v_arr,
     )

@@ -657,6 +657,18 @@ class TestCli:
         assert "error: h * max exit rate = 1.25 >= 1; reduce h below 0.4 days" in err
         assert not (out / "r0.csv").exists()
 
+    def test_unstable_last_node_stops_run_before_r0(self, tmp_path, capsys):
+        # k is 0.2 up to 719.5 days and 2.5 at the last node (720 days)
+        # alone, which enters no survival value but sets the share that node
+        # passes on out of the grid.
+        k_csv = write_cfg(tmp_path, "age_days,value\n0,0.2\n719.5,0.2\n720,2.5\n", "k.csv")
+        cfg_path = write_cfg(tmp_path, TINY + f"params.k_csv = {k_csv}\n")
+        out = tmp_path / "o"
+        code = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert "reduce h below 0.4 days" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
     def test_oracle_window_over_cap_stops_before_the_sweep(self, tmp_path, capsys):
         text = TINY.replace("run.t_max = 10", "run.t_max = 2100") + "run.oracle_t_max = 2100\n"
         cfg_path = write_cfg(tmp_path, text)

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import band_density, make_constant_params, rate_profile, zero_density
+from conftest import (band_density, make_constant_params, rate_profile, with_last_node_k,
+                      zero_density)
 from sveair import diagnostics as dg
 from sveair import reproduction as rep
 from sveair.errors import LyapunovDomainError, StabilityError
-from sveair.grid import Units, build_grid, rect_integral
+from sveair.grid import Units, build_grid, rect_integral, scheme_tail
 from sveair.scenarios import (band_initial_state, steady_initial_state,
                               steady_scaled_initial_state)
 from sveair.solver import State, boundary_values, force_of_infection, simulate, step
@@ -54,8 +55,8 @@ def lyapunov(evaluator, state):
 
 
 def _backward_tail_loop(source: np.ndarray, rates: np.ndarray, h: float) -> np.ndarray:
-    """The node-by-node recursion that `diagnostics._backward_tail` solves in
-    blocks, kept as its reference."""
+    """The node-by-node recursion that `grid.scheme_tail` solves in blocks,
+    kept as its reference."""
     n = source.shape[0]
     out = np.empty(n)
     acc = 0.0
@@ -67,7 +68,8 @@ def _backward_tail_loop(source: np.ndarray, rates: np.ndarray, h: float) -> np.n
 
 
 class TestBackwardTail:
-    """The blocked tail equals the node-by-node recursion to round-off."""
+    """The blocked tail `grid.scheme_tail`, which the Lyapunov weights are
+    built from, equals the node-by-node recursion to round-off."""
 
     @pytest.mark.parametrize("regime", ["short", "underflow"])
     @given(seed=st.integers(0, 2**32 - 1))
@@ -91,7 +93,7 @@ class TestBackwardTail:
             low = int(rng.integers(0, n))
             source[low:low + int(rng.integers(1, n // 2 + 2))] = 0.0
         want = _backward_tail_loop(source, rates, h)
-        got = dg._backward_tail(source, rates, h)
+        got = scheme_tail(source, rates, h)
         # Below 1e-300 both sides are near float64's subnormal range, where
         # an underflowed product carries no relative precision.
         np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-300)
@@ -107,9 +109,14 @@ class TestWeights:
     def test_stability_guard(self):
         # At h * rate >= 1 a scheme factor is not positive: the weights raise
         # the stepper's StabilityError, not a domain error of the blocking.
-        params = make_constant_params(build_grid(0.5, 50.0), k=3.0)
-        with pytest.raises(StabilityError, match="reduce h"):
-            dg.lyapunov_weights(params, rep.steady_state(params, 0.0))
+        # The steady state comes from stable parameters, since one built on
+        # the unstable ones would raise first.
+        stable = make_constant_params(build_grid(0.5, 50.0))
+        steady = rep.steady_state(stable, 0.0)
+        for params in (replace(stable, k=stable.k.with_values(stable.k.values + 3.0)),
+                       with_last_node_k(stable, 2.5)):
+            with pytest.raises(StabilityError, match="reduce h"):
+                dg.lyapunov_weights(params, steady)
 
     def test_constant_rate_tail_integral(self):
         grid = build_grid(0.05, 2000.0)

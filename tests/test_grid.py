@@ -1,14 +1,15 @@
 """Age mesh, profile sampling, and the survival products."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sveair.errors import InvalidGridError, ProfileError
+from sveair.errors import InvalidGridError, ProfileError, StabilityError
 from sveair.grid import (
     BLOCK_FLOOR,
-    SURVIVAL_CHUNK,
     AgeGrid,
     AgeProfile,
     Units,
@@ -20,6 +21,7 @@ from sveair.grid import (
     block_products,
     scheme_factors,
     scheme_survival,
+    scheme_tail,
     survival,
 )
 
@@ -225,31 +227,6 @@ class TestSurvival:
         np.testing.assert_allclose(slopes, k.values[solid][:-1] + mu, rtol=1e-9)
 
 
-def _flushed_cumprod(rates, h):
-    """`scheme_survival` as one running product over all J nodes plus the
-    flush of values below the smallest normal float, kept as its reference."""
-    products = np.cumprod(scheme_factors(rates, h))
-    products[products < np.finfo(np.float64).tiny] = 0.0
-    return products
-
-
-class TestSchemeSurvival:
-    @given(seed=st.integers(0, 2**32 - 1), chunks=st.integers(0, 4),
-           extra=st.one_of(st.just(0), st.integers(1, SURVIVAL_CHUNK - 1)),
-           top=st.floats(1e-3, 0.7), constant=st.booleans())
-    @example(seed=0, chunks=20, extra=17, top=0.05, constant=True)
-    @settings(max_examples=80, deadline=None)
-    def test_matches_flushed_cumprod(self, seed, chunks, extra, top, constant):
-        # J on both sides of whole chunks, h * rate up to `top`: at 0.7 the
-        # product underflows within the first chunks, at 1e-3 not at all,
-        # and at 0.05 throughout (the example) in the middle of chunk 13.
-        rng = np.random.default_rng(seed)
-        n_nodes = max(1, chunks * SURVIVAL_CHUNK + extra)
-        h = rng.uniform(0.1, 1.0)
-        rates = (np.full(n_nodes, top) if constant else rng.uniform(0.0, top, n_nodes)) / h
-        assert np.array_equal(scheme_survival(rates, h), _flushed_cumprod(rates, h))
-
-
 def _factor_rows(rng, regime):
     """(rows, J - 1) factors in (0, 1] of nodes 0 .. J-2, with runs of
     exactly 1.0. "random" draws J and the factor range freely; "multiple"
@@ -327,3 +304,109 @@ class TestBlockProducts:
         want_q, want_products = _sequential_products(factors, block)
         assert np.array_equal(q, want_q)
         assert np.array_equal(products, want_products)
+
+
+def _block_survival_loop(rates, h):
+    """`scheme_survival` by a plain loop, kept as its reference: per row, the
+    running product of the factors 1 - h * rate restarted at every block
+    start of `block_products`, times the running product of the whole-block
+    products before it, flushed to 0 below the smallest normal float."""
+    factors = np.atleast_2d(1.0 - h * rates[..., :-1])
+    n_rows, n_nodes = factors.shape[0], factors.shape[1] + 1
+    smallest = float(factors.min(initial=1.0))
+    block = n_nodes
+    if smallest < 1.0:
+        block = min(n_nodes, max(1, int(math.log(BLOCK_FLOOR) / math.log(smallest))))
+    out = np.empty((n_rows, n_nodes))
+    for c in range(n_rows):
+        carry = running = 1.0
+        for j in range(n_nodes):
+            if j and j % block == 0:
+                carry *= running
+                running = 1.0
+            value = running * carry
+            out[c, j] = value if value >= np.finfo(np.float64).tiny else 0.0
+            if j < n_nodes - 1:
+                running *= float(factors[c, j])
+    return out.reshape(rates.shape)
+
+
+def _flushed_cumprod(rates, h):
+    """One running product of the factors over all J nodes, flushed to 0
+    below the smallest normal float: the survival before it was blocked."""
+    products = np.cumprod(scheme_factors(rates, h))
+    products[products < np.finfo(np.float64).tiny] = 0.0
+    return products
+
+
+def _rates_of(factors, rng):
+    """Exit rates and h whose scheme factors are `factors`, up to the
+    rounding of 1 - h * rate. A factor below 2**-50 is raised to it, since
+    h * rate < 1 allows no factor much below 2**-53: the block length of
+    the "tiny" regime is then about 16, not 1. The last node's rate, which
+    enters no factor, is drawn below 1 / h."""
+    h = rng.uniform(0.1, 1.0)
+    rates = np.empty((factors.shape[0], factors.shape[1] + 1))
+    rates[:, :-1] = (1.0 - np.maximum(factors, 2.0 ** -50)) / h
+    rates[:, -1] = rng.uniform(0.0, 0.99, factors.shape[0]) / h
+    return rates, h
+
+
+class TestSchemeFactors:
+    def test_step_bound_covers_the_last_node(self):
+        # Only the last node's rate breaks h * rate < 1. It enters no factor
+        # of the J nodes, but sets the share that node J - 1 passes on out
+        # of the grid, so every function that forms the factors refuses it.
+        h = 0.5
+        rates = np.full((3, 41), 0.2)
+        rates[1, -1] = 2.5
+        for call in (lambda: scheme_factors(rates, h), lambda: scheme_survival(rates, h),
+                     lambda: scheme_tail(np.ones(41), rates[1], h)):
+            with pytest.raises(StabilityError, match="= 1.25 >= 1; reduce h below 0.4 days"):
+                call()
+        rates[1, -1] = 2.0  # h * rate = 1 exactly: the bound is strict
+        with pytest.raises(StabilityError, match="reduce h below"):
+            scheme_factors(rates, h)
+        rates[1, -1] = 1.98
+        assert scheme_factors(rates, h)[1, -1] == 1.0 - h * 0.2
+
+
+class TestSchemeSurvival:
+    @pytest.mark.parametrize("regime", ["random", "multiple", "ragged", "tiny", "ones"])
+    @pytest.mark.parametrize("stacked", [True, False], ids=["rows", "row"])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_block_survival_loop(self, regime, stacked, seed):
+        rng = np.random.default_rng(seed)
+        rates, h = _rates_of(_factor_rows(rng, regime), rng)
+        if not stacked:
+            rates = rates[0]
+        got = scheme_survival(rates, h)
+        assert got.shape == rates.shape
+        assert np.array_equal(got, _block_survival_loop(rates, h))
+
+    def test_single_node(self):
+        assert np.array_equal(scheme_survival(np.array([0.3]), 1.0), [1.0])
+        assert np.array_equal(scheme_survival(np.array([[0.3], [0.9]]), 1.0), [[1.0], [1.0]])
+
+    @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 5000),
+           top=st.floats(1e-3, 0.7), constant=st.booleans())
+    @example(seed=0, n_nodes=20497, top=0.05, constant=True)
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_flushed_cumprod(self, seed, n_nodes, top, constant):
+        # h * rate up to `top`: at 0.7 the product underflows within a few
+        # hundred nodes, at 1e-3 not at all. At 0.05 (the example) L is
+        # about 11,200 and the product leaves the normal floats near node
+        # 13,800, in the second block.
+        rng = np.random.default_rng(seed)
+        h = rng.uniform(0.1, 1.0)
+        rates = (np.full(n_nodes, top) if constant else rng.uniform(0.0, top, n_nodes)) / h
+        got, want = scheme_survival(rates, h), _flushed_cumprod(rates, h)
+        block, _ = block_products(scheme_factors(rates[np.newaxis], h))
+        # The first block is one running product, as the cumprod is.
+        assert np.array_equal(got[:block], want[:block])
+        assert np.array_equal(got == 0.0, want == 0.0)
+        # Each side rounds at most once per node and once per block, so the
+        # two differ by at most about 2 * (J + J / L) units of round-off.
+        rtol = 4.0 * n_nodes * np.finfo(np.float64).eps
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)

@@ -11,6 +11,7 @@ from conftest import (
     analytic_prefactor,
     bisect_beta_star,
     make_constant_params,
+    with_last_node_k,
 )
 from sveair import reproduction as rep
 from sveair.errors import StabilityError
@@ -248,3 +249,7 @@ class TestSchemeKernels:
         grid = build_grid(1.0, 50.0)
         with pytest.raises(StabilityError, match="reduce h"):
             rep.kernels(make_constant_params(grid, k=1.0))
+        # Only the last node breaks the bound; it enters no survival value
+        # of the J nodes.
+        with pytest.raises(StabilityError, match="reduce h below"):
+            rep.kernels(with_last_node_k(make_constant_params(grid), 1.5))

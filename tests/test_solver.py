@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import band_density, make_constant_params, rate_profile, zero_density
+from conftest import (band_density, make_constant_params, rate_profile, with_last_node_k,
+                      zero_density)
 from sveair import reproduction as rep
-from sveair.errors import AbortedRunError, StabilityError
+from sveair.errors import AbortedRunError, ParameterError, StabilityError
 from shift_reference import simulate_shift
 from sveair.grid import AgeGrid, AgeProfile, Units, build_grid, constant_profile
 from sveair.params import ParameterSet
@@ -153,6 +154,10 @@ class TestStep:
             step(state, params)
         with pytest.raises(StabilityError):
             simulate(state, params, t_max=5.0)
+        # h * (k + mu) is 1.25 at the last node only: the share that node
+        # passes on out of the grid would be negative.
+        with pytest.raises(StabilityError, match="reduce h below"):
+            simulate(state, with_last_node_k(make_constant_params(grid), 2.5), t_max=5.0)
 
 
 class TestSimulate:
@@ -262,6 +267,19 @@ class TestSimulate:
         snap = ts.snapshots[0]
         assert snap.t == pytest.approx(4.0)
         assert snap.e.shape == (small_grid.n_nodes,)
+
+    def test_snapshot_time_outside_the_run_is_refused(self, small_grid, small_params):
+        init = State(t=0.0, s=1e4, v=1e4, e=zero_density(small_grid),
+                     a=zero_density(small_grid), i=zero_density(small_grid))
+        with pytest.raises(ParameterError, match=r"snapshot times \[50, -3\] match no step"):
+            simulate(init, small_params, t_max=10, snapshot_times=(5, 50, -3))
+        # Within h/2 of either end a time still matches the nearest step.
+        h = small_grid.h
+        result = simulate(init, small_params, t_max=10,
+                          snapshot_times=(-0.4 * h, 10 + 0.4 * h))
+        assert [snap.t for snap in result.timeseries.snapshots] == [0.0, 10.0]
+        with pytest.raises(ParameterError, match="match no step"):
+            simulate(init, small_params, t_max=10, snapshot_times=(10 + 0.6 * h,))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_aborted_run_carries_step_index(self):
