@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from sveair.errors import ConfigError
+from sveair.errors import ConfigError, ParameterError
+from sveair.grid import build_grid
 from sveair.scenarios import (
     BUILTIN_NAMES,
     D_SWEEP_DEFAULT,
@@ -154,12 +155,6 @@ def load_config(path) -> ScenarioConfig:
     return cfg
 
 
-def check_on_grid(key: str, value: float, h: float) -> None:
-    """Raise a ConfigError naming `key` unless value is a whole multiple of h."""
-    if abs(value - round(value / h) * h) > 1e-9 * value:
-        raise ConfigError(f"{key} must be a whole multiple of grid.h = {h}, got {value}")
-
-
 def _validate(cfg: ScenarioConfig, base: Path) -> None:
     if not cfg.h > 0:
         raise ConfigError(f"grid.h must be positive, got {cfg.h}")
@@ -176,11 +171,14 @@ def _validate(cfg: ScenarioConfig, base: Path) -> None:
         raise ConfigError(
             f"run.sample_every must be at least grid.h, got {cfg.sample_every}"
         )
-    # The run steps, samples and takes snapshots on the grid; an off-grid
-    # value would be rounded to the nearest step.
-    for key, value in (("run.t_max", cfg.t_max), ("run.sample_every", cfg.sample_every),
-                       *(("run.snapshot_times", ts) for ts in cfg.snapshot_times)):
-        check_on_grid(key, value, cfg.h)
+    # The run steps, samples and takes snapshots on the grid.
+    grid = build_grid(cfg.h, cfg.theta_max)
+    try:
+        for key, value in (("run.t_max", cfg.t_max), ("run.sample_every", cfg.sample_every),
+                           *(("run.snapshot_times", ts) for ts in cfg.snapshot_times)):
+            grid.steps(value, key)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
     if not cfg.oracle_t_max > 0:
         raise ConfigError(f"run.oracle_t_max must be positive, got {cfg.oracle_t_max}")
     if cfg.s0 < 0 or cfg.v0 < 0:

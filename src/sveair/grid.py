@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sveair.errors import InvalidGridError, ProfileError, StabilityError
+from sveair.errors import InvalidGridError, ParameterError, ProfileError, StabilityError
 
 # Grid nodes within this many days of a step-table breakpoint are treated as
 # sitting exactly on it (right-closed semantics); h is always >> this.
@@ -48,6 +48,14 @@ class AgeGrid:
     @property
     def nodes(self) -> np.ndarray:
         return np.arange(self.n_nodes) * self.h
+
+    def steps(self, days: float, name: str) -> int:
+        """n = round(days / h), the one conversion of days into steps. Raises a
+        ParameterError naming `name` unless days is within 1e-9 * |days| of n * h."""
+        ratio = days / self.h
+        if not math.isfinite(ratio) or abs(days - round(ratio) * self.h) > 1e-9 * abs(days):
+            raise ParameterError(f"{name} must be a whole multiple of grid.h = {self.h}, got {days}")
+        return int(round(ratio))
 
     def __post_init__(self):
         if not (self.h > 0 and math.isfinite(self.h)):

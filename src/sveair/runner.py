@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from sveair import diagnostics, reproduction, scenarios, volterra
-from sveair.config import ScenarioConfig, check_on_grid
+from sveair.config import ScenarioConfig
 from sveair.errors import AbortedRunError, ConfigError, LyapunovDomainError
 from sveair.grid import AgeGrid, build_grid, constant_profile, load_profile_csv
 from sveair.io import format_column, format_value, write_csv
@@ -125,20 +125,6 @@ def _write_timeseries(path: Path, ts) -> None:
     )
 
 
-def _write_snapshots(out_dir: Path, label: str, ts, cfg: ScenarioConfig, theta) -> None:
-    # Each file is named after its configured time, not the step time n * h
-    # that the snapshot carries: 3 * 0.1 is 0.30000000000000004. Every
-    # initial state starts at t = 0. theta() gives the formatted age column,
-    # the grid's nodes, which every snapshot carries.
-    requested = {}
-    for time in cfg.snapshot_times:
-        requested.setdefault(round(time / cfg.h), time)
-    for snap in ts.snapshots:
-        name = f"snapshot_d{label}_t{format_value(requested[round(snap.t / cfg.h)])}.csv"
-        write_csv(out_dir / name, ["theta", "e", "a", "i"],
-                  [theta(), snap.e, snap.a, snap.i])
-
-
 def _oracle_compare(out_dir: Path, label: str, init: State, params, window, result) -> None:
     """PDE vs renewal-march force of infection over the oracle window."""
     path = volterra.solve_renewal(init, params, t_max=window)
@@ -147,7 +133,7 @@ def _oracle_compare(out_dir: Path, label: str, init: State, params, window, resu
         ["t", "beta", "eps", "alpha", "iota", "S", "V"],
         [path.t, path.beta, path.eps, path.alpha, path.iota, path.s, path.v],
     )
-    beta_pde = result.beta_steps[:int(round(window / params.grid.h)) + 1]
+    beta_pde = result.beta_steps[:path.beta.size]
     scale = float(np.max(path.beta))
     rel_dev = np.abs(beta_pde - path.beta) / (scale if scale > 0 else 1.0)
     write_csv(
@@ -201,8 +187,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ExitReport:
         if window > volterra.T_MAX_CAP:
             raise ConfigError(f"run.oracle_t_max: the oracle window of {window:g} days "
                               f"exceeds the renewal-march cap of {volterra.T_MAX_CAP:g} days")
-        # The march takes round(window / h) steps.
-        check_on_grid("run.oracle_t_max", window, cfg.h)
+        # The march, like the run, must end on a step.
+        grid.steps(window, "run.oracle_t_max")
 
     evaluator = diagnostics.LyapunovEvaluator(params, steady) if cfg.run_lyapunov else None
     states = initial_states(cfg, params, steady)
@@ -227,7 +213,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ExitReport:
             ok = False
             continue
         _write_timeseries(out / f"run_d{label}.csv", result.timeseries)
-        _write_snapshots(out, label, result.timeseries, cfg, theta)
+        # Each snapshot file is named after its requested time, not the step
+        # time n * h: 3 * 0.1 is 0.30000000000000004. Every initial state
+        # starts at t = 0.
+        for snap in result.timeseries.snapshots:
+            write_csv(out / f"snapshot_d{label}_t{format_value(snap.t)}.csv",
+                      ["theta", "e", "a", "i"], [theta(), snap.e, snap.a, snap.i])
         if cfg.run_oracle:
             _oracle_compare(out, label, init, params, window, result)
         if evaluator is not None:

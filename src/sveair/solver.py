@@ -118,11 +118,9 @@ class Aggregates(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class DensitySnapshot:
-    """Age densities captured at one requested sample time. `theta` is the
-    pass's one read-only array of age nodes, shared by its snapshots."""
+    """Age densities on the grid's nodes at t, init.t plus the time requested."""
 
     t: float
-    theta: np.ndarray
     e: np.ndarray
     a: np.ndarray
     i: np.ndarray
@@ -252,15 +250,16 @@ def simulate(
     snapshot_times: Sequence[float] = (),
     observer=None,
 ) -> SimulationResult:
-    """Run the scheme over [init.t, init.t + t_max].
+    """Run the scheme over [init.t, init.t + t_max]. Every duration and time
+    is in days and a whole multiple of h; any other is refused.
 
     Args:
         init: Initial state on the parameter grid.
         params: Model parameters.
-        t_max: Run length in days; the step count is round(t_max / h).
-        sample_every: Aggregate-recording interval (a multiple of h).
-        snapshot_times: Times (relative to init.t) at which to capture the
-            full age densities; matched to the nearest step within h/2.
+        t_max: Run length, positive.
+        sample_every: Aggregate-recording interval, positive.
+        snapshot_times: Times in [0, t_max], relative to init.t, at which to
+            capture the full age densities; one per step, at the first time.
         observer: Optional callable invoked at every sample as
             observer(t, s, v, e, a, i) with the raw density arrays (reused
             buffers that the next sample overwrites; do not mutate or
@@ -274,22 +273,25 @@ def simulate(
         of infection and the final State.
 
     Raises:
-        ParameterError: when a snapshot time matches no step of the run.
+        ParameterError: naming the refused duration or time (`AgeGrid.steps`).
         StabilityError: at setup when h * max exit rate >= 1 (`grid.scheme_factors`).
         AbortedRunError: when a non-finite value appears; carries the step.
     """
-    if t_max <= 0:
-        raise ParameterError(f"t_max must be positive, got {t_max}")
+    for name, days in (("t_max", t_max), ("sample_every", sample_every)):
+        if not days > 0:
+            raise ParameterError(f"{name} must be positive, got {days}")
     grid = params.grid
     if init.e.grid != grid:
         raise ParameterError("initial state is not on the parameter grid")
     h, n_nodes = grid.h, grid.n_nodes
-    n_steps = int(round(t_max / h))
-    stride = max(1, int(round(sample_every / h)))
-    snap_steps = {int(round(ts / h)) for ts in snapshot_times}
-    missed = [ts for ts in snapshot_times if not 0 <= round(ts / h) <= n_steps]
+    n_steps = grid.steps(t_max, "t_max")
+    stride = grid.steps(sample_every, "sample_every")
+    snap_steps = [grid.steps(ts, "snapshot_times") for ts in snapshot_times]
+    missed = [ts for ts, n in zip(snapshot_times, snap_steps) if not 0 <= n <= n_steps]
     if missed:
         raise ParameterError(f"snapshot times {missed} match no step of [0, {n_steps * h:g}]")
+    # The time each snapshot step was first requested at.
+    snap_times = {n: init.t + ts for ts, n in reversed(list(zip(snapshot_times, snap_steps)))}
     initial = _functionals(params, init)
 
     first, last = init.support()
@@ -319,7 +321,6 @@ def simulate(
     samples: list[tuple] = []
     beta_steps = np.empty(n_steps + 1)
     snapshots: list[DensitySnapshot] = []
-    theta = None
     r_tilde = None
     for n in range(n_steps + 1):
         t = init.t + n * h
@@ -357,12 +358,9 @@ def simulate(
                 for q_row, u, out in zip(q, window, densities):
                     np.multiply(q_row[:out.size], u[:out.size], out=out)
                 observer(t, s, v, *densities)
-        if n in snap_steps:
-            if theta is None:
-                theta = grid.nodes
-                theta.flags.writeable = False
+        if n in snap_times:
             e, a, i = q * window
-            snapshots.append(DensitySnapshot(t=t, theta=theta, e=e, a=a, i=i))
+            snapshots.append(DensitySnapshot(t=snap_times[n], e=e, a=a, i=i))
         if n == n_steps:
             break
 

@@ -88,8 +88,8 @@ def solve_renewal(
 
     Args:
         init: Initial state (same object the PDE solver accepts).
-        t_max: Run length in days; must not exceed T_MAX_CAP, a safety cap
-            on the quadratic-cost history march.
+        t_max: Run length in days, a positive whole multiple of h up to
+            T_MAX_CAP, a cap on the quadratic-cost march; else ParameterError.
 
     Returns:
         RenewalPath sampled at every step, at t = init.t + n * h.
@@ -102,7 +102,7 @@ def solve_renewal(
     if init.e.grid != grid:
         raise ParameterError("initial state is not on the parameter grid")
     h = grid.h
-    n_steps = int(round(t_max / h))
+    n_steps = grid.steps(t_max, "t_max")
 
     surv_e, surv_a, surv_i = (survival(rate, h) for rate in
                               (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i))

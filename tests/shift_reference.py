@@ -102,7 +102,6 @@ def simulate_shift(init, params, t_max, sample_every=1.0, snapshot_times=(), obs
     samples = []
     beta_steps = []
     snapshots = []
-    nodes = params.grid.nodes
 
     e_next = np.empty_like(e)
     a_next = np.empty_like(a)
@@ -132,7 +131,7 @@ def simulate_shift(init, params, t_max, sample_every=1.0, snapshot_times=(), obs
                 observer(t, s, v, e, a, i)
         if n in snap_steps:
             snapshots.append(
-                DensitySnapshot(t=t, theta=nodes.copy(), e=e.copy(), a=a.copy(), i=i.copy())
+                DensitySnapshot(t=t, e=e.copy(), a=a.copy(), i=i.copy())
             )
         if n == n_steps:
             break

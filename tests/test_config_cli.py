@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 from contact_labeling import contact_labeling_outcomes, write_contact_labeling_report
 from sveair import cli, config, diagnostics, io, reproduction, runner, volterra
 from sveair.config import load_config
-from sveair.errors import ConfigError, LyapunovDomainError
+from sveair.errors import AbortedRunError, ConfigError, LyapunovDomainError
 from sveair.io import format_value, read_csv, write_csv
 from sveair.runner import build_model, run_scenario
 from sveair.solver import simulate
 
+CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
 TINY = """
 scenario.builtin = table2-c2
 grid.h = 0.5
@@ -91,6 +92,30 @@ class TestLoadConfig:
             load_config(write_cfg(tmp_path, "params.mu = 0\n"))
         with pytest.raises(ConfigError, match="params.n0"):
             load_config(write_cfg(tmp_path, "params.n0 = 0\n"))
+
+    @pytest.mark.parametrize("text, key", [
+        ("grid.h = half\n", "grid.h"),
+        ("run.t_max = inf\n", "run.t_max"),
+        ("toggles.run_oracle = maybe\n", "toggles.run_oracle"),
+        ("run.t_max =\n", "run.t_max"),
+        ("grid.theta_max = 0.25\n", "grid.theta_max"),
+        ("run.t_max = 0\n", "run.t_max"),
+        ("run.oracle_t_max = -5\n", "run.oracle_t_max"),
+        ("init.s0 = -1\n", "init.s0"),
+        ("init.v0 = -1\n", "init.v0"),
+        ("init.d_list = 10,-1\n", "init.d_list"),
+        ("init.band = 300,100\n", "init.band"),
+        ("init.band = 100\n", "init.band"),
+        ("params.gamma_a = -0.1\n", "params.gamma_a"),
+    ])
+    def test_refusal_names_the_key(self, tmp_path, text, key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(write_cfg(tmp_path, text))
+
+    def test_unreadable_config_path_is_named(self, tmp_path):
+        path = tmp_path / "missing.cfg"
+        with pytest.raises(ConfigError, match=f"cannot read config {re.escape(str(path))}"):
+            load_config(path)
 
     def test_empty_d_list_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="d_list"):
@@ -329,7 +354,7 @@ class TestRunner:
         for label, result in zip(("10", "100"), results):
             assert [snap.t for snap in result.timeseries.snapshots] == [0.0, 5.0, 10.0]
             for snap in result.timeseries.snapshots:
-                columns = (snap.theta, snap.e, snap.a, snap.i)
+                columns = (result.final_state.e.grid.nodes, snap.e, snap.a, snap.i)
                 for density in columns[1:]:
                     assert density.size > 5 * (io._BLOCK_CELLS // 4)
                     distinct = np.unique(density)
@@ -610,6 +635,33 @@ class TestCli:
         assert cli.main(["r0-report", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert (out / "r0.csv").is_file()
         assert not (out / "run_d10.csv").exists()
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+    def test_shipped_config_loads_and_reports_r0(self, tmp_path, path):
+        assert load_config(path).builtin in ("table2-c1", "table2-c2")
+        out = tmp_path / "o"
+        assert cli.main(["r0-report", "--config", str(path), "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == ["r0.csv"]
+
+    def test_aborted_run_is_reported_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # The first seed (d = 10) aborts; the second (d = 100) runs as usual.
+        calls = []
+
+        def aborting_simulate(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise AbortedRunError("non-finite value at step 3 (t=1.5)", step_index=3)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "simulate", aborting_simulate)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(write_cfg(tmp_path, TINY)),
+                         "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "run d=10: ABORTED balance_error=nan final_convergence_metric=nan" in lines
+        assert any(line.startswith("run d=100: ok ") for line in lines)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "r0.csv", "run_d100.csv", "snapshot_d100_t5.csv"]
 
     def test_oracle_compare_subcommand(self, tmp_path):
         cfg_path = write_cfg(tmp_path, TINY)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sveair.errors import InvalidGridError, ProfileError, StabilityError
+from sveair.errors import InvalidGridError, ParameterError, ProfileError, StabilityError
 from sveair.grid import (
     BLOCK_FLOOR,
     AgeGrid,
@@ -51,6 +51,22 @@ class TestBuildGrid:
     def test_invalid_inputs(self, h, theta_max):
         with pytest.raises(InvalidGridError):
             build_grid(h, theta_max)
+
+
+class TestSteps:
+    @pytest.mark.parametrize("h, days, steps", [
+        (0.25, 10, 40), (0.25, 10.0 * (1 + 1e-12), 40), (0.25, 0.0, 0), (0.25, -3.0, -12),
+        (0.1, 0.3, 3), (0.1, 0.30000000000000004, 3), (0.1, 0.7, 7), (0.5, 1500.0, 3000)])
+    def test_whole_multiples(self, h, days, steps):
+        got = build_grid(h, 10.0).steps(days, "t")
+        assert got == steps and type(got) is int
+
+    @pytest.mark.parametrize("days", [10.1, 0.6, 0.1, 10.0 * (1 + 1e-8), -0.4 * 0.25,
+                                      1e-300, math.inf, math.nan])
+    def test_off_grid_refused_naming_the_argument(self, days):
+        with pytest.raises(ParameterError) as info:
+            build_grid(0.25, 10.0).steps(days, "run.t_max")
+        assert str(info.value) == f"run.t_max must be a whole multiple of grid.h = 0.25, got {days}"
 
 
 class TestStepFunction:

@@ -1,5 +1,7 @@
 """Explicit characteristic-scheme stepper."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -273,13 +275,50 @@ class TestSimulate:
                      a=zero_density(small_grid), i=zero_density(small_grid))
         with pytest.raises(ParameterError, match=r"snapshot times \[50, -3\] match no step"):
             simulate(init, small_params, t_max=10, snapshot_times=(5, 50, -3))
-        # Within h/2 of either end a time still matches the nearest step.
+        # A time off the grid is refused, however near a step it lies.
         h = small_grid.h
-        result = simulate(init, small_params, t_max=10,
-                          snapshot_times=(-0.4 * h, 10 + 0.4 * h))
-        assert [snap.t for snap in result.timeseries.snapshots] == [0.0, 10.0]
+        for time in (-0.4 * h, 10 + 0.4 * h, 10 + 0.6 * h):
+            with pytest.raises(ParameterError, match="^snapshot_times must be a whole multiple"):
+                simulate(init, small_params, t_max=10, snapshot_times=(time,))
         with pytest.raises(ParameterError, match="match no step"):
-            simulate(init, small_params, t_max=10, snapshot_times=(10 + 0.6 * h,))
+            simulate(init, small_params, t_max=10, snapshot_times=(10 + h,))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(t_max=10.1), "t_max must be a whole multiple of grid.h = 0.25, got 10.1"),
+        (dict(sample_every=0.6), "sample_every must be a whole multiple of grid.h = 0.25, got 0.6"),
+        (dict(sample_every=0.1), "sample_every must be a whole multiple of grid.h = 0.25, got 0.1"),
+        (dict(snapshot_times=(3.0, 3.1)),
+         "snapshot_times must be a whole multiple of grid.h = 0.25, got 3.1"),
+        (dict(sample_every=0.0), "sample_every must be positive, got 0.0"),
+        (dict(t_max=-10.0), "t_max must be positive, got -10.0")])
+    def test_duration_off_the_grid_is_refused_by_name(self, small_grid, small_params,
+                                                      kwargs, message):
+        # The run would otherwise end, sample or snapshot at a time it was
+        # not asked for: 10.0 for 10.1, every 0.5 days for 0.6.
+        init = State(t=0.0, s=1e4, v=1e4, e=zero_density(small_grid),
+                     a=zero_density(small_grid), i=zero_density(small_grid))
+        with pytest.raises(ParameterError) as info:
+            simulate(init, small_params, **{"t_max": 10.0, **kwargs})
+        assert str(info.value) == message
+
+    def test_snapshot_t_is_the_requested_time(self):
+        # At h = 0.1 the step times 3 * 0.1 and 7 * 0.1 are not 0.3 and 0.7;
+        # the snapshot keeps the time asked for, the first of two on one step.
+        grid = build_grid(0.1, 50.0)
+        params = make_constant_params(grid)
+        init = State(t=0.0, s=1e4, v=1e4, e=band_density(grid, 1.0, 3.0, 5.0),
+                     a=zero_density(grid), i=zero_density(grid))
+        times = (0.7, 0.3, 0.30000000000000004)
+        result = simulate(init, params, t_max=1.0, sample_every=0.1, snapshot_times=times)
+        snaps = result.timeseries.snapshots
+        assert [snap.t for snap in snaps] == [0.3, 0.7]
+        assert result.timeseries.t[3] == 3 * 0.1 != snaps[0].t
+        for snap, n in zip(snaps, (3, 7)):
+            want = simulate(init, params, t_max=n * 0.1, sample_every=0.1).final_state
+            np.testing.assert_array_equal(snap.e, want.e.values)
+        later = simulate(replace(init, t=2.0), params, t_max=1.0, sample_every=0.1,
+                         snapshot_times=times)
+        assert [snap.t for snap in later.timeseries.snapshots] == [2.0 + 0.3, 2.0 + 0.7]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_aborted_run_carries_step_index(self):
@@ -434,7 +473,7 @@ class TestMovingFrameEquivalence:
         sampled = [n for n in range(n_steps + 1) if n % stride == 0 or n == n_steps]
         assert np.array_equal(got.beta_steps[sampled], got.timeseries.beta)
         prefix = 1 + seed % n_steps
-        short = simulate(init, params, t_max=prefix * params.grid.h)
+        short = simulate(init, params, t_max=prefix * params.grid.h, sample_every=params.grid.h)
         assert np.array_equal(short.beta_steps, got.beta_steps[:prefix + 1])
         for column in ("t", "s", "v", "e", "a", "i", "r", "n", "beta", "eps",
                        "alpha", "iota", "r_tilde"):
@@ -443,7 +482,6 @@ class TestMovingFrameEquivalence:
         assert len(got.timeseries.snapshots) == len(want.timeseries.snapshots)
         for mine, ref in zip(got.timeseries.snapshots, want.timeseries.snapshots):
             assert mine.t == ref.t
-            np.testing.assert_array_equal(mine.theta, ref.theta)
             for name in ("e", "a", "i"):
                 _assert_close_to(getattr(mine, name), getattr(ref, name))
         assert got.final_state.t == want.final_state.t

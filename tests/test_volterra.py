@@ -54,6 +54,14 @@ class TestTrivialSolutions:
             solve_renewal(init, small_params, t_max=2500.0)
 
 
+    def test_off_grid_t_max_is_refused(self, small_grid, small_params):
+        init = State(t=0.0, s=1e4, v=1e4, e=zero_density(small_grid),
+                     a=zero_density(small_grid), i=zero_density(small_grid))
+        with pytest.raises(ParameterError, match=r"^t_max must be a whole multiple of "
+                                                 r"grid.h = 0.25, got 10.1$"):
+            solve_renewal(init, small_params, t_max=10.1)
+
+
 class TestAgreementWithSolver:
     def _seeded_state(self, grid):
         return State(t=0.0, s=5e5, v=2e5,
