@@ -1,8 +1,11 @@
 """Scenario configuration: flat `key = value` files with dotted sections.
 
 Lines are `key = value`, `#` starts a comment, blank lines are ignored,
-strings are unquoted. Unknown keys are errors (naming the key and line),
-as are values that fail the downstream preconditions.
+strings are unquoted. This module only parses: unknown keys, values of the
+wrong type or outside a key's choices, an `init.band` that is not a pair
+and an empty sweep `init.d_list` are errors naming the key. The range rules
+live in the library code that reads each value; `runner.run_scenario`
+applies them to every config before it writes anything.
 """
 
 from __future__ import annotations
@@ -11,8 +14,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from sveair.errors import ConfigError, ParameterError
-from sveair.grid import build_grid
+from sveair.errors import ConfigError
 from sveair.scenarios import (
     BUILTIN_NAMES,
     D_SWEEP_DEFAULT,
@@ -30,7 +32,8 @@ _SCALAR_OVERRIDES = ("n0", "mu", "p", "epsilon", "zeta", "q", "xi", "gamma_a", "
 
 @dataclass
 class ScenarioConfig:
-    """Validated scenario description with defaults filled in."""
+    """Scenario description with defaults filled in; `runner.run_scenario`
+    judges its values."""
 
     builtin: str = "table2-c2"
     h: float = 0.5
@@ -76,6 +79,13 @@ def _parse_float_list(key: str, text: str, lineno: int) -> tuple:
     return tuple(_parse_float(key, piece, lineno) for piece in items)
 
 
+def _parse_pair(key: str, text: str, lineno: int) -> tuple:
+    pair = _parse_float_list(key, text, lineno)
+    if len(pair) != 2:
+        raise ConfigError(f"line {lineno}: {key} must be 'low,high', got {text!r}")
+    return pair
+
+
 def _choice(names: tuple):
     """A parser that accepts exactly one of `names`."""
 
@@ -99,7 +109,7 @@ _KEYS = {
     "init.s0": ("s0", _parse_float),
     "init.v0": ("v0", _parse_float),
     "init.d_list": ("d_list", _parse_float_list),
-    "init.band": ("band", _parse_float_list),
+    "init.band": ("band", _parse_pair),
     "init.mode": ("init_mode", _choice(INIT_MODES)),
     "toggles.run_oracle": ("run_oracle", _parse_bool),
     "toggles.run_lyapunov": ("run_lyapunov", _parse_bool),
@@ -108,11 +118,8 @@ _KEYS = {
 
 
 def load_config(path) -> ScenarioConfig:
-    """Parse and validate a scenario config file.
-
-    Raises:
-        ConfigError: on parse errors (with line numbers), unknown keys,
-            missing referenced files, or invalid values (naming the key).
+    """Parse a scenario config file, resolving relative profile paths
+    against its directory. Raises ConfigError as the module docstring says.
     """
     path = Path(path)
     try:
@@ -145,63 +152,13 @@ def load_config(path) -> ScenarioConfig:
             if name in _SCALAR_OVERRIDES:
                 cfg.scalar_overrides[name] = _parse_float(key, value, lineno)
             elif name in _PROFILE_OVERRIDES:
-                cfg.profile_overrides[name] = value
+                # An absolute path stays as it is.
+                cfg.profile_overrides[name] = str(path.parent / value)
             else:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
 
-    _validate(cfg, base=path.parent)
-    return cfg
-
-
-def _validate(cfg: ScenarioConfig, base: Path) -> None:
-    if not cfg.h > 0:
-        raise ConfigError(f"grid.h must be positive, got {cfg.h}")
-    if cfg.theta_max < cfg.h:
-        raise ConfigError(f"grid.theta_max must be at least grid.h, got {cfg.theta_max}")
-    if not cfg.t_max > 0:
-        raise ConfigError(f"run.t_max must be positive, got {cfg.t_max}")
-    if any(not 0 <= ts <= cfg.t_max for ts in cfg.snapshot_times):
-        raise ConfigError(
-            f"run.snapshot_times must lie in [0, run.t_max = {cfg.t_max}], "
-            f"got {', '.join(map(str, cfg.snapshot_times))}"
-        )
-    if not cfg.sample_every >= cfg.h:
-        raise ConfigError(
-            f"run.sample_every must be at least grid.h, got {cfg.sample_every}"
-        )
-    # The run steps, samples and takes snapshots on the grid.
-    grid = build_grid(cfg.h, cfg.theta_max)
-    try:
-        for key, value in (("run.t_max", cfg.t_max), ("run.sample_every", cfg.sample_every),
-                           *(("run.snapshot_times", ts) for ts in cfg.snapshot_times)):
-            grid.steps(value, key)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-    if not cfg.oracle_t_max > 0:
-        raise ConfigError(f"run.oracle_t_max must be positive, got {cfg.oracle_t_max}")
-    if cfg.s0 < 0 or cfg.v0 < 0:
-        raise ConfigError("init.s0 and init.v0 must be nonnegative")
     if cfg.init_mode != "steady" and not cfg.d_list:
         raise ConfigError("init.d_list must be nonempty when sweeping")
-    if any(d < 0 for d in cfg.d_list):
-        raise ConfigError("init.d_list values must be nonnegative")
-    if len(cfg.band) != 2 or not 0 <= cfg.band[0] < cfg.band[1]:
-        raise ConfigError(f"init.band must be 'low,high' with 0 <= low < high, got {cfg.band}")
-    for name, value in cfg.scalar_overrides.items():
-        if name in ("n0", "mu") and not value > 0:
-            raise ConfigError(f"params.{name} must be strictly positive")
-        if name in ("epsilon", "q", "xi") and not 0 <= value <= 1:
-            raise ConfigError(f"params.{name} must lie in [0, 1]")
-        if value < 0:
-            raise ConfigError(f"params.{name} must be nonnegative")
-    resolved = {}
-    for name, rel in cfg.profile_overrides.items():
-        candidate = Path(rel)
-        if not candidate.is_absolute():
-            candidate = base / candidate
-        if not candidate.is_file():
-            raise ConfigError(f"params.{name}: referenced file does not exist: {candidate}")
-        resolved[name] = str(candidate)
-    cfg.profile_overrides = resolved
+    return cfg

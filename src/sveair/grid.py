@@ -39,7 +39,8 @@ class Units(enum.Enum):
 
 @dataclass(frozen=True)
 class AgeGrid:
-    """Uniform age mesh with nodes theta_j = j*h for j = 0 .. n_nodes-1."""
+    """Uniform age mesh with nodes theta_j = j*h for j = 0 .. n_nodes-1;
+    `build_grid` judges h and theta_max."""
 
     h: float
     theta_max: float
@@ -58,10 +59,6 @@ class AgeGrid:
         return int(round(ratio))
 
     def __post_init__(self):
-        if not (self.h > 0 and math.isfinite(self.h)):
-            raise InvalidGridError(f"step size must be positive, got h={self.h}")
-        if not (self.theta_max > 0 and math.isfinite(self.theta_max)):
-            raise InvalidGridError(f"theta_max must be positive, got {self.theta_max}")
         if self.n_nodes < 1:
             raise InvalidGridError(f"grid needs at least one node, got {self.n_nodes}")
 

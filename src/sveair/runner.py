@@ -9,11 +9,15 @@ and writes the CSV products:
   - oracle_compare_d<label>.csv t,beta_pde,beta_volterra,rel_dev
   - lyapunov_d<label>.csv       t,L,dL_estimate,violation_flag
 
+Every config, from a file or built in code, is judged before anything is
+written: the grid, parameters, step plan, oracle window, steady state,
+initial states and Lyapunov seed verdicts are built first, each by the
+library code that reads the values, and a refusal there is one ConfigError
+naming the config keys of that build (a StabilityError passes as it is).
+
 Each initial condition is simulated once; the oracle window is a prefix of
 that pass's per-step force of infection, and the Lyapunov series comes from
-its observer, an evaluator built once per scenario. That evaluator also
-takes L of every seed before the first pass, so a seed outside its domain
-stops the sweep before any run file is written.
+its observer, the evaluator that judged the seeds.
 
 Runs execute sequentially in d-order; all sums have fixed order, so
 identical configs give byte-identical files.
@@ -21,6 +25,7 @@ identical configs give byte-identical files.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -29,24 +34,41 @@ import numpy as np
 
 from sveair import diagnostics, reproduction, scenarios, volterra
 from sveair.config import ScenarioConfig
-from sveair.errors import AbortedRunError, ConfigError, LyapunovDomainError
+from sveair.errors import (
+    AbortedRunError, ConfigError, InvalidGridError, LyapunovDomainError, ParameterError,
+    ProfileError,
+)
 from sveair.grid import AgeGrid, build_grid, constant_profile, load_profile_csv
 from sveair.io import format_column, format_value, write_csv
 from sveair.params import PROFILE_UNITS, ParameterSet
-from sveair.solver import State, simulate
+from sveair.solver import State, simulate, step_plan
+
+
+@contextmanager
+def _refusals_name(keys: str = ""):
+    """Re-raise a library refusal in the block as a ConfigError led by the
+    config `keys`; without keys, the library message names the key."""
+    try:
+        yield
+    except (InvalidGridError, ProfileError, ParameterError) as exc:
+        raise ConfigError(f"{keys}: {exc}" if keys else str(exc)) from exc
 
 
 def build_model(cfg: ScenarioConfig) -> tuple[AgeGrid, ParameterSet]:
-    """Grid and parameter set for a validated config."""
-    grid = build_grid(cfg.h, cfg.theta_max)
-    overrides = {}
-    for name, value in cfg.scalar_overrides.items():
-        units = PROFILE_UNITS.get(name)
-        overrides[name] = value if units is None else constant_profile(grid, value, units)
-    for key, path in cfg.profile_overrides.items():
-        name = key.removesuffix("_csv")
-        overrides[name] = load_profile_csv(path, grid, PROFILE_UNITS[name])
-    return grid, scenarios.builtin_scenario(cfg.builtin, grid, **overrides)
+    """Grid and parameter set for a config; a refusal is a ConfigError
+    naming the grid keys, or every `params.*` key the config sets."""
+    with _refusals_name("grid.h, grid.theta_max"):
+        grid = build_grid(cfg.h, cfg.theta_max)
+    keys = [f"params.{name}" for name in (*cfg.scalar_overrides, *cfg.profile_overrides)]
+    with _refusals_name(", ".join(keys) or "scenario.builtin"):
+        overrides = {}
+        for name, value in cfg.scalar_overrides.items():
+            units = PROFILE_UNITS.get(name)
+            overrides[name] = value if units is None else constant_profile(grid, value, units)
+        for key, path in cfg.profile_overrides.items():
+            name = key.removesuffix("_csv")
+            overrides[name] = load_profile_csv(path, grid, PROFILE_UNITS[name])
+        return grid, scenarios.builtin_scenario(cfg.builtin, grid, **overrides)
 
 
 def _d_label(d: float) -> str:
@@ -58,7 +80,9 @@ def initial_states(
     params: ParameterSet,
     steady: reproduction.SteadyState,
 ) -> list[tuple[str, State]]:
-    """(label, State) pairs for the configured sweep; labels name files, so must differ."""
+    """(label, State) pairs for the configured sweep; labels name files, so
+    must differ. A refusal is a ConfigError naming the `init.*` keys the
+    mode reads: none in steady mode, `init.band` only in band mode."""
     if cfg.init_mode == "steady":
         return [("steady", scenarios.steady_initial_state(steady))]
     labels = [_d_label(d) for d in cfg.d_list]
@@ -66,14 +90,13 @@ def initial_states(
         if labels.count(label) > 1:
             raise ConfigError(f"init.d_list lists d = {label} more than once; "
                               f"every value writes its own run_d{label}.csv")
-    pairs = []
-    for label, d in zip(labels, cfg.d_list):
-        if cfg.init_mode == "band":
-            state = scenarios.band_initial_state(params, cfg.s0, cfg.v0, d, cfg.band)
-        else:
-            state = scenarios.steady_scaled_initial_state(params, steady, cfg.s0, cfg.v0, d)
-        pairs.append((label, state))
-    return pairs
+    band = cfg.init_mode == "band"
+    keys = "init.mode, init.s0, init.v0, init.d_list" + (", init.band" if band else "")
+    with _refusals_name(keys):
+        return [(label, scenarios.band_initial_state(params, cfg.s0, cfg.v0, d, cfg.band)
+                 if band else
+                 scenarios.steady_scaled_initial_state(params, steady, cfg.s0, cfg.v0, d))
+                for label, d in zip(labels, cfg.d_list)]
 
 
 @dataclass(frozen=True)
@@ -173,28 +196,27 @@ def _check_seed(evaluator: diagnostics.LyapunovEvaluator, mode: str, label: str,
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ExitReport:
-    """Execute a scenario end to end, writing all configured products."""
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Judge a scenario, then execute it end to end, writing all configured
+    products. A refused config raises before the output directory is made."""
     grid, params = build_model(cfg)
+    with _refusals_name():
+        step_plan(grid, cfg.t_max, cfg.sample_every, cfg.snapshot_times,
+                  ("run.t_max", "run.sample_every", "run.snapshot_times"))
+        window = min(cfg.oracle_t_max, cfg.t_max)
+        if cfg.run_oracle:
+            volterra.march_steps(grid, window, "run.oracle_t_max")
     breakdown, steady = reproduction.matching_steady_state(params)
-    write_r0_csv(out, breakdown, steady.beta_star)
-    if cfg.r0_only:
-        return ExitReport(breakdown=breakdown, beta_star=steady.beta_star, runs=(), ok=True)
-
-    window = min(cfg.oracle_t_max, cfg.t_max)
-    if cfg.run_oracle:
-        if window > volterra.T_MAX_CAP:
-            raise ConfigError(f"run.oracle_t_max: the oracle window of {window:g} days "
-                              f"exceeds the renewal-march cap of {volterra.T_MAX_CAP:g} days")
-        # The march, like the run, must end on a step.
-        grid.steps(window, "run.oracle_t_max")
-
     evaluator = diagnostics.LyapunovEvaluator(params, steady) if cfg.run_lyapunov else None
     states = initial_states(cfg, params, steady)
     if evaluator is not None:
         for label, init in states:
             _check_seed(evaluator, cfg.init_mode, label, init)
+
+    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_r0_csv(out, breakdown, steady.beta_star)
+    if cfg.r0_only:
+        return ExitReport(breakdown=breakdown, beta_star=steady.beta_star, runs=(), ok=True)
 
     # The age column of every snapshot of every mass, formatted at the first.
     theta = cache(lambda: format_column(grid.nodes))

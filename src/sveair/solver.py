@@ -242,6 +242,27 @@ def step(state: State, params: ParameterSet) -> State:
     return simulate(state, params, t_max=h, sample_every=h).final_state
 
 
+def step_plan(grid, t_max: float, sample_every: float, snapshot_times=(),
+              names=("t_max", "sample_every", "snapshot_times")) -> tuple[int, int, list]:
+    """(n_steps, stride, snapshot steps) of a run on the AgeGrid `grid`, the
+    rule on the durations and times of `simulate`: t_max and sample_every
+    positive, every value a whole multiple of h (`AgeGrid.steps`) and every
+    snapshot on a step of the run, or a ParameterError naming the refused
+    value by its entry in `names`."""
+    t_name, every_name, snap_name = names
+    for name, days in ((t_name, t_max), (every_name, sample_every)):
+        if not days > 0:
+            raise ParameterError(f"{name} must be positive, got {days}")
+    n_steps = grid.steps(t_max, t_name)
+    stride = grid.steps(sample_every, every_name)
+    snap_steps = [grid.steps(ts, snap_name) for ts in snapshot_times]
+    missed = [ts for ts, n in zip(snapshot_times, snap_steps) if not 0 <= n <= n_steps]
+    if missed:
+        raise ParameterError(f"{snap_name}: snapshot times {missed} match no step "
+                             f"of [0, {n_steps * grid.h:g}]")
+    return n_steps, stride, snap_steps
+
+
 def simulate(
     init: State,
     params: ParameterSet,
@@ -251,7 +272,7 @@ def simulate(
     observer=None,
 ) -> SimulationResult:
     """Run the scheme over [init.t, init.t + t_max]. Every duration and time
-    is in days and a whole multiple of h; any other is refused.
+    is in days; `step_plan` turns them into steps and refuses any it cannot.
 
     Args:
         init: Initial state on the parameter grid.
@@ -273,23 +294,15 @@ def simulate(
         of infection and the final State.
 
     Raises:
-        ParameterError: naming the refused duration or time (`AgeGrid.steps`).
+        ParameterError: naming the refused duration or time (`step_plan`).
         StabilityError: at setup when h * max exit rate >= 1 (`grid.scheme_factors`).
         AbortedRunError: when a non-finite value appears; carries the step.
     """
-    for name, days in (("t_max", t_max), ("sample_every", sample_every)):
-        if not days > 0:
-            raise ParameterError(f"{name} must be positive, got {days}")
     grid = params.grid
     if init.e.grid != grid:
         raise ParameterError("initial state is not on the parameter grid")
     h, n_nodes = grid.h, grid.n_nodes
-    n_steps = grid.steps(t_max, "t_max")
-    stride = grid.steps(sample_every, "sample_every")
-    snap_steps = [grid.steps(ts, "snapshot_times") for ts in snapshot_times]
-    missed = [ts for ts, n in zip(snapshot_times, snap_steps) if not 0 <= n <= n_steps]
-    if missed:
-        raise ParameterError(f"snapshot times {missed} match no step of [0, {n_steps * h:g}]")
+    n_steps, stride, snap_steps = step_plan(grid, t_max, sample_every, snapshot_times)
     # The time each snapshot step was first requested at.
     snap_times = {n: init.t + ts for ts, n in reversed(list(zip(snapshot_times, snap_steps)))}
     initial = _functionals(params, init)

@@ -47,7 +47,7 @@ from sveair.params import ParameterSet
 from sveair.solver import State
 
 # A march of n steps costs O(n^2) in the history sums and O(n * support) in
-# the initial data; longer windows raise ParameterError.
+# the initial data; `march_steps` refuses longer windows.
 T_MAX_CAP = 2000.0
 
 
@@ -79,6 +79,18 @@ def _trapezoid_dot(kernel: np.ndarray, history: np.ndarray, n: int, h: float) ->
     return h * total
 
 
+def march_steps(grid, t_max: float, name: str = "t_max") -> int:
+    """Steps of a t_max-day march on the AgeGrid `grid`, the rule on the
+    window of `solve_renewal`: positive, at most T_MAX_CAP and a whole
+    multiple of h (`AgeGrid.steps`), or a ParameterError naming `name`."""
+    if not t_max > 0:
+        raise ParameterError(f"{name} must be positive, got {t_max}")
+    if t_max > T_MAX_CAP:
+        raise ParameterError(f"{name} = {t_max:g} exceeds the renewal-march cap "
+                             f"of {T_MAX_CAP:g} days")
+    return grid.steps(t_max, name)
+
+
 def solve_renewal(
     init: State,
     params: ParameterSet,
@@ -89,20 +101,17 @@ def solve_renewal(
     Args:
         init: Initial state (same object the PDE solver accepts).
         t_max: Run length in days, a positive whole multiple of h up to
-            T_MAX_CAP, a cap on the quadratic-cost march; else ParameterError.
+            T_MAX_CAP, a cap on the quadratic-cost march; `march_steps`
+            refuses any other with a ParameterError.
 
     Returns:
         RenewalPath sampled at every step, at t = init.t + n * h.
     """
-    if t_max <= 0:
-        raise ParameterError(f"t_max must be positive, got {t_max}")
-    if t_max > T_MAX_CAP:
-        raise ParameterError(f"t_max={t_max} exceeds the renewal-march cap {T_MAX_CAP}")
     grid = params.grid
     if init.e.grid != grid:
         raise ParameterError("initial state is not on the parameter grid")
     h = grid.h
-    n_steps = grid.steps(t_max, "t_max")
+    n_steps = march_steps(grid, t_max)
 
     surv_e, surv_a, surv_i = (survival(rate, h) for rate in
                               (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i))

@@ -3,7 +3,9 @@
 import re
 import tracemalloc
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,10 @@ from hypothesis import strategies as st
 
 from contact_labeling import contact_labeling_outcomes, write_contact_labeling_report
 from sveair import cli, config, diagnostics, io, reproduction, runner, volterra
-from sveair.config import load_config
-from sveair.errors import AbortedRunError, ConfigError, LyapunovDomainError
+from sveair.config import ScenarioConfig, load_config
+from sveair.errors import (
+    AbortedRunError, ConfigError, LyapunovDomainError, StabilityError, SveairError,
+)
 from sveair.io import format_value, read_csv, write_csv
 from sveair.runner import build_model, run_scenario
 from sveair.solver import simulate
@@ -39,6 +43,30 @@ def write_cfg(tmp_path, text, name="scenario.cfg"):
     return path
 
 
+def on_tiny(lines):
+    """TINY with each `key = value` line of `lines` in place of its key's
+    line, or appended when TINY does not set the key."""
+    text = TINY
+    for line in lines.splitlines():
+        key = line.partition("=")[0].strip()
+        text, count = re.subn(rf"^{re.escape(key)} =.*$", lambda _: line, text, flags=re.M)
+        if not count:
+            text += line + "\n"
+    return text
+
+
+def assert_cli_refuses(tmp_path, capsys, text, key, command="run"):
+    """`sveair <command>` on `text` exits 2, names `key` on stderr and
+    leaves no output directory; returns stderr."""
+    out = tmp_path / "o"
+    code = cli.main([command, "--config", str(write_cfg(tmp_path, text)), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert key in err
+    assert not out.exists()
+    return err
+
+
 class TestLoadConfig:
     def test_minimal_file_fills_defaults(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, "scenario.builtin = table2-c2\n"))
@@ -50,9 +78,11 @@ class TestLoadConfig:
         assert cfg.s0 == cfg.v0 == 2e7
         assert cfg.band == (7200.0, 18000.0)
 
-    def test_zero_step_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="grid.h"):
-            load_config(write_cfg(tmp_path, "grid.h = 0\n"))
+    # The parser judges no range: the refusals of values run through the
+    # CLI, where `run_scenario` judges them before it writes anything.
+
+    def test_zero_step_rejected(self, tmp_path, capsys):
+        assert_cli_refuses(tmp_path, capsys, on_tiny("grid.h = 0"), "grid.h")
 
     def test_unknown_key_named(self, tmp_path):
         with pytest.raises(ConfigError, match="grid.steps"):
@@ -72,9 +102,10 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             load_config(write_cfg(tmp_path, "grid.h = 0.5\ngrid.h = 0.25\n"))
 
-    def test_missing_profile_file_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="does not exist"):
-            load_config(write_cfg(tmp_path, "params.q_csv = nowhere.csv\n"))
+    def test_missing_profile_file_rejected(self, tmp_path, capsys):
+        err = assert_cli_refuses(tmp_path, capsys, on_tiny("params.q_csv = nowhere.csv"),
+                                 "params.q_csv")
+        assert f"cannot read profile CSV {tmp_path / 'nowhere.csv'}" in err
 
     def test_profile_override_resolved_and_applied(self, tmp_path):
         data = tmp_path / "q.csv"
@@ -85,13 +116,10 @@ class TestLoadConfig:
         _, params = build_model(cfg)
         np.testing.assert_array_equal(params.q.values, 0.25)
 
-    def test_scalar_override_ranges(self, tmp_path):
-        with pytest.raises(ConfigError, match="params.epsilon"):
-            load_config(write_cfg(tmp_path, "params.epsilon = 1.5\n"))
-        with pytest.raises(ConfigError, match="params.mu"):
-            load_config(write_cfg(tmp_path, "params.mu = 0\n"))
-        with pytest.raises(ConfigError, match="params.n0"):
-            load_config(write_cfg(tmp_path, "params.n0 = 0\n"))
+    def test_scalar_override_ranges(self, tmp_path, capsys):
+        for line, key in (("params.epsilon = 1.5", "params.epsilon"),
+                          ("params.mu = 0", "params.mu"), ("params.n0 = 0", "params.n0")):
+            assert_cli_refuses(tmp_path, capsys, on_tiny(line), key)
 
     @pytest.mark.parametrize("text, key", [
         ("grid.h = half\n", "grid.h"),
@@ -100,7 +128,7 @@ class TestLoadConfig:
         ("run.t_max =\n", "run.t_max"),
         ("grid.theta_max = 0.25\n", "grid.theta_max"),
         ("run.t_max = 0\n", "run.t_max"),
-        ("run.oracle_t_max = -5\n", "run.oracle_t_max"),
+        ("run.oracle_t_max = -5\ntoggles.run_oracle = true\n", "run.oracle_t_max"),
         ("init.s0 = -1\n", "init.s0"),
         ("init.v0 = -1\n", "init.v0"),
         ("init.d_list = 10,-1\n", "init.d_list"),
@@ -108,9 +136,12 @@ class TestLoadConfig:
         ("init.band = 100\n", "init.band"),
         ("params.gamma_a = -0.1\n", "params.gamma_a"),
     ])
-    def test_refusal_names_the_key(self, tmp_path, text, key):
+    def test_refusal_names_the_key(self, tmp_path, capsys, text, key):
+        # Refused by the parser or by the run, as a ConfigError either way.
+        text = on_tiny(text)
         with pytest.raises(ConfigError, match=re.escape(key)):
-            load_config(write_cfg(tmp_path, text))
+            run_scenario(load_config(write_cfg(tmp_path, text)), out_dir=tmp_path / "o")
+        assert_cli_refuses(tmp_path, capsys, text, key)
 
     def test_unreadable_config_path_is_named(self, tmp_path):
         path = tmp_path / "missing.cfg"
@@ -454,7 +485,7 @@ class TestRunner:
         out = tmp_path / "o"
         with pytest.raises(ConfigError, match="^init.d_list: .* d = 0 "):
             run_scenario(cfg, out_dir=out)
-        assert not list(out.glob("run_d*.csv"))
+        assert not out.exists()
         report = run_scenario(replace(cfg, run_lyapunov=False), out_dir=out)
         assert report.ok and (out / "run_d0.csv").is_file()
 
@@ -696,7 +727,7 @@ class TestCli:
         assert code == 2
         assert "error: init.d_list: the steady-scaled seed d = 1e-300 " in (
             capsys.readouterr().err)
-        assert not list(out.glob("run_d*.csv"))
+        assert not out.exists()
 
     def test_unstable_step_stops_before_r0(self, tmp_path, capsys):
         # At h * max exit rate >= 1 the scheme has no survival, so no r0:
@@ -750,9 +781,9 @@ class TestCli:
         out = tmp_path / "o"
         code = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
         assert code == 2
-        assert "error: run.snapshot_times must lie in [0, run.t_max = 10.0]" in (
-            capsys.readouterr().err)
-        assert not list(out.glob("run_d*.csv"))
+        assert ("error: run.snapshot_times: snapshot times [50.0, -3.0] match no step "
+                "of [0, 10]" in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("line, value", [("run.sample_every = 1", "0.7"),
                                              ("run.t_max = 10", "10.3"),
@@ -767,10 +798,153 @@ class TestCli:
         assert code == 2
         assert (f"error: {key} must be a whole multiple of grid.h = 0.5, got {value}"
                 in capsys.readouterr().err)
-        assert not list(out.glob("run_d*.csv"))
+        assert not out.exists()
 
     def test_config_error_is_reported(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, "grid.h = -1\n")
         code = cli.main(["run", "--config", str(cfg_path)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+# TINY as a ScenarioConfig built in code.
+TINY_CFG = ScenarioConfig(h=0.5, theta_max=720.0, t_max=10.0, sample_every=1.0,
+                          snapshot_times=(5.0,), d_list=(10.0, 100.0), band=(100.0, 300.0))
+
+# Per judged key: its ScenarioConfig field, values that the key's own rule
+# accepts, and values it refuses. A params.* value of None leaves the key out.
+JUDGED = {
+    "grid.h": ("h", (0.5, 0.25), (0.0, -1.0)),
+    "grid.theta_max": ("theta_max", (720.0, 360.0), (0.25,)),
+    "run.t_max": ("t_max", (10.0, 5.0), (0.0, 10.3)),
+    "run.sample_every": ("sample_every", (1.0, 0.5), (0.0, 0.7)),
+    "run.snapshot_times": ("snapshot_times", ((), (5.0,), (0.0, 5.0)),
+                           ((5.0, 50.0), (-3.0,), (5.2,))),
+    "run.oracle_t_max": ("oracle_t_max", (200.0, 5.0), (-5.0, 5.3)),
+    "init.s0": ("s0", (2e7, 0.0), (-1.0,)),
+    "init.v0": ("v0", (2e7, 0.0), (-1.0,)),
+    "init.d_list": ("d_list", ((10.0,), (10.0, 100.0), (0.0,), (1e-300,)),
+                    ((10.0, -1.0), (10.0, 1e1))),
+    "init.band": ("band", ((100.0, 300.0), (0.0, 721.0)), ((300.0, 100.0), (800.0, 900.0))),
+    "init.mode": ("init_mode", config.INIT_MODES, ()),
+    "toggles.run_oracle": ("run_oracle", (False, True), ()),
+    "toggles.run_lyapunov": ("run_lyapunov", (False, True), ()),
+    "params.gamma_a": (None, (None, 0.2), (-0.1,)),
+    "params.epsilon": (None, (None, 0.5), (1.5,)),
+    "params.mu": (None, (None, 1e-4), (0.0,)),
+}
+
+
+def _judged_values():
+    """Values for every judged key: accepted ones, but for up to two keys
+    drawn to take a refused value."""
+    valid = st.fixed_dictionaries({key: st.sampled_from(accepted)
+                                   for key, (_, accepted, _) in JUDGED.items()})
+    refusable = [key for key, (*_, refused) in JUDGED.items() if refused]
+    faults = st.lists(st.sampled_from(refusable), max_size=2, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries({key: st.sampled_from(JUDGED[key][2])
+                                            for key in keys}))
+    return st.tuples(valid, faults).map(lambda pair: {**pair[0], **pair[1]})
+
+
+def _config_text(values):
+    lines = []
+    for key, value in values.items():
+        if value is None or value == ():
+            continue
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, tuple):
+            value = ",".join(map(repr, value))
+        elif isinstance(value, float):
+            value = repr(value)
+        lines.append(f"{key} = {value}\n")
+    return "".join(lines)
+
+
+def _config_in_code(values):
+    fields = {JUDGED[key][0]: value for key, value in values.items()
+              if not key.startswith("params.")}
+    scalars = {key[len("params."):]: value for key, value in values.items()
+               if key.startswith("params.") and value is not None}
+    return ScenarioConfig(**fields, scalar_overrides=scalars)
+
+
+class TestJudgement:
+    """`run_scenario` judges every config before it writes anything, from a
+    file or built in code."""
+
+    @pytest.mark.parametrize("fields, key", [
+        (dict(h=0.0), "grid.h"),
+        (dict(theta_max=0.25), "grid.theta_max"),
+        (dict(t_max=0.0), "run.t_max"),
+        (dict(t_max=10.3), "run.t_max"),
+        (dict(sample_every=0.7), "run.sample_every"),
+        (dict(snapshot_times=(5.0, 50.0, -3.0)), "run.snapshot_times"),
+        (dict(snapshot_times=(5.2,)), "run.snapshot_times"),
+        (dict(oracle_t_max=-5.0, run_oracle=True), "run.oracle_t_max"),
+        (dict(oracle_t_max=5.3, run_oracle=True), "run.oracle_t_max"),
+        (dict(t_max=2100.0, oracle_t_max=2100.0, run_oracle=True), "run.oracle_t_max"),
+        (dict(s0=-1.0), "init.s0"),
+        (dict(v0=-1.0), "init.v0"),
+        (dict(d_list=(10.0, -1.0)), "init.d_list"),
+        (dict(band=(300.0, 100.0)), "init.band"),
+        (dict(scalar_overrides={"gamma_a": -0.1}), "params.gamma_a"),
+        (dict(scalar_overrides={"epsilon": 1.5}), "params.epsilon"),
+        (dict(scalar_overrides={"mu": 0.0}), "params.mu"),
+        (dict(scalar_overrides={"n0": 0.0}), "params.n0"),
+        (dict(profile_overrides={"q_csv": "nowhere.csv"}), "params.q_csv"),
+    ])
+    def test_config_built_in_code_is_refused_before_any_file(self, tmp_path, monkeypatch,
+                                                             fields, key):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "o"
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            run_scenario(replace(TINY_CFG, **fields), out_dir=out)
+        assert not out.exists()
+
+    def test_snapshot_on_the_last_step_in_other_days_is_taken(self, tmp_path):
+        # 0.30000000000000004 days is step 3 of a 0.3-day run at h = 0.1, as
+        # `simulate` counts it.
+        text = on_tiny("grid.h = 0.1\nrun.t_max = 0.3\nrun.sample_every = 0.1\n"
+                       "run.snapshot_times = 0.30000000000000004")
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(write_cfg(tmp_path, text)),
+                         "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.glob("snapshot_d10_*.csv")) == [
+            "snapshot_d10_t0.30000000000000004.csv"]
+
+    @pytest.mark.parametrize("lines", [
+        "run.oracle_t_max = -5\ntoggles.run_oracle = false",
+        "init.mode = steady-scaled\ninit.band = 300,100",
+        "init.mode = steady\ninit.s0 = -1\ninit.v0 = -1\ninit.d_list = -1",
+    ])
+    def test_values_the_run_does_not_read_are_not_judged(self, tmp_path, lines):
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(write_cfg(tmp_path, on_tiny(lines))),
+                         "--out", str(out)]) == 0
+        assert (out / "r0.csv").is_file()
+
+    @given(values=_judged_values())
+    @settings(max_examples=30, deadline=None)
+    def test_file_and_code_configs_are_judged_alike(self, tmp_path_factory, values):
+        tmp_path = tmp_path_factory.mktemp("alike")
+        code_out, cli_out = tmp_path / "code", tmp_path / "cli"
+        try:
+            report, verdict = run_scenario(_config_in_code(values), out_dir=code_out), None
+        except SveairError as exc:
+            assert isinstance(exc, (ConfigError, StabilityError))
+            verdict = f"error: {exc}\n"
+        err = StringIO()
+        with redirect_stderr(err), redirect_stdout(StringIO()):
+            code = cli.main(["run", "--config", str(write_cfg(tmp_path, _config_text(values))),
+                             "--out", str(cli_out)])
+        if verdict is not None:
+            assert (code, err.getvalue()) == (2, verdict)
+            assert not code_out.exists() and not cli_out.exists()
+            return
+        assert code == (0 if report.ok else 1)
+        names = sorted(path.name for path in code_out.iterdir())
+        assert names == sorted(path.name for path in cli_out.iterdir())
+        for name in names:
+            assert (code_out / name).read_bytes() == (cli_out / name).read_bytes()
