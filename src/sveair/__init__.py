@@ -17,7 +17,7 @@ from sveair.reproduction import (
     solve_beta_star,
     steady_state,
 )
-from sveair.solver import State, TimeSeries, aggregate, boundary_values, force_of_infection, simulate, step
+from sveair.solver import State, TimeSeries, simulate
 from sveair.volterra import RenewalPath, solve_renewal
 from sveair.diagnostics import (
     LyapunovEvaluator,
@@ -32,8 +32,7 @@ __all__ = [
     "ParameterSet",
     "R0Breakdown", "SteadyState", "compute_R0",
     "solve_beta_star", "steady_state",
-    "State", "TimeSeries", "aggregate", "boundary_values", "force_of_infection",
-    "simulate", "step",
+    "State", "TimeSeries", "simulate",
     "RenewalPath", "solve_renewal",
     "LyapunovEvaluator", "LyapunovWeights", "convergence_metric", "lyapunov_weights",
     "monotonicity_check",

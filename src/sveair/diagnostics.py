@@ -159,6 +159,9 @@ def discrete_fixed_point(params: ParameterSet, steady: SteadyState) -> SteadySta
     return steady
 
 
+# The benchmark tracer (bench/child.py) wraps this name; the runner reads
+# the evaluator as the observer of its one pass instead. The next benchmark
+# change deletes it.
 def monitor_lyapunov(
     init: State,
     params: ParameterSet,
@@ -183,7 +186,6 @@ class MonotonicityReport:
     """Strict-increase count of a sampled Lyapunov series."""
 
     n_violations: int
-    tol: float
     intervals: tuple  # (index, t_left, t_right, increase) per violation
 
     @property
@@ -217,9 +219,7 @@ def monotonicity_check(
             continue  # inf -> anything is nonincreasing
         if right - left > tol:
             intervals.append((idx, float(t_arr[idx]), float(t_arr[idx + 1]), right - left))
-    return MonotonicityReport(
-        n_violations=len(intervals), tol=float(tol), intervals=tuple(intervals)
-    )
+    return MonotonicityReport(n_violations=len(intervals), intervals=tuple(intervals))
 
 
 def convergence_metric(state: State, steady: SteadyState, n0: float) -> float:

@@ -122,9 +122,9 @@ class AgeProfile:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    def with_values(self, values: np.ndarray, units: Units | None = None) -> "AgeProfile":
-        """New profile on the same grid."""
-        return AgeProfile(self.grid, values, self.units if units is None else units)
+    def with_values(self, values: np.ndarray) -> "AgeProfile":
+        """New profile on the same grid, with the same units."""
+        return AgeProfile(self.grid, values, self.units)
 
 
 def constant_profile(grid: AgeGrid, value: float, units: Units) -> AgeProfile:

@@ -46,7 +46,7 @@ GAMMA_I = 1.0 / 14.0
 
 MEAN_CONTACTS = 16.71    # contacts per day, grid average
 CONTACT_WIDTH = 1e4      # days
-CONTACT_CENTERS = {"c1": 80 * DAYS_PER_YEAR, "c2": 10 * DAYS_PER_YEAR}
+CONTACT_CENTERS = {"table2-c1": 80 * DAYS_PER_YEAR, "table2-c2": 10 * DAYS_PER_YEAR}
 PROB_LATENT_TO_ASYM = 1.0 / 5.0
 PROB_LATENT_TO_SYMP = 2.0 / 5.0
 
@@ -62,7 +62,7 @@ V0_DEFAULT = 2e7
 D_SWEEP_DEFAULT = (10.0, 1e4, 1e6, 4e6, 1e7)
 SEED_BAND_DEFAULT = (20 * DAYS_PER_YEAR, 50 * DAYS_PER_YEAR)
 
-BUILTIN_NAMES = ("table2-c1", "table2-c2")
+BUILTIN_NAMES = tuple(CONTACT_CENTERS)
 
 
 def latent_rate_profile(grid: AgeGrid) -> AgeProfile:
@@ -91,29 +91,20 @@ def asymptomatic_proportion_profile(grid: AgeGrid) -> AgeProfile:
         return load_profile_csv(path, grid, Units.PROPORTION)
 
 
-def transmission_profiles(grid: AgeGrid, contact: str) -> tuple[AgeProfile, AgeProfile]:
-    """(beta_a, beta_i) for contact function 'c1' or 'c2'."""
-    try:
-        center = CONTACT_CENTERS[contact]
-    except KeyError:
-        raise ConfigError(f"unknown contact function {contact!r}; use 'c1' or 'c2'")
-    contacts = sample_contact(center, MEAN_CONTACTS, CONTACT_WIDTH, grid)
-    beta_a = AgeProfile(grid, contacts.values * PROB_LATENT_TO_ASYM / N0, Units.TRANSMISSION)
-    beta_i = AgeProfile(grid, contacts.values * PROB_LATENT_TO_SYMP / N0, Units.TRANSMISSION)
-    return beta_a, beta_i
-
-
-def build_parameters(grid: AgeGrid, contact: str = "c2", **overrides) -> ParameterSet:
-    """Table-2 parameter set on `grid`; keyword overrides replace fields."""
-    beta_a, beta_i = transmission_profiles(grid, contact)
+def builtin_scenario(name: str, grid: AgeGrid, **overrides) -> ParameterSet:
+    """Table-2 parameter set of a built-in scenario on `grid`; keyword
+    overrides replace fields."""
+    if name not in BUILTIN_NAMES:
+        raise ConfigError(f"unknown built-in scenario {name!r}; choose from {BUILTIN_NAMES}")
+    contacts = sample_contact(CONTACT_CENTERS[name], MEAN_CONTACTS, CONTACT_WIDTH, grid)
     fields = dict(
         n0=N0,
         mu=MU,
         p=VACCINATION_RATE,
         epsilon=VACCINE_EFFECTIVENESS,
         zeta=VACCINE_IMMUNITY_RATE,
-        beta_a=beta_a,
-        beta_i=beta_i,
+        beta_a=AgeProfile(grid, contacts.values * PROB_LATENT_TO_ASYM / N0, Units.TRANSMISSION),
+        beta_i=AgeProfile(grid, contacts.values * PROB_LATENT_TO_SYMP / N0, Units.TRANSMISSION),
         k=latent_rate_profile(grid),
         q=asymptomatic_proportion_profile(grid),
         xi=constant_profile(grid, XI_NEVER_SYMPTOMATIC, Units.PROPORTION),
@@ -123,13 +114,6 @@ def build_parameters(grid: AgeGrid, contact: str = "c2", **overrides) -> Paramet
     )
     fields.update(overrides)
     return ParameterSet(**fields)
-
-
-def builtin_scenario(name: str, grid: AgeGrid, **overrides) -> ParameterSet:
-    """Parameter set for a built-in scenario name; keyword overrides replace fields."""
-    if name not in BUILTIN_NAMES:
-        raise ConfigError(f"unknown built-in scenario {name!r}; choose from {BUILTIN_NAMES}")
-    return build_parameters(grid, contact="c1" if name.endswith("c1") else "c2", **overrides)
 
 
 def band_initial_state(

@@ -38,10 +38,10 @@ nodes (off the live spans u, and so Q * u, is an exact +-0), and the
 observer on the leading nodes it declares (all J unless it says fewer).
 
 At t = 0 the force of infection and the renewal integrals are instead the
-unscaled dot products of the given densities, the arithmetic of
-`force_of_infection` and of `boundary_values`' alpha and iota (and of the
-renewal oracle's first step), so every reader of an initial state gets the
-same numbers, not numbers that agree to round-off.
+unscaled dot products of the given densities (`_functionals`, the
+arithmetic of the renewal oracle's first step too), so the first sample
+of a run gives every reader of an initial state the same numbers, not
+numbers that agree to round-off.
 
 S and V take their deaths explicitly and their transfers implicitly
 (Mickens' nonstandard finite-difference form):
@@ -61,12 +61,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from sveair.errors import AbortedRunError, ParameterError
-from sveair.grid import AgeProfile, Units, block_products, rect_integral, scheme_factors
+from sveair.grid import AgeProfile, Units, block_products, scheme_factors
 from sveair.params import ParameterSet
 
 
@@ -100,20 +100,6 @@ class State:
         first = int(nonzero.argmax())
         last = nonzero.size - int(nonzero[::-1].argmax()) if nonzero[first] else first
         return first, last
-
-
-class BoundaryValues(NamedTuple):
-    eps: float
-    alpha: float
-    iota: float
-
-
-class Aggregates(NamedTuple):
-    exposed: float
-    asymptomatic: float
-    symptomatic: float
-    removed: float
-    total: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +151,11 @@ class SimulationResult:
 
 def _functionals(params: ParameterSet, state: State):
     """(beta, eps, alpha, iota, recovered flux) of a state, as the unscaled
-    rectangle-rule dot products h * (row @ density) of the flux rows."""
+    rectangle-rule dot products h * (row @ density) of the flux rows.
+
+    eps is the new-latent density beta * (S + (1 - epsilon) V) of the
+    state's own S and V; a sample's `eps` is instead the boundary its step
+    writes, fed by the updated S and V."""
     h = params.grid.h
     to_asym, to_symp = (row @ state.e.values for row in params.flux_rows(0))
     infect_a, branch_a, recover_a = (row @ state.a.values for row in params.flux_rows(1))
@@ -176,32 +166,6 @@ def _functionals(params: ParameterSet, state: State):
     iota = h * float(to_symp + branch_a)
     recovered = h * float(recover_a + recover_i)
     return beta, eps, alpha, iota, recovered
-
-
-def force_of_infection(state: State, params: ParameterSet) -> float:
-    """Force of infection: h * (beta_a @ a + beta_i @ i) over all nodes."""
-    return _functionals(params, state)[0]
-
-
-def boundary_values(state: State, params: ParameterSet) -> BoundaryValues:
-    """Renewal boundary densities (eps, alpha, iota) of a state.
-
-    eps is the new-latent density beta * (S + (1-epsilon) V); note the
-    deliberate naming split between the vaccine effectiveness epsilon and
-    the boundary density eps.
-    """
-    _, eps, alpha, iota, _ = _functionals(params, state)
-    return BoundaryValues(eps=eps, alpha=alpha, iota=iota)
-
-
-def aggregate(state: State, n0: float) -> Aggregates:
-    """Rectangle-rule compartment masses; R is the remainder against N0."""
-    grid = state.e.grid
-    e_tot = rect_integral(state.e.values, grid)
-    a_tot = rect_integral(state.a.values, grid)
-    i_tot = rect_integral(state.i.values, grid)
-    removed = n0 - state.s - state.v - e_tot - a_tot - i_tot
-    return Aggregates(e_tot, a_tot, i_tot, removed, n0)
 
 
 def _live_spans(n: int, first: int, last: int, n_nodes: int) -> tuple:
@@ -234,12 +198,6 @@ def _kernel(q_row: np.ndarray, *weights: np.ndarray) -> np.ndarray:
     for row, weight in zip(out, weights):
         np.multiply(weight, q_row, out=row)
     return out
-
-
-def step(state: State, params: ParameterSet) -> State:
-    """Advance one step of size h = grid.h: one step of `simulate`."""
-    h = params.grid.h
-    return simulate(state, params, t_max=h, sample_every=h).final_state
 
 
 def step_plan(grid, t_max: float, sample_every: float, snapshot_times=(),

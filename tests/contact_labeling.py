@@ -49,8 +49,8 @@ def contact_labeling_outcomes(h: float = 0.05, theta_max: float = scenarios.THET
     """r0 under both readings of the contact-function labels."""
     grid = build_grid(h, theta_max)
     r0_by_center = {}
-    for contact, center_years in (("c1", 80), ("c2", 10)):
-        params = scenarios.build_parameters(grid, contact=contact)
+    for name, center_years in (("table2-c1", 80), ("table2-c2", 10)):
+        params = scenarios.builtin_scenario(name, grid)
         r0_by_center[center_years] = reproduction.compute_R0(params).r0
     return (
         LabelingOutcome("formula (c1 centered at 80y, c2 at 10y)",

@@ -179,6 +179,31 @@ class TestLoadConfig:
                     config._SCALAR_OVERRIDES + config._PROFILE_OVERRIDES)
 
 
+class TestDocumentedApi:
+    def test_public_names(self):
+        import sveair
+
+        assert sveair.__all__ == [
+            "AgeGrid", "AgeProfile", "Units", "build_grid", "survival",
+            "ParameterSet",
+            "R0Breakdown", "SteadyState", "compute_R0",
+            "solve_beta_star", "steady_state",
+            "State", "TimeSeries", "simulate",
+            "RenewalPath", "solve_renewal",
+            "LyapunovEvaluator", "LyapunovWeights", "convergence_metric", "lyapunov_weights",
+            "monotonicity_check",
+        ]
+        assert all(hasattr(sveair, name) for name in sveair.__all__)
+
+    def test_readme_library_block_runs(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Library\n", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        assert namespace["result"].final_state.t == 1500.0
+
+
 def _block_edge_shapes(min_length):
     """(n_cols, length) of a CSV of one to four columns, with a length at or
     across the block edges of a file with that many columns."""

@@ -16,7 +16,7 @@ from sveair.errors import LyapunovDomainError, StabilityError
 from sveair.grid import Units, build_grid, rect_integral, scheme_tail
 from sveair.scenarios import (band_initial_state, steady_initial_state,
                               steady_scaled_initial_state)
-from sveair.solver import State, boundary_values, force_of_infection, simulate, step
+from sveair.solver import State, _functionals, simulate
 
 
 @pytest.fixture(scope="module")
@@ -549,7 +549,8 @@ class TestDiscreteFixedPoint:
         params = make_constant_params(grid, beta_i=1e-6, n0=1e7)
         steady = rep.steady_state(params, rep.solve_beta_star(params))
 
-        after = step(steady_initial_state(steady), params)
+        h = grid.h
+        after = simulate(steady_initial_state(steady), params, t_max=h, sample_every=h).final_state
         assert dg.convergence_metric(after, steady, params.n0) < 1e-15
         # Relaxation under the solver from a perturbed S and V lands on it.
         perturbed = replace(steady_initial_state(steady), s=1.01 * steady.s_star,
@@ -565,10 +566,12 @@ class TestDiscreteFixedPoint:
         _, ref = rep.matching_steady_state(params)
 
         state = steady_initial_state(ref)
-        bounds = boundary_values(state, params)
-        assert force_of_infection(state, params) == pytest.approx(ref.beta_star, rel=1e-13)
-        assert bounds.eps == pytest.approx(ref.eps_star, rel=1e-13)
-        assert bounds.alpha == pytest.approx(ref.alpha_star, rel=1e-13)
-        assert bounds.iota == pytest.approx(ref.iota_star, rel=1e-13)
-        later = simulate(state, params, t_max=10.0, sample_every=10.0).final_state
-        assert dg.convergence_metric(later, ref, params.n0) <= 1e-14
+        run = simulate(state, params, t_max=10.0, sample_every=10.0)
+        ts = run.timeseries
+        assert ts.beta[0] == pytest.approx(ref.beta_star, rel=1e-13)
+        # eps of the state's own S and V, before the first step updates them.
+        eps = _functionals(params, state)[1]
+        assert eps == pytest.approx(ref.eps_star, rel=1e-13)
+        assert ts.alpha[0] == pytest.approx(ref.alpha_star, rel=1e-13)
+        assert ts.iota[0] == pytest.approx(ref.iota_star, rel=1e-13)
+        assert dg.convergence_metric(run.final_state, ref, params.n0) <= 1e-14

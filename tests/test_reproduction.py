@@ -16,7 +16,7 @@ from conftest import (
 from sveair import reproduction as rep
 from sveair.errors import StabilityError
 from sveair.grid import build_grid, survival
-from sveair.solver import boundary_values, force_of_infection
+from sveair.solver import _functionals, simulate
 from sveair import scenarios as sc
 from sveair.scenarios import steady_initial_state
 
@@ -203,11 +203,14 @@ class TestSteadyState:
         assert beta_star > 0.0
         endemic = rep.steady_state(params, beta_star)
         state = steady_initial_state(endemic)
-        assert force_of_infection(state, params) == pytest.approx(beta_star, rel=1e-12)
-        bounds = boundary_values(state, params)
-        assert bounds.eps == pytest.approx(endemic.eps_star, rel=1e-12)
-        assert bounds.alpha == pytest.approx(endemic.alpha_star, rel=1e-12)
-        assert bounds.iota == pytest.approx(endemic.iota_star, rel=1e-12)
+        h = small_grid.h
+        ts = simulate(state, params, t_max=h, sample_every=h).timeseries
+        assert ts.beta[0] == pytest.approx(beta_star, rel=1e-12)
+        # eps of the state's own S and V, before the first step updates them.
+        eps = _functionals(params, state)[1]
+        assert eps == pytest.approx(endemic.eps_star, rel=1e-12)
+        assert ts.alpha[0] == pytest.approx(endemic.alpha_star, rel=1e-12)
+        assert ts.iota[0] == pytest.approx(endemic.iota_star, rel=1e-12)
 
     def test_negative_beta_star_rejected(self, small_params):
         with pytest.raises(Exception):

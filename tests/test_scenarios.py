@@ -53,8 +53,8 @@ class TestBuiltin:
         assert r0_c1 < 1.0 < r0_c2
 
     def test_transmission_split(self, grid):
-        beta_a, beta_i = sc.transmission_profiles(grid, "c2")
-        np.testing.assert_allclose(beta_i.values, 2.0 * beta_a.values, rtol=1e-14)
+        params = sc.builtin_scenario("table2-c2", grid)
+        np.testing.assert_allclose(params.beta_i.values, 2.0 * params.beta_a.values, rtol=1e-14)
 
 
 class TestInitialStates:

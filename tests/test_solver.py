@@ -15,14 +15,7 @@ from shift_reference import simulate_shift
 from sveair.grid import AgeGrid, AgeProfile, Units, build_grid, constant_profile
 from sveair.params import ParameterSet
 from sveair.scenarios import steady_initial_state
-from sveair.solver import (
-    State,
-    aggregate,
-    boundary_values,
-    force_of_infection,
-    simulate,
-    step,
-)
+from sveair.solver import State, simulate
 from sveair.diagnostics import convergence_metric
 
 
@@ -31,11 +24,17 @@ def empty_state(grid, s=1000.0, v=500.0):
     return State(t=0.0, s=s, v=v, e=zero, a=zero, i=zero)
 
 
+def one_step(state, params):
+    """A run of one step of size h: its samples at t = 0 and t = h and its final state."""
+    h = params.grid.h
+    return simulate(state, params, t_max=h, sample_every=h)
+
+
 class TestFunctionals:
     def test_zero_densities(self, small_grid, small_params):
-        state = empty_state(small_grid)
-        assert force_of_infection(state, small_params) == 0.0
-        assert boundary_values(state, small_params) == (0.0, 0.0, 0.0)
+        ts = one_step(empty_state(small_grid), small_params).timeseries
+        assert ts.beta[0] == 0.0
+        assert (ts.eps[0], ts.alpha[0], ts.iota[0]) == (0.0, 0.0, 0.0)
 
     def test_constant_weights_pull_out(self, small_grid, small_params):
         # With constant transmission profiles, beta = b_a*A + b_i*I.
@@ -43,7 +42,8 @@ class TestFunctionals:
         i = band_density(small_grid, 5.0, 80.0, 456.0)
         state = State(t=0.0, s=1.0, v=1.0, e=zero_density(small_grid), a=a, i=i)
         expected = 1e-9 * 123.0 + 2e-9 * 456.0
-        assert force_of_infection(state, small_params) == pytest.approx(expected, rel=1e-12)
+        beta = one_step(state, small_params).timeseries.beta[0]
+        assert beta == pytest.approx(expected, rel=1e-12)
 
     def test_iota_bracket_structure(self, small_grid):
         # With q = 1 the latent outflow feeds only the asymptomatic route.
@@ -51,9 +51,9 @@ class TestFunctionals:
         e = band_density(small_grid, 10.0, 50.0, 10.0)
         state = State(t=0.0, s=1.0, v=1.0, e=e, a=zero_density(small_grid),
                       i=zero_density(small_grid))
-        bounds = boundary_values(state, params)
-        assert bounds.iota == 0.0
-        assert bounds.alpha > 0.0
+        ts = one_step(state, params).timeseries
+        assert ts.iota[0] == 0.0
+        assert ts.alpha[0] > 0.0
 
 
 # Cells of a random density: mostly exact zeros of either sign, else any
@@ -86,11 +86,10 @@ class TestSupport:
 
 class TestAggregate:
     def test_zero_densities(self, small_grid, small_params):
-        state = empty_state(small_grid, s=1000.0, v=500.0)
-        agg = aggregate(state, small_params.n0)
-        assert agg.exposed == agg.asymptomatic == agg.symptomatic == 0.0
-        assert agg.removed == small_params.n0 - 1500.0
-        assert agg.total == small_params.n0
+        ts = one_step(empty_state(small_grid, s=1000.0, v=500.0), small_params).timeseries
+        assert ts.e[0] == ts.a[0] == ts.i[0] == 0.0
+        assert ts.r[0] == small_params.n0 - 1500.0
+        assert ts.n[0] == small_params.n0
 
     def test_constant_density_mass(self, small_grid, small_params):
         c = 3.25
@@ -99,15 +98,15 @@ class TestAggregate:
             e=constant_profile(small_grid, c, Units.DENSITY),
             a=zero_density(small_grid), i=zero_density(small_grid),
         )
-        agg = aggregate(state, small_params.n0)
-        assert agg.exposed == pytest.approx(c * small_grid.h * small_grid.n_nodes, rel=1e-14)
+        exposed = one_step(state, small_params).timeseries.e[0]
+        assert exposed == pytest.approx(c * small_grid.h * small_grid.n_nodes, rel=1e-14)
 
 
 class TestStep:
     def test_scalar_relaxation_without_infection(self, small_grid):
         params = make_constant_params(small_grid, p=0.0)
         state = empty_state(small_grid, s=100.0, v=0.0)
-        nxt = step(state, params)
+        nxt = one_step(state, params).final_state
         h, mu, n0 = small_grid.h, params.mu, params.n0
         assert nxt.s == pytest.approx(100.0 + h * mu * (n0 - 100.0), rel=1e-15)
         assert nxt.t == state.t + h
@@ -122,7 +121,7 @@ class TestStep:
         state = State(t=0.0, s=0.0, v=0.0,
                       e=AgeProfile(small_grid, values, Units.DENSITY),
                       a=zero_density(small_grid), i=zero_density(small_grid))
-        nxt = step(state, params)
+        nxt = one_step(state, params).final_state
         expected = np.zeros(small_grid.n_nodes)
         expected[8] = 42.0
         np.testing.assert_array_equal(nxt.e.values, expected)
@@ -136,14 +135,14 @@ class TestStep:
         state = State(t=0.0, s=0.0, v=0.0,
                       e=AgeProfile(small_grid, values, Units.DENSITY),
                       a=zero_density(small_grid), i=zero_density(small_grid))
-        nxt = step(state, params)
+        nxt = one_step(state, params).final_state
         np.testing.assert_array_equal(nxt.e.values, 0.0)
 
     def test_steady_state_single_step_drift(self, small_grid):
         params = make_constant_params(small_grid, beta_i=1e-6, n0=1e7)
         endemic = rep.steady_state(params, rep.solve_beta_star(params))
         state = steady_initial_state(endemic)
-        drift = convergence_metric(step(state, params), endemic, params.n0)
+        drift = convergence_metric(one_step(state, params).final_state, endemic, params.n0)
         # The closed form is the scheme's own fixed point, so the drift is
         # round-off; criterion 4 and test_closed_form_is_stationary pin it.
         assert drift < 1e-4
@@ -153,7 +152,7 @@ class TestStep:
         params = make_constant_params(grid, k=3.0)
         state = empty_state(grid)
         with pytest.raises(StabilityError):
-            step(state, params)
+            one_step(state, params)
         with pytest.raises(StabilityError):
             simulate(state, params, t_max=5.0)
         # h * (k + mu) is 1.25 at the last node only: the share that node
@@ -491,14 +490,20 @@ class TestMovingFrameEquivalence:
 
     def test_initial_functionals_are_the_unscaled_ones(self, small_grid, small_params):
         # At t = 0 simulate reads the given densities with the unscaled
-        # weights, so its first sample is bit-identical to the functionals;
-        # its eps is the boundary the first step writes, fed by S1 and V1.
+        # flux rows, so its first sample is bit-identical to the rectangle
+        # rule h * (row @ density); its eps is the boundary the first step
+        # writes, fed by S1 and V1.
         init = State(t=0.0, s=1e5, v=2e4,
                      e=band_density(small_grid, 3.0, 90.0, 1e4),
                      a=band_density(small_grid, 10.0, 60.0, 3e3),
                      i=band_density(small_grid, 20.0, 200.0, 7e3))
         ts = simulate(init, small_params, t_max=1.0, sample_every=small_grid.h).timeseries
-        assert ts.beta[0] == force_of_infection(init, small_params)
-        bounds = boundary_values(init, small_params)
-        assert (ts.alpha[0], ts.iota[0]) == (bounds.alpha, bounds.iota)
+        h = small_grid.h
+        to_asym, to_symp = small_params.flux_rows(0)
+        infect_a, branch_a, _ = small_params.flux_rows(1)
+        infect_i, _ = small_params.flux_rows(2)
+        e, a, i = init.e.values, init.a.values, init.i.values
+        assert ts.beta[0] == h * float(infect_a @ a + infect_i @ i)
+        assert (ts.alpha[0], ts.iota[0]) == (h * float(to_asym @ e),
+                                             h * float(to_symp @ e + branch_a @ a))
         assert ts.eps[0] == ts.beta[0] * (ts.s[1] + (1.0 - small_params.epsilon) * ts.v[1])
