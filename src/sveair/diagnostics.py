@@ -100,7 +100,8 @@ class LyapunovEvaluator:
     is taken about the state the stepper converges to. The weights are
     computed once, here. `nodes` holds the number of leading e, a and i
     nodes that L reads: the ratio prefixes on the endemic path, all J on
-    the disease-free one.
+    the disease-free one. A call and an observer share `_scalar_terms` and
+    `_entropy_terms`, so both give L by the same arithmetic.
     """
 
     def __init__(self, params: ParameterSet, steady: SteadyState):
@@ -114,7 +115,8 @@ class LyapunovEvaluator:
             self.profiles = (weights.f_e, weights.f_a, weights.f_i)
             self.nodes = (params.grid.n_nodes,) * 3
 
-    def __call__(self, s, v, e, a, i) -> float:
+    def _scalar_terms(self, s, v) -> float:
+        """The S and V part of L."""
         steady = self.steady
         if s <= 0.0 or (v <= 0.0 and steady.v_star > 0.0):
             raise LyapunovDomainError(f"S and V must be positive, got S={s}, V={v}",
@@ -122,29 +124,61 @@ class LyapunovEvaluator:
         total = steady.s_star * entropy_f(s / steady.s_star)
         # Without vaccination V* = 0, and V* f(V / V*) tends to V.
         total += steady.v_star * entropy_f(v / steady.v_star) if steady.v_star > 0.0 else v
-        if steady.kind != ENDEMIC:
+        return total
+
+    @staticmethod
+    def _entropy_terms(density: np.ndarray, star: np.ndarray) -> np.ndarray:
+        """f(x / c*) on nodes where x is `density` and c* is `star`."""
+        if density.size and density.min() <= 0.0:
+            raise LyapunovDomainError(
+                "state density is nonpositive at a weighted node; the endemic "
+                "Lyapunov function is infinite there (seed strictly positive "
+                "densities, e.g. steady-scaled initial data)", scalars=False)
+        return entropy_f(density / star)
+
+    def __call__(self, s, v, e, a, i) -> float:
+        total = self._scalar_terms(s, v)
+        if self.steady.kind != ENDEMIC:
             for weight, density in zip(self.profiles, (e, a, i)):
                 total += rect_integral(weight * density, self.grid)
             return total
         for (k, weight, star), density in zip(self.ratio_terms, (e, a, i)):
-            dens = density[:k]
-            if dens.size and dens.min() <= 0.0:
-                raise LyapunovDomainError(
-                    "state density is nonpositive at a weighted node; the endemic "
-                    "Lyapunov function is infinite there (seed strictly positive "
-                    "densities, e.g. steady-scaled initial data)", scalars=False)
-            total += self.grid.h * float(weight @ entropy_f(dens / star))
+            total += self.grid.h * float(weight @ self._entropy_terms(density[:k], star))
         return total
 
     def observer(self, times: list, values: list):
         """An observer for `simulate` that appends each sample's t and L.
 
-        It declares `nodes`, so `simulate` rebuilds and passes only the
-        density prefixes that L reads.
+        On the disease-free path it calls the evaluator on the full
+        densities. On the endemic path it declares `nodes` and keeps the
+        entropy terms f(x / c*) of each prefix in a buffer. A term is
+        carried along its characteristic: the scheme multiplies x and c* by
+        the same factor 1 - h * rate from one node to the next, so x / c*
+        moves only by round-off. An array shorter than the prefix holds the
+        cohorts that entered since the previous sample: the buffer moves on
+        by its length and takes their terms at its head. A longer one (the
+        first sample, or a caller that passes all J nodes) is read as all
+        fresh, so that sample is bit-identical to a call.
         """
+        if self.steady.kind != ENDEMIC:
+            def observe(t, s, v, e, a, i):
+                values.append(self(s, v, e, a, i))
+                times.append(t)
+
+            return observe
+
+        h = self.grid.h
+        # NaN until a full sample fills them: a short first array gives NaN.
+        carried = tuple(np.full(k, np.nan) for k in self.nodes)
 
         def observe(t, s, v, e, a, i):
-            values.append(self(s, v, e, a, i))
+            total = self._scalar_terms(s, v)
+            for (k, weight, star), terms, density in zip(self.ratio_terms, carried, (e, a, i)):
+                fresh = min(density.size, k)
+                terms[fresh:] = terms[:k - fresh]
+                terms[:fresh] = self._entropy_terms(density[:fresh], star[:fresh])
+                total += h * float(weight @ terms)
+            values.append(total)
             times.append(t)
 
         observe.nodes = self.nodes

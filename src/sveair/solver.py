@@ -35,7 +35,9 @@ integrals and the recovered flux together, and sample masses are
 h * (Q[c] @ u[c]) over the same spans. The densities are rebuilt as Q * u
 only where they are read: the snapshots and the final state on all J
 nodes (off the live spans u, and so Q * u, is an exact +-0), and the
-observer on the leading nodes it declares (all J unless it says fewer).
+observer's nodes: all J, unless it declares leading prefixes, which it
+carries along the characteristics; then the whole prefixes at its first
+sample and, at each later one, the leading nodes that entered since.
 
 At t = 0 the force of infection and the renewal integrals are instead the
 unscaled dot products of the given densities (`_functionals`, the
@@ -242,10 +244,14 @@ def simulate(
         observer: Optional callable invoked at every sample as
             observer(t, s, v, e, a, i) with the raw density arrays (reused
             buffers that the next sample overwrites; do not mutate or
-            retain them). An observer with a `nodes` attribute
-            (k_e, k_a, k_i) receives only the prefixes e[:k_e], a[:k_a]
-            and i[:k_i], and only those are rebuilt; without it the arrays
-            hold all J nodes.
+            retain them). Without a `nodes` attribute the arrays hold all
+            J nodes. An observer with `nodes` (k_e, k_a, k_i) reads only
+            the prefixes e[:k_e], a[:k_a] and i[:k_i] and carries what it
+            read along the characteristics, where a node's value moves to
+            the next node times the decay factor at each step. It receives
+            the whole prefixes at the first sample and, at each later one,
+            only the leading min(k_c, steps since the previous sample)
+            nodes, the cohorts that entered since; only those are rebuilt.
 
     Returns:
         SimulationResult with the sampled TimeSeries, the per-step force
@@ -280,8 +286,12 @@ def simulate(
     kernel_e, kernel_a, kernel_i = (_kernel(q[c], *params.flux_rows(c)) for c in range(3))
     if observer is not None:
         # The leading nodes the observer reads, rebuilt into reused buffers.
-        nodes = getattr(observer, "nodes", (n_nodes,) * 3)
-        densities = tuple(np.empty(k) for k in nodes)
+        # One that declares `nodes` carries what it read along the
+        # characteristics, so after the first sample it is handed only the
+        # `fresh` leading nodes that entered since the previous sample.
+        carries = hasattr(observer, "nodes")
+        densities = tuple(np.empty(k) for k in getattr(observer, "nodes", (n_nodes,) * 3))
+        fresh = n_nodes
 
     mu, p, n0 = params.mu, params.p, params.n0
     keep = 1.0 - h * mu
@@ -326,9 +336,12 @@ def simulate(
                  beta, eps, alpha, iota, r_tilde)
             )
             if observer is not None:
-                for q_row, u, out in zip(q, window, densities):
+                views = tuple(out[:fresh] for out in densities)
+                for q_row, u, out in zip(q, window, views):
                     np.multiply(q_row[:out.size], u[:out.size], out=out)
-                observer(t, s, v, *densities)
+                observer(t, s, v, *views)
+                if carries:
+                    fresh = min(stride, n_steps - n)
         if n in snap_times:
             e, a, i = q * window
             snapshots.append(DensitySnapshot(t=snap_times[n], e=e, a=a, i=i))

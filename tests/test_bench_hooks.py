@@ -70,7 +70,8 @@ print(len(files), names.count("io.write_csv"), rows, int(tracer.counts["io.rows_
 
 # Installs the tracer over a simulate that records the observer it is handed,
 # then runs an endemic Lyapunov pass. The traced observer must still declare
-# the evaluator's prefixes, or traced runs would time a full-J rebuild.
+# the evaluator's prefixes, or traced runs would time a full-J rebuild, and
+# its L series must be the untraced observer's bit for bit.
 OBSERVER_SCRIPT = """
 import child, spans
 from sveair import build_grid, diagnostics, reproduction, scenarios, solver
@@ -89,11 +90,15 @@ params = scenarios.builtin_scenario("table2-c2", build_grid(1.0, 32400.0))
 _, steady = reproduction.matching_steady_state(params)
 init = scenarios.steady_scaled_initial_state(params, steady, steady.s_star,
                                              steady.v_star, 1e3)
-diagnostics.monitor_lyapunov(init, params, steady, 2.0)
+_, traced, _ = diagnostics.monitor_lyapunov(init, params, steady, 2.0)
 (observer,) = received
-nodes = diagnostics.LyapunovEvaluator(params, steady).nodes
+evaluator = diagnostics.LyapunovEvaluator(params, steady)
+nodes = evaluator.nodes
+untraced = []
+engine(init, params, 2.0, observer=evaluator.observer([], untraced))
 print(hasattr(observer, "__wrapped__"), observer.nodes == nodes,
-      max(nodes) < params.grid.n_nodes, int(tracer.counts["diagnostics.observer_calls"]))
+      max(nodes) < params.grid.n_nodes, int(tracer.counts["diagnostics.observer_calls"]),
+      traced.tolist() == untraced)
 """
 
 
@@ -117,8 +122,8 @@ def test_tracer_times_the_oracle_of_a_run(tmp_path):
 
 def test_traced_observer_keeps_its_prefixes(tmp_path):
     # Wrapped by the tracer, declaring prefixes shorter than J, called at
-    # t = 0, 1 and 2.
-    assert _run(OBSERVER_SCRIPT, tmp_path) == ["True", "True", "True", "3"]
+    # t = 0, 1 and 2, and giving the untraced L series.
+    assert _run(OBSERVER_SCRIPT, tmp_path) == ["True", "True", "True", "3", "True"]
 
 
 def test_tracer_counts_every_csv_of_a_run(tmp_path):

@@ -13,7 +13,8 @@ from conftest import (band_density, make_constant_params, rate_profile, with_las
 from sveair import diagnostics as dg
 from sveair import reproduction as rep
 from sveair.errors import LyapunovDomainError, StabilityError
-from sveair.grid import Units, build_grid, rect_integral, scheme_tail
+from sveair.grid import (Units, block_products, build_grid, rect_integral,
+                         scheme_factors, scheme_tail)
 from sveair.scenarios import (band_initial_state, steady_initial_state,
                               steady_scaled_initial_state)
 from sveair.solver import State, _functionals, simulate
@@ -462,8 +463,8 @@ _SHORT_PREFIX = dict(h=0.25, theta_max=3000.0, r0=3.0, ramp=1.5, beta_ratio=1.0,
 
 
 class TestEndemicPrefix:
-    """The endemic function reads a leading prefix of each density, and
-    `simulate` rebuilds only that prefix for its observer."""
+    """The endemic function reads a leading prefix of each density, and its
+    observer carries the terms of that prefix along the characteristics."""
 
     @given(h=st.sampled_from([0.25, 0.5, 1.0]), theta_max=_LONG_THETA,
            r0=st.floats(1.05, 20.0), **_RATES)
@@ -485,38 +486,99 @@ class TestEndemicPrefix:
 
     @given(h=st.sampled_from([0.25, 0.5, 1.0]), theta_max=_LONG_THETA,
            r0=st.floats(1.05, 20.0), mass=st.floats(0.0, 7.0), s_off=st.floats(-1.0, 1.0),
+           every=st.sampled_from([1, 3]), steps=st.integers(30, 120),
            **{**_RATES, "q": st.floats(0.05, 0.95)})
-    @example(mass=3.0, s_off=0.5, **_SHORT_PREFIX)
+    @example(mass=3.0, s_off=0.5, every=3, steps=100, **_SHORT_PREFIX)  # last gap 1 step
+    # J = 51 nodes, so a 60-step stride hands every sample over all fresh.
+    @example(mass=3.0, s_off=0.5, every=60, steps=130,
+             **{**_SHORT_PREFIX, "h": 1.0, "theta_max": 50.0})
     @settings(max_examples=40, deadline=None)
-    def test_prefix_observer_equals_full_densities(self, h, theta_max, r0, mass, s_off,
-                                                   **rates):
-        # Each read node gets the same product Q * u and the same ratio in
-        # both runs, so the two series agree bit for bit. q inside (0, 1)
-        # gives A* and I* mass, which steady-scaled seeding needs.
+    def test_carried_observer_matches_full_densities(self, h, theta_max, r0, mass, s_off,
+                                                     every, steps, **rates):
+        # The observer carries f(x / c*) along the characteristics and is
+        # handed only the cohorts that entered since its previous sample.
+        # Its first sample, and every sample when the stride reaches the
+        # prefixes, is the evaluator's arithmetic on the same nodes, so bit
+        # for bit. Later ones differ by round-off: x and c* are each Q of
+        # `grid.block_products` times a product of whole-block factors,
+        # formed in different orders, so x / c* drifts by at most about
+        # delta = (L + 2 * blocks + 8) * eps relative, L the block length,
+        # and f(x / c*) moves by at most delta * (r + 1 + |ln r|). Summed
+        # with the weights, plus 4 eps |L| for adding the S and V part.
         params = _ramped_params(build_grid(h, theta_max), r0, **rates)
         _, ref = rep.matching_steady_state(params)
         evaluator = dg.LyapunovEvaluator(params, ref)
         init = steady_scaled_initial_state(params, ref, ref.s_star * 10.0 ** s_off,
                                            ref.v_star, 10.0 ** mass)
-        times, values, prefix_sizes = [], [], set()
+        exit_rates = np.stack((params.exit_rate_e, params.exit_rate_a, params.exit_rate_i))
+        block = block_products(scheme_factors(exit_rates, h))[0]
+        n_nodes = params.grid.n_nodes
+        delta = (block + 2 * math.ceil(n_nodes / block) + 8) * np.finfo(float).eps
+        t_max, stride = steps * h, every * h
+
+        times, values, sizes = [], [], []
         observe = evaluator.observer(times, values)
 
-        def prefix(t, s, v, e, a, i):
-            prefix_sizes.add((e.size, a.size, i.size))
+        def carried(t, s, v, e, a, i):
+            sizes.append((e.size, a.size, i.size))
             observe(t, s, v, e, a, i)
 
-        prefix.nodes = observe.nodes
-        simulate(init, params, t_max=60.0, observer=prefix)
-        full, full_sizes = [], set()
+        carried.nodes = observe.nodes
+        simulate(init, params, t_max=t_max, sample_every=stride, observer=carried)
+        full, scale = [], []
 
         def plain(t, s, v, e, a, i):
-            full_sizes.add((e.size, a.size, i.size))
             full.append(evaluator(s, v, e, a, i))
+            spread = 0.0
+            for (k, weight, star), density in zip(evaluator.ratio_terms, (e, a, i)):
+                r = density[:k] / star
+                spread += h * float(weight @ (r + 1.0 + np.abs(np.log(r))))
+            scale.append(delta * spread + 4.0 * np.finfo(float).eps * abs(full[-1]))
 
-        simulate(init, params, t_max=60.0, observer=plain)
-        assert prefix_sizes == {evaluator.nodes}
-        assert full_sizes == {(params.grid.n_nodes,) * 3}
+        simulate(init, params, t_max=t_max, sample_every=stride, observer=plain)
+        sampled = sorted({*range(0, steps + 1, every), steps})
+        assert sizes == [evaluator.nodes] + [
+            tuple(min(k, gap) for k in evaluator.nodes) for gap in np.diff(sampled)]
+        assert values[0] == full[0]
+        if every >= max(evaluator.nodes):
+            np.testing.assert_array_equal(values, full)
+        excess = np.abs(np.subtract(values, full)) - scale
+        assert excess.max() <= 0.0, (int(excess.argmax()), excess.max())
+
+    def test_observer_reads_all_nodes_of_a_longer_array(self):
+        # A wrapper that hides `nodes` is handed all J nodes at every
+        # sample; the observer reads each as all fresh, so it is the
+        # evaluator on every sample.
+        draw = dict(_SHORT_PREFIX)
+        params = _ramped_params(build_grid(draw.pop("h"), draw.pop("theta_max")), **draw)
+        _, ref = rep.matching_steady_state(params)
+        evaluator = dg.LyapunovEvaluator(params, ref)
+        assert evaluator.nodes[0] < params.grid.n_nodes
+        init = steady_scaled_initial_state(params, ref, 2.0 * ref.s_star, ref.v_star, 1e3)
+        times, values = [], []
+        observe = evaluator.observer(times, values)
+        simulate(init, params, t_max=20.0, observer=lambda *sample: observe(*sample))
+        full = []
+        simulate(init, params, t_max=20.0,
+                 observer=lambda t, s, v, e, a, i: full.append(evaluator(s, v, e, a, i)))
+        assert len(values) == 21
         np.testing.assert_array_equal(values, full)
+
+    def test_nonpositive_fresh_node_raises_at_its_sample(self, endemic_setup,
+                                                         endemic_evaluator):
+        _, _, steady = endemic_setup
+        times, values = [], []
+        observe = endemic_evaluator.observer(times, values)
+        dens = [c.values for c in (steady.e_star, steady.a_star, steady.i_star)]
+        observe(0.0, steady.s_star, steady.v_star, *dens)
+        observe(1.0, steady.s_star, steady.v_star, *(d[:2] for d in dens))
+        assert values == [0.0, 0.0]
+        for bad in (0.0, -1.0):
+            holed = dens[2][:2].copy()
+            holed[1] = bad
+            with pytest.raises(LyapunovDomainError):
+                observe(2.0, steady.s_star, steady.v_star, dens[0][:2], dens[1][:2], holed)
+        assert times == [0.0, 1.0]
 
     @given(h=st.sampled_from([0.25, 0.5, 1.0]), theta_max=_LONG_THETA,
            r0=st.floats(1.05, 20.0), **{**_RATES, "q": st.floats(0.05, 0.95)})
