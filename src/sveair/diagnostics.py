@@ -80,16 +80,15 @@ def endemic_tail_weights(steady: SteadyState, weights: LyapunovWeights) -> tuple
     increase with age and a tail sum of a nonnegative integrand does not
     either, so k counts the leading nodes where both hold.
     """
-    return tuple(_prefix(profile * star.values, star.values) for profile, star in (
-        (weights.f_e, steady.e_star), (weights.f_a, steady.a_star),
-        (weights.f_i, steady.i_star)))
-
-
-def _prefix(weight: np.ndarray, steady_values: np.ndarray):
-    """(k, weight, steady density) on the leading nodes a ratio integrand reads."""
-    read = (steady_values >= STEADY_DENSITY_FLOOR) & (weight > 0.0)
-    k = read.size if read.all() else int(read.argmin())
-    return k, weight[:k], steady_values[:k]
+    terms = []
+    for profile, star in ((weights.f_e, steady.e_star.values),
+                          (weights.f_a, steady.a_star.values),
+                          (weights.f_i, steady.i_star.values)):
+        weight = profile * star
+        read = (star >= STEADY_DENSITY_FLOOR) & (weight > 0.0)
+        k = read.size if read.all() else int(read.argmin())
+        terms.append((k, weight[:k], star[:k]))
+    return tuple(terms)
 
 
 class LyapunovEvaluator:
@@ -98,22 +97,22 @@ class LyapunovEvaluator:
     `steady` is used as given, of either kind; the one
     `reproduction.matching_steady_state` returns is the scheme's own, so L
     is taken about the state the stepper converges to. The weights are
-    computed once, here. `nodes` holds the number of leading e, a and i
-    nodes that L reads: the ratio prefixes on the endemic path, all J on
-    the disease-free one. A call and an observer share `_scalar_terms` and
-    `_entropy_terms`, so both give L by the same arithmetic.
+    computed once, here. On the endemic path `nodes` holds the number of
+    leading e, a and i nodes that L reads, the ratio prefixes; the
+    disease-free L is linear and reads all J nodes, and has no `nodes`.
+    Each kind of L has one body, its observer's; a call is the first
+    sample of a fresh observer.
     """
 
     def __init__(self, params: ParameterSet, steady: SteadyState):
         weights = lyapunov_weights(params, steady)
         self.steady = steady
-        self.grid = params.grid
+        self.h = params.grid.h
         if steady.kind == ENDEMIC:
             self.ratio_terms = endemic_tail_weights(steady, weights)
             self.nodes = tuple(k for k, _, _ in self.ratio_terms)
         else:
             self.profiles = (weights.f_e, weights.f_a, weights.f_i)
-            self.nodes = (params.grid.n_nodes,) * 3
 
     def _scalar_terms(self, s, v) -> float:
         """The S and V part of L."""
@@ -126,58 +125,51 @@ class LyapunovEvaluator:
         total += steady.v_star * entropy_f(v / steady.v_star) if steady.v_star > 0.0 else v
         return total
 
-    @staticmethod
-    def _entropy_terms(density: np.ndarray, star: np.ndarray) -> np.ndarray:
-        """f(x / c*) on nodes where x is `density` and c* is `star`."""
-        if density.size and density.min() <= 0.0:
-            raise LyapunovDomainError(
-                "state density is nonpositive at a weighted node; the endemic "
-                "Lyapunov function is infinite there (seed strictly positive "
-                "densities, e.g. steady-scaled initial data)", scalars=False)
-        return entropy_f(density / star)
-
     def __call__(self, s, v, e, a, i) -> float:
-        total = self._scalar_terms(s, v)
-        if self.steady.kind != ENDEMIC:
-            for weight, density in zip(self.profiles, (e, a, i)):
-                total += rect_integral(weight * density, self.grid)
-            return total
-        for (k, weight, star), density in zip(self.ratio_terms, (e, a, i)):
-            total += self.grid.h * float(weight @ self._entropy_terms(density[:k], star))
-        return total
+        values = []
+        self.observer([], values)(0.0, s, v, e, a, i)
+        return values[0]
 
     def observer(self, times: list, values: list):
         """An observer for `simulate` that appends each sample's t and L.
 
-        On the disease-free path it calls the evaluator on the full
-        densities. On the endemic path it declares `nodes` and keeps the
-        entropy terms f(x / c*) of each prefix in a buffer. A term is
+        Disease-free: L is the S and V part plus h * (f_c @ x_c) over all J
+        nodes of each density. Endemic: the observer declares `nodes` and
+        carries the entropy terms f(x / c*) of each prefix. A term is
         carried along its characteristic: the scheme multiplies x and c* by
         the same factor 1 - h * rate from one node to the next, so x / c*
         moves only by round-off. An array shorter than the prefix holds the
-        cohorts that entered since the previous sample: the buffer moves on
-        by its length and takes their terms at its head. A longer one (the
-        first sample, or a caller that passes all J nodes) is read as all
-        fresh, so that sample is bit-identical to a call.
+        cohorts that entered since the previous sample: their terms lead,
+        and the carried ones move on by its length. A longer one (the first
+        sample, or a caller that passes all J nodes) is read as all fresh.
+        Nothing is carried before the first sample, so a first array
+        shorter than the prefix fails the dot's shape check.
         """
+        h = self.h
         if self.steady.kind != ENDEMIC:
             def observe(t, s, v, e, a, i):
-                values.append(self(s, v, e, a, i))
+                total = self._scalar_terms(s, v)
+                for weight, density in zip(self.profiles, (e, a, i)):
+                    total += h * float(weight @ density)
+                values.append(total)
                 times.append(t)
 
             return observe
 
-        h = self.grid.h
-        # NaN until a full sample fills them: a short first array gives NaN.
-        carried = tuple(np.full(k, np.nan) for k in self.nodes)
+        carried = [np.empty(0)] * 3
 
         def observe(t, s, v, e, a, i):
             total = self._scalar_terms(s, v)
-            for (k, weight, star), terms, density in zip(self.ratio_terms, carried, (e, a, i)):
-                fresh = min(density.size, k)
-                terms[fresh:] = terms[:k - fresh]
-                terms[:fresh] = self._entropy_terms(density[:fresh], star[:fresh])
-                total += h * float(weight @ terms)
+            for c, ((k, weight, star), density) in enumerate(zip(self.ratio_terms, (e, a, i))):
+                fresh = density[:k]
+                if fresh.size and fresh.min() <= 0.0:
+                    raise LyapunovDomainError(
+                        "state density is nonpositive at a weighted node; the endemic "
+                        "Lyapunov function is infinite there (seed strictly positive "
+                        "densities, e.g. steady-scaled initial data)", scalars=False)
+                carried[c] = np.concatenate(
+                    (entropy_f(fresh / star[:fresh.size]), carried[c][:k - fresh.size]))
+                total += h * float(weight @ carried[c])
             values.append(total)
             times.append(t)
 

@@ -3,10 +3,10 @@
 Everything downstream shares one uniform age grid with nodes theta_j = j*h;
 the time stepper reuses the same h so the upwind stencil sits on
 characteristics. Integrals over age are the rectangle sums h * sum(g_j u_j)
-over all nodes. This is the one module that turns exit rates into survival
-products: the oracle's exponential `survival`, and the scheme's decay factors,
-formed and bounded by `scheme_factors` and multiplied by `block_products` into
-every survival (`scheme_survival`) and tail (`scheme_tail`) the scheme reads.
+over all nodes. It forms the oracle's exponential `survival` and the scheme's
+decay factors, bounded by `scheme_factors` and multiplied by `block_products`
+into every survival and tail the scheme reads. The oracle ages its cohorts by
+its own exp(-h * rate), in place (`volterra`), to stay independent of these.
 """
 
 from __future__ import annotations

@@ -6,13 +6,13 @@ contacts/day, centered at age 80 years (c1) or 10 years (c2). Transmission
 rates split the contacts into the latent->asymptomatic and
 latent->symptomatic routes (weights 1/5 and 2/5) scaled by 1/N0.
 
-The age-dependent asymptomatic proportion ships as a bundled CSV; when it
-is missing the documented fallback is the constant 0.4.
+The age-dependent asymptomatic proportion ships as a bundled CSV, and
+every built-in scenario reads it: when it is missing or unreadable,
+`load_profile_csv` raises a ProfileError naming its path.
 """
 
 from __future__ import annotations
 
-import warnings
 from importlib import resources
 
 import numpy as np
@@ -55,8 +55,6 @@ AGE_BREAKS = [30 * DAYS_PER_YEAR, 40 * DAYS_PER_YEAR, 50 * DAYS_PER_YEAR,
 K_VALUES = [1 / 4, 1 / 4.8, 1 / 4.8, 1 / 5.5, 1 / 3.1, 1 / 6]
 CHI_VALUES = [1 / 5, 1 / 5.8, 1 / 5.8, 1 / 6.5, 1 / 4.1, 1 / 7]
 
-Q_FALLBACK = 0.4
-
 S0_DEFAULT = 2e7
 V0_DEFAULT = 2e7
 D_SWEEP_DEFAULT = (10.0, 1e4, 1e6, 4e6, 1e7)
@@ -79,15 +77,8 @@ _BUNDLED_Q = "data/q_asymptomatic_proportion.csv"
 
 
 def asymptomatic_proportion_profile(grid: AgeGrid) -> AgeProfile:
-    """Bundled age-dependent q(theta); constant 0.4 fallback if absent."""
-    ref = resources.files("sveair").joinpath(_BUNDLED_Q)
-    if not ref.is_file():
-        warnings.warn(
-            f"bundled asymptomatic-proportion data not found; using constant q={Q_FALLBACK}",
-            stacklevel=2,
-        )
-        return constant_profile(grid, Q_FALLBACK, Units.PROPORTION)
-    with resources.as_file(ref) as path:
+    """Bundled age-dependent q(theta); a ProfileError if it cannot be read."""
+    with resources.as_file(resources.files("sveair").joinpath(_BUNDLED_Q)) as path:
         return load_profile_csv(path, grid, Units.PROPORTION)
 
 

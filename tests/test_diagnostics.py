@@ -217,6 +217,15 @@ class TestDfeLyapunov:
         with pytest.raises(LyapunovDomainError):
             lyapunov(dfe_evaluator, state)
 
+    def test_short_array_is_refused(self, dfe_setup, dfe_evaluator):
+        # L weighs all J nodes; a shorter array, one node included, is not
+        # broadcast against the weights.
+        grid, _, steady, _ = dfe_setup
+        for size in (1, grid.n_nodes - 1):
+            with pytest.raises(ValueError):
+                dfe_evaluator(steady.s_star, 1.0, np.ones(grid.n_nodes), np.ones(size),
+                              np.ones(grid.n_nodes))
+
 
 class TestEndemicLyapunov:
     def test_zero_at_steady_state(self, endemic_evaluator):
@@ -402,6 +411,58 @@ class TestLyapunovDecrease:
         assert report.n_violations == 0, report.intervals[:3]
 
 
+class TestDiseaseFreeSum:
+    """The disease-free L is the S and V part plus h * (f_c @ x_c)."""
+
+    @given(
+        h=st.sampled_from([0.25, 0.5, 1.0]), theta_max=st.floats(50.0, 400.0),
+        r0=st.floats(0.05, 0.95), mass=st.floats(0.0, 7.0), s_off=st.floats(-1.0, 1.0),
+        v_off=st.floats(-1.0, 1.0), band=st.tuples(st.floats(0.0, 0.5), st.floats(0.01, 0.5)),
+        **{**_RATES, "p": _P_WITH_ZERO},
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_exact_sums(self, h, theta_max, r0, mass, s_off, v_off, band,
+                                   **rates):
+        # Reference: each density part summed exactly by math.fsum. The
+        # evaluator's dot adds J products, and the five parts are added in
+        # four more steps, so it lies within (J + 4) eps of the sum of
+        # magnitudes of the parts.
+        grid = build_grid(h, theta_max)
+        params = _ramped_params(grid, r0, **rates)
+        _, free = rep.matching_steady_state(params)
+        assert free.kind != rep.ENDEMIC
+        low = band[0] * theta_max
+        init = band_initial_state(params, free.s_star * 10.0 ** s_off,
+                                  free.v_star * 10.0 ** v_off, 10.0 ** mass,
+                                  (low, low + max(band[1] * theta_max, h)))
+        weights = dg.lyapunov_weights(params, free)
+        s, v, dens = init.s, init.v, (init.e.values, init.a.values, init.i.values)
+        scalar = free.s_star * dg.entropy_f(s / free.s_star)
+        scalar += free.v_star * dg.entropy_f(v / free.v_star) if free.v_star > 0.0 else v
+        products = [f * x for f, x in zip((weights.f_e, weights.f_a, weights.f_i), dens)]
+        want = scalar + h * sum(math.fsum(row) for row in products)
+        bound = (grid.n_nodes + 4) * np.finfo(float).eps * (
+            abs(scalar) + h * sum(float(np.abs(row).sum()) for row in products))
+        evaluator = dg.LyapunovEvaluator(params, free)
+        assert not hasattr(evaluator, "nodes")
+        assert abs(evaluator(s, v, *dens) - want) <= bound
+
+        # The observer of a one-step pass is handed all J nodes, and its
+        # first sample is the call on those arrays, bit for bit.
+        times, values, calls = [], [], []
+        observe = evaluator.observer(times, values)
+        assert not hasattr(observe, "nodes")
+
+        def both(t, s, v, e, a, i):
+            assert e.size == a.size == i.size == grid.n_nodes
+            calls.append(evaluator(s, v, e, a, i))
+            observe(t, s, v, e, a, i)
+
+        simulate(init, params, t_max=h, sample_every=h, observer=both)
+        assert times == [0.0, h]
+        assert values == calls
+
+
 def _masked(weight, star):
     """(mask, weight, steady density) at the nodes a ratio integrand reads,
     selected by a boolean mask: the selection the evaluator's prefixes
@@ -579,6 +640,24 @@ class TestEndemicPrefix:
             with pytest.raises(LyapunovDomainError):
                 observe(2.0, steady.s_star, steady.v_star, dens[0][:2], dens[1][:2], holed)
         assert times == [0.0, 1.0]
+
+    def test_short_array_is_refused(self, endemic_setup, endemic_evaluator):
+        # A call, like an observer's first sample, has nothing carried, so
+        # an array shorter than its prefix cannot be completed: it raises,
+        # and no NaN or partial sum comes back.
+        _, _, steady = endemic_setup
+        dens = [c.values for c in (steady.e_star, steady.a_star, steady.i_star)]
+        for c, k in enumerate(endemic_evaluator.nodes):
+            for size in sorted({k - 1, 1, 0}):
+                short = list(dens)
+                short[c] = dens[c][:size]
+                with pytest.raises(ValueError):
+                    endemic_evaluator(steady.s_star, steady.v_star, *short)
+                times, values = [], []
+                observe = endemic_evaluator.observer(times, values)
+                with pytest.raises(ValueError):
+                    observe(0.0, steady.s_star, steady.v_star, *short)
+                assert times == values == []
 
     @given(h=st.sampled_from([0.25, 0.5, 1.0]), theta_max=_LONG_THETA,
            r0=st.floats(1.05, 20.0), **{**_RATES, "q": st.floats(0.05, 0.95)})

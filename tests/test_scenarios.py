@@ -5,9 +5,10 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from sveair import cli
 from sveair import reproduction as rep
 from sveair import scenarios as sc
-from sveair.errors import ConfigError, ParameterError
+from sveair.errors import ConfigError, ParameterError, ProfileError
 from sveair.grid import Units, build_grid, load_profile_csv, rect_integral
 
 
@@ -35,11 +36,26 @@ class TestBundledData:
             from_csv = load_profile_csv(path, grid, Units.RATE)
         np.testing.assert_allclose(from_csv.values, builder(grid).values, rtol=1e-12)
 
-    def test_q_fallback_when_data_missing(self, grid, monkeypatch):
+    @pytest.mark.parametrize("command", ["run", "r0-report"])
+    @pytest.mark.parametrize("override", ["", "params.q = 0.3\n"],
+                             ids=["q-bundled", "q-overridden"])
+    def test_missing_q_data_is_refused(self, grid, tmp_path, monkeypatch, capsys, command,
+                                       override):
+        # Every built-in scenario reads the bundled q, even when the config
+        # overrides it, so a missing file refuses the run: exit 2, the path
+        # on stderr, nothing written.
         monkeypatch.setattr(sc, "_BUNDLED_Q", "data/absent.csv")
-        with pytest.warns(UserWarning, match="constant q=0.4"):
-            q = sc.asymptomatic_proportion_profile(grid)
-        np.testing.assert_array_equal(q.values, 0.4)
+        with pytest.raises(ProfileError, match="absent.csv"):
+            sc.asymptomatic_proportion_profile(grid)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario.builtin = table2-c2\ngrid.h = 1\ngrid.theta_max = 360\n"
+                       "run.t_max = 2\ninit.d_list = 10\n" + override)
+        out = tmp_path / "o"
+        code = cli.main([command, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "absent.csv" in err
+        assert not out.exists()
 
 
 class TestBuiltin:
