@@ -39,6 +39,20 @@ observer's nodes: all J, unless it declares leading prefixes, which it
 carries along the characteristics; then the whole prefixes at its first
 sample and, at each later one, the leading nodes that entered since.
 
+While the two spans are apart, a step skips the seed span's products when
+they cannot change a float (`_seed_negligible`). The seed is the initial
+data carried forward and never fed again, so its share of a flux row w_r
+of compartment c after n steps is at most max(w_r) * sum(x_c at t = 0) *
+decay_c^n, decay_c being the compartment's largest one-step factor; the
+bound handed over is twice that, which covers the frame's rounding.
+Every kernel and density is nonnegative, so when the bound is at most a
+quarter ulp of every history product it would be added to, history + seed
+rounds to the history value, and skipping the seed changes no bit. The
+sample masses are skipped on the same test (weight 1). The check is made
+at every step, since a history that shrinks brings the seed back; merged
+spans (steady-scaled seeds) always read everything, and a non-finite
+history reads the seed as before.
+
 At t = 0 the force of infection and the renewal integrals are instead the
 unscaled dot products of the given densities (`_functionals`, the
 arithmetic of the renewal oracle's first step too), so the first sample
@@ -186,20 +200,24 @@ def _live_spans(n: int, first: int, last: int, n_nodes: int) -> tuple:
     return ((0, head), (low, high))
 
 
-def _span_dot(matrix: np.ndarray, row: np.ndarray, spans) -> np.ndarray:
-    """matrix @ row, summed over the live spans of row only."""
-    total = 0.0
-    for low, high in spans:
-        total = total + matrix[..., low:high] @ row[low:high]
-    return total
+def _seed_negligible(bound, head) -> bool:
+    """Whether adding a nonnegative seed part of at most `bound` leaves every
+    entry of `head` unchanged: bound <= ulp(head) / 4 at every entry.
+
+    Rounding to nearest moves head + seed off head only from half an ulp
+    on. A non-finite head gives False, so the seed is read there."""
+    return bool((bound <= 0.25 * np.spacing(head)).all())
 
 
-def _kernel(q_row: np.ndarray, *weights: np.ndarray) -> np.ndarray:
-    """Flux rows weight * Q of one compartment, stacked for one matrix-vector product."""
+def _kernel(q_row: np.ndarray, weights) -> tuple:
+    """Flux rows weight * Q of one compartment, stacked for one matrix-vector
+    product, and the largest value of each weight row."""
     out = np.empty((len(weights), q_row.shape[0]))
+    peaks = []
     for row, weight in zip(out, weights):
         np.multiply(weight, q_row, out=row)
-    return out
+        peaks.append(weight.max())
+    return out, peaks
 
 
 def step_plan(grid, t_max: float, sample_every: float, snapshot_times=(),
@@ -233,6 +251,13 @@ def simulate(
 ) -> SimulationResult:
     """Run the scheme over [init.t, init.t + t_max]. Every duration and time
     is in days; `step_plan` turns them into steps and refuses any it cannot.
+
+    A step reads the live spans of the window only, and of a seed span
+    apart from the history only while an a-priori bound on the seed's share,
+    2 max(w_r) sum(x_c at t = 0) decay_c^n, is above a quarter ulp of some
+    history product or sample mass it would be added to. Below that the
+    sum rounds to the history value, so the results are the same bits as
+    with the seed read (module docstring).
 
     Args:
         init: Initial state on the parameter grid.
@@ -275,6 +300,8 @@ def simulate(
 
     rates = np.stack((params.exit_rate_e, params.exit_rate_a, params.exit_rate_i))
     q = scheme_factors(rates, h)
+    # Each compartment's largest one-step factor, before Q overwrites q.
+    decay = q[:, 1:].max(axis=1, initial=0.0)
     block, products = block_products(q)
     # Q times the share that node J - 1 passes on, out of the grid.
     aged_out_weight = q[:, -1] * (1.0 - h * rates[:, -1])
@@ -283,7 +310,23 @@ def simulate(
     start = n_steps
     for row, q_row, profile in zip(frame, q, (init.e, init.a, init.i)):
         np.divide(profile.values, q_row, out=row[start:])
-    kernel_e, kernel_a, kernel_i = (_kernel(q[c], *params.flux_rows(c)) for c in range(3))
+    (kernel_e, peaks_e), (kernel_a, peaks_a), (kernel_i, peaks_i) = (
+        _kernel(q[c], params.flux_rows(c)) for c in range(3))
+    # The bounds on the seed span's share (module docstring), multiplied by
+    # decay_c at each step the spans are apart. A density too large to be
+    # stored as u voids them.
+    owner = [0, 0, 1, 1, 1, 2, 2, 0, 1, 2]  # compartment of each flux row, then each mass
+    seed_mass = np.array([init.e.values.sum(), init.a.values.sum(), init.i.values.sum()])
+    seed_bound = 2.0 * np.array(peaks_e + peaks_a + peaks_i + [1.0] * 3) * seed_mass[owner]
+    if not math.isfinite(frame[:, start:].sum()):
+        seed_bound[:] = math.inf
+    seed_decay = decay[owner]
+    row_bound, mass_bound = seed_bound[:7], seed_bound[7:]
+    # The seven flux-row products of a step over the history span, and
+    # over the seed span, each compartment's rows in one view.
+    dots, seed_dots = np.empty(7), np.empty(7)
+    dot_e, dot_a, dot_i = dots[:2], dots[2:5], dots[5:]
+    seed_e, seed_a, seed_i = seed_dots[:2], seed_dots[2:5], seed_dots[5:]
     if observer is not None:
         # The leading nodes the observer reads, rebuilt into reused buffers.
         # One that declares `nodes` carries what it read along the
@@ -307,12 +350,22 @@ def simulate(
         t = init.t + n * h
         window = frame[:, start:start + n_nodes]
         spans = _live_spans(n, first, last, n_nodes)
+        # The history span, merged with the seed span when they touch.
+        history = slice(*spans[0])
+        apart = len(spans) == 2
         if n == 0:
             beta, _, alpha, iota, recovered = initial
         else:
-            to_asym, to_symp = _span_dot(kernel_e, window[0], spans).tolist()
-            infect_a, branch_a, recover_a = _span_dot(kernel_a, window[1], spans).tolist()
-            infect_i, recover_i = _span_dot(kernel_i, window[2], spans).tolist()
+            np.matmul(kernel_e[:, history], window[0, history], out=dot_e)
+            np.matmul(kernel_a[:, history], window[1, history], out=dot_a)
+            np.matmul(kernel_i[:, history], window[2, history], out=dot_i)
+            if apart and not _seed_negligible(row_bound, dots):
+                seed = slice(*spans[1])
+                np.matmul(kernel_e[:, seed], window[0, seed], out=seed_e)
+                np.matmul(kernel_a[:, seed], window[1, seed], out=seed_a)
+                np.matmul(kernel_i[:, seed], window[2, seed], out=seed_i)
+                dots += seed_dots
+            to_asym, to_symp, infect_a, branch_a, recover_a, infect_i, recover_i = dots.tolist()
             beta = h * (infect_a + infect_i)
             alpha = h * to_asym
             iota = h * (to_symp + branch_a)
@@ -325,8 +378,11 @@ def simulate(
         v_next = (v * keep + h * p * s_next) / (1.0 + h * (zeta_eps + one_minus_eps * beta))
         eps = beta * (s_next + one_minus_eps * v_next)
         if n % stride == 0 or n == n_steps:
-            e_tot, a_tot, i_tot = (h * float(_span_dot(q_row, u, spans))
-                                   for q_row, u in zip(q, window))
+            masses = [q_row[history] @ u[history] for q_row, u in zip(q, window)]
+            if apart and not _seed_negligible(mass_bound, masses):
+                seed = slice(*spans[1])
+                masses = [mass + q_row[seed] @ u[seed] for mass, q_row, u in zip(masses, q, window)]
+            e_tot, a_tot, i_tot = (h * float(mass) for mass in masses)
             removed = n0 - s - v - e_tot - a_tot - i_tot
             if r_tilde is None:
                 # Initial recovered mass: population minus the modeled pools.
@@ -354,6 +410,8 @@ def simulate(
         aged_out = float(aged_out_weight @ window[:, -1])
         r_tilde = r_tilde + h * (zeta_eps * v_next + recovered + aged_out - mu * r_tilde)
         s, v = s_next, v_next
+        if apart:
+            seed_bound *= seed_decay
 
         start -= 1
         frame[:, start + block:start + n_nodes:block] *= products

@@ -1,6 +1,9 @@
 """Explicit characteristic-scheme stepper."""
 
+import contextlib
+import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (band_density, make_constant_params, rate_profile, with_last_node_k,
                       zero_density)
 from sveair import reproduction as rep
+from sveair import scenarios, solver
 from sveair.errors import AbortedRunError, ParameterError, StabilityError
 from shift_reference import simulate_shift
 from sveair.grid import AgeGrid, AgeProfile, Units, build_grid, constant_profile
@@ -507,3 +511,163 @@ class TestMovingFrameEquivalence:
         assert (ts.alpha[0], ts.iota[0]) == (h * float(to_asym @ e),
                                              h * float(to_symp @ e + branch_a @ a))
         assert ts.eps[0] == ts.beta[0] * (ts.s[1] + (1.0 - small_params.epsilon) * ts.v[1])
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _assert_same_result(got, want):
+    """Every output of two runs, bit for bit."""
+    assert _same_bits(got.beta_steps, want.beta_steps)
+    for column in ("t", "s", "v", "e", "a", "i", "r", "n", "beta", "eps",
+                   "alpha", "iota", "r_tilde"):
+        assert _same_bits(getattr(got.timeseries, column), getattr(want.timeseries, column))
+    assert len(got.timeseries.snapshots) == len(want.timeseries.snapshots)
+    for mine, ref in zip(got.timeseries.snapshots, want.timeseries.snapshots):
+        assert mine.t == ref.t
+        for name in ("e", "a", "i"):
+            assert _same_bits(getattr(mine, name), getattr(ref, name))
+    mine, ref = got.final_state, want.final_state
+    assert (mine.t, mine.s, mine.v) == (ref.t, ref.s, ref.v)
+    for name in ("e", "a", "i"):
+        assert _same_bits(getattr(mine, name).values, getattr(ref, name).values)
+
+
+def _spied(calls):
+    """`solver._seed_negligible`, recording (bound, verdict) of each call: a
+    bound of 7 entries for a step's flux rows, of 3 for a sample's masses."""
+    real = solver._seed_negligible
+
+    def spy(bound, head):
+        verdict = real(bound, head)
+        calls.append((bound.copy(), verdict))
+        return verdict
+    return mock.patch.object(solver, "_seed_negligible", spy)
+
+
+def _always_read():
+    return mock.patch.object(solver, "_seed_negligible", lambda bound, head: False)
+
+
+def _retirement_case(seed, regime):
+    """(init, params, run kwargs): a draw of `_equivalence_case`, or for
+    "endemic" the supercritical `table2-c2` scenario on a 1000-day grid from
+    a random band seed, where the history outgrows the seed and most runs
+    retire it on some steps."""
+    if regime != "endemic":
+        return _equivalence_case(seed, regime)
+    rng = np.random.default_rng(seed)
+    h = float(rng.choice([0.5, 1.0, 2.0]))
+    params = scenarios.builtin_scenario("table2-c2", build_grid(h, 1000.0))
+    low = float(rng.uniform(h, 400.0))
+    band = (low, low + float(rng.uniform(5.0 * h, 400.0)))
+    init = scenarios.band_initial_state(params, scenarios.S0_DEFAULT, scenarios.V0_DEFAULT,
+                                        10.0 ** rng.uniform(1.0, 7.0), band)
+    n_steps = int(rng.integers(1, int(1.5 * params.grid.n_nodes)))
+    snaps = rng.integers(0, n_steps + 1, size=rng.integers(0, 4))
+    return init, params, dict(t_max=n_steps * h, sample_every=int(rng.integers(1, 6)) * h,
+                              snapshot_times=[n * h for n in snaps])
+
+
+class TestSeedRetirement:
+    """A step skips the seed span's products while their bound is at most a
+    quarter ulp of the history's; the results are the same bits as with
+    the seed read at every step."""
+
+    def test_negligible_is_a_quarter_ulp(self):
+        ulp = math.ulp(3.0)
+        assert solver._seed_negligible(np.array([ulp / 4, 0.0]), np.array([3.0, 1.0]))
+        assert not solver._seed_negligible(np.array([ulp / 2, 0.0]), np.array([3.0, 1.0]))
+        assert 3.0 + ulp / 4 == 3.0
+        # An all-zero row adds an exact 0; any bound on an exact 0 head is read.
+        assert solver._seed_negligible(np.zeros(2), np.zeros(2))
+        assert not solver._seed_negligible(np.array([5e-324]), np.zeros(1))
+        # A non-finite history reads the seed, so the run aborts where it did.
+        for head in (math.inf, math.nan):
+            assert not solver._seed_negligible(np.zeros(1), np.array([head]))
+
+    @pytest.mark.parametrize("regime", ["band", "band-burst", "long", "point", "endemic"])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_retiring_the_seed_is_bit_identical(self, regime, seed):
+        init, params, kwargs = _retirement_case(seed, regime)
+        got = simulate(init, params, **kwargs)
+        with _always_read():
+            want = simulate(init, params, **kwargs)
+        _assert_same_result(got, want)
+
+    def test_table2_c2_band_retires_half_its_steps(self):
+        # The shipped endemic band seed at h = 1: the seed is still in the
+        # window at the end, and the history outgrows it early on.
+        params = scenarios.builtin_scenario("table2-c2", build_grid(1.0, 32400.0))
+        init = scenarios.band_initial_state(params, scenarios.S0_DEFAULT,
+                                            scenarios.V0_DEFAULT, 1e4)
+        kwargs = dict(t_max=1500.0, snapshot_times=[700.0, 1500.0])
+        calls = []
+        with _spied(calls):
+            got = simulate(init, params, **kwargs)
+        rows = [verdict for bound, verdict in calls if bound.size == 7]
+        assert len(rows) == 1500
+        assert sum(rows) >= 750
+        with _always_read():
+            want = simulate(init, params, **kwargs)
+        _assert_same_result(got, want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_density_too_large_for_the_frame_reads_the_seed(self):
+        # The A seed sits where Q_a is 2.5e-247, so u = x / Q overflows and
+        # the first step's seed products are non-finite. The E seed and
+        # S = 1e94 make the history so large that the bound on the seed's
+        # finite x would retire it at that step; the run must abort there,
+        # as it does with the seed read, instead of carrying an inf along.
+        grid = build_grid(1.0, 99.0)
+        params = make_constant_params(grid, n0=1e94, k=0.998, gamma_a=0.998, xi=1.0,
+                                      gamma_i=0.5, beta_a=1e-63, beta_i=1e-80)
+        e, a = np.zeros(grid.n_nodes), np.zeros(grid.n_nodes)
+        e[1], a[91] = 1e77, 1e62
+        init = State(t=0.0, s=1e94, v=0.0, e=AgeProfile(grid, e, Units.DENSITY),
+                     a=AgeProfile(grid, a, Units.DENSITY), i=zero_density(grid))
+        for patch in (contextlib.nullcontext(), _always_read()):
+            with patch, pytest.raises(AbortedRunError) as info:
+                simulate(init, params, t_max=5.0)
+            assert info.value.step_index == 1
+
+    @pytest.mark.parametrize("regime", ["band", "long", "point", "fast", "endemic"])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_the_bound_is_a_bound(self, regime, seed):
+        # The initial densities carried alone on the test side, x <- shift(x)
+        # * (1 - h rate) with nothing entering at node 0, give the seed's
+        # exact share. At every check the bound handed over is
+        # 2 max(w_r) sum(x_c at t = 0) decay_c^n (weight 1 for the masses),
+        # and the share stays within half of it: the factor 2 is all
+        # headroom for the frame's rounding. "fast" draws decay by up to
+        # 0.999 a step, and "long" ones and some "band" ones run the seed
+        # out through theta_max.
+        init, params, kwargs = _retirement_case(seed, regime)
+        h = params.grid.h
+        calls = []
+        with _spied(calls):
+            simulate(init, params, **kwargs)
+        rates = (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i)
+        ones = np.ones(params.grid.n_nodes)
+        weights = [w for c in range(3) for w in params.flux_rows(c)] + [ones] * 3
+        owner = [0, 0, 1, 1, 1, 2, 2, 0, 1, 2]
+        decay = np.array([np.max(1.0 - h * rate[:-1], initial=0.0) for rate in rates])[owner]
+        peak = np.array([w.max() for w in weights])
+        mass0 = np.array([x.values.sum() for x in (init.e, init.a, init.i)])[owner]
+        seed = [x.values.copy() for x in (init.e, init.a, init.i)]
+        n = 0
+        for bound, _ in calls:
+            rows = slice(0, 7) if bound.size == 7 else slice(7, 10)
+            if bound.size == 7:
+                n += 1
+                for x, rate in zip(seed, rates):
+                    x[1:] = x[:-1] * (1.0 - h * rate[:-1])
+                    x[0] = 0.0
+            formula = 2.0 * peak[rows] * mass0[rows] * decay[rows] ** n
+            np.testing.assert_allclose(bound, formula, rtol=1e-10, atol=1e-290)
+            share = np.array([w @ seed[c] for w, c in zip(weights[rows], owner[rows])])
+            assert np.all(share <= 0.5 * bound * (1.0 + 1e-10) + 1e-290), (n, share, bound)
