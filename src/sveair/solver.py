@@ -205,8 +205,15 @@ def _seed_negligible(bound, head) -> bool:
     entry of `head` unchanged: bound <= ulp(head) / 4 at every entry.
 
     Rounding to nearest moves head + seed off head only from half an ulp
-    on. A non-finite head gives False, so the seed is read there."""
-    return bool((bound <= 0.25 * np.spacing(head)).all())
+    on. A non-finite head gives False, so the seed is read there. The test
+    runs on Python floats and stops at the first entry that fails; its ulp
+    is np.spacing's, the step to the next float away from zero, signed like
+    the head, inf past the largest float and NaN at an infinity."""
+    for entry, x in zip(bound.tolist(), head):
+        x = float(x)
+        if not entry <= 0.25 * (math.nextafter(x, math.copysign(math.inf, x)) - x):
+            return False
+    return True
 
 
 def _kernel(q_row: np.ndarray, weights) -> tuple:

@@ -1,5 +1,6 @@
 """Config parsing, the runner's file products, and the CLI."""
 
+import math
 import re
 import tracemalloc
 from collections import Counter
@@ -215,7 +216,19 @@ def _block_edge_shapes(min_length):
     return st.integers(1, 4).flatmap(lengths)
 
 
+def _age_steps():
+    """Age steps h: dyadic m * 2^-k, the decimal steps 0.1, 0.05 and 1/3, and
+    steps drawn log-uniformly from [1e-6, 50]."""
+    dyadic = st.builds(lambda m, k: m * 2.0 ** -k, st.integers(1, 2**12), st.integers(0, 30))
+    drawn = st.floats(math.log(1e-6), math.log(50.0)).map(math.exp)
+    return st.one_of(dyadic, st.sampled_from([0.1, 0.05, 1 / 3]), drawn)
+
+
 class TestCsvRoundTrip:
+    SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310,
+                        2.2250738585072014e-308, 1e16, -1e16, 1e16 - 2.0, 1e16 + 2.0, 0.5,
+                        -3.0, 1.7976931348623157e308])
+
     def test_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         cols = [rng.standard_normal(40) * 10.0 ** rng.integers(-12, 12, 40),
@@ -234,15 +247,13 @@ class TestCsvRoundTrip:
         assert b"\r" not in raw
 
     @given(shape=_block_edge_shapes(0), seed=st.integers(0, 2**32 - 1),
-           planted=st.lists(st.floats(), max_size=20))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_row_by_row_format_value(self, tmp_path_factory, shape, seed, planted):
+           planted=st.lists(st.floats(), max_size=20), h=_age_steps())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_row_by_row_format_value(self, tmp_path_factory, shape, seed, planted, h):
         n_cols, length = shape
         rows_per_block = io._BLOCK_CELLS // n_cols
         rng = np.random.default_rng(seed)
-        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310,
-                            2.2250738585072014e-308, 1e16, -1e16, 1e16 - 2.0,
-                            1e16 + 2.0, 0.5, -3.0, 1.7976931348623157e308])
+        special = self.SPECIAL
         cols = []
         for _ in range(n_cols):
             kind = rng.integers(6, size=length)
@@ -263,13 +274,27 @@ class TestCsvRoundTrip:
                 low, high = edge - int(rng.integers(1, 40)), edge + int(rng.integers(1, 40))
                 col[low:high] = signed_zeros[low:high]
             cols.append(col)
+        # In half the draws the last column holds the nodes j * h of an age
+        # grid, with special values planted among them, and arrives
+        # formatted, as the runner's age column does.
+        ages = bool(length) and rng.random() < 0.5
+        if ages:
+            cols[-1] = np.arange(length) * h
+            spots = rng.integers(length, size=rng.integers(0, 8))
+            cols[-1][spots] = special[rng.integers(special.size, size=spots.size)]
         if length:
             for value in planted:
                 cols[rng.integers(n_cols)][rng.integers(length)] = value
             if rng.random() < 0.3:
                 cols[0] = rng.integers(-2**62, 2**62, size=length)
-        # Some columns arrive formatted, as the runner's age column does.
-        given_cols = [io.format_column(col) if rng.random() < 0.3 else col for col in cols]
+        # Some other columns arrive formatted too.
+        formatted = [rng.random() < 0.3 for _ in cols]
+        formatted[-1] |= ages
+        given_cols = [io.format_column(col) if done else col
+                      for col, done in zip(cols, formatted)]
+        for col, given, done in zip(cols, given_cols, formatted):
+            if done:
+                assert given.tolist() == [format_value(x).encode() for x in col]
         header = [f"c{j}" for j in range(n_cols)]
         path = tmp_path_factory.getbasetemp() / "row_by_row.csv"
         write_csv(path, header, given_cols)
@@ -341,22 +366,27 @@ class TestCsvRoundTrip:
         assert path.read_bytes() == want.encode()
 
     # The writer's transient peak as tracemalloc sees it, numpy's buffers
-    # included: 1.4 and 1.0 MiB for the two cases below with 8,192-cell
-    # blocks. Formatting a whole 3001 x 12 file at once is estimated at
-    # about 7 MB, and a whole snapshot at tens of MB.
+    # included: 1.4, 1.0 and 2.0 MiB for the three cases below with
+    # 8,192-cell blocks; the last is mostly the formatted age column itself,
+    # held once in blocks and once joined. Formatting a whole 3001 x 12 file
+    # at once is estimated at about 7 MB, and a whole snapshot at tens of MB.
     TRANSIENT_BOUND = 4 * 2**20
 
-    @pytest.mark.parametrize("rows, n_cols", [(3001, 12), (129_601, 4)])
+    @pytest.mark.parametrize("rows, n_cols", [(3001, 12), (129_601, 4), (129_601, 1)])
     def test_transient_memory_is_bounded(self, tmp_path, rows, n_cols):
         # Distinct values throughout: the run-file shape of a c2 sweep, and
-        # a J = 129,601 snapshot whose age column arrives formatted.
+        # a J = 129,601 snapshot whose age column arrives formatted. Alone,
+        # the age column is formatted under tracemalloc too.
         rng = np.random.default_rng(5)
         cols = [rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
                 for _ in range(n_cols)]
+        ages = np.arange(rows) * 0.25
         if n_cols == 4:
-            cols[0] = io.format_column(np.arange(rows) * 0.25)
+            cols[0] = io.format_column(ages)
         tracemalloc.start()
         try:
+            if n_cols == 1:
+                cols[0] = io.format_column(ages)
             write_csv(tmp_path / "distinct.csv", [f"c{j}" for j in range(n_cols)], cols)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

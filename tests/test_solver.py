@@ -551,6 +551,28 @@ def _always_read():
     return mock.patch.object(solver, "_seed_negligible", lambda bound, head: False)
 
 
+def _numpy_seed_verdict(bound, head):
+    """`solver._seed_negligible`'s verdict as one numpy expression, the
+    reference of its unit test."""
+    with np.errstate(over="ignore"):  # np.spacing of the largest float is inf
+        return bool((bound <= 0.25 * np.spacing(head)).all())
+
+
+def _seed_check_entries():
+    """(bound, head) entries: any floats, and bounds at a quarter ulp of the
+    head, one float either side of it, and zero."""
+    def bounds(head):
+        with np.errstate(over="ignore"):
+            quarter = float(0.25 * np.spacing(head))
+        near = [quarter, math.nextafter(quarter, math.inf), math.nextafter(quarter, -math.inf),
+                0.0, -0.0]
+        return st.tuples(st.one_of(st.sampled_from(near), st.floats()), st.just(head))
+    heads = st.one_of(st.floats(), st.sampled_from(
+        [0.0, -0.0, 3.0, -3.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+         math.inf, -math.inf, math.nan]))
+    return heads.flatmap(bounds)
+
+
 def _retirement_case(seed, regime):
     """(init, params, run kwargs): a draw of `_equivalence_case`, or for
     "endemic" the supercritical `table2-c2` scenario on a 1000-day grid from
@@ -576,7 +598,19 @@ class TestSeedRetirement:
     quarter ulp of the history's; the results are the same bits as with
     the seed read at every step."""
 
-    def test_negligible_is_a_quarter_ulp(self):
+    @given(entries=st.lists(_seed_check_entries(), min_size=1, max_size=7))
+    @settings(max_examples=300, deadline=None)
+    def test_negligible_is_a_quarter_ulp(self, entries):
+        # Any bounds and heads, zeros, negatives, infinities, NaNs and the
+        # largest float included: the verdict of the numpy expression, with
+        # the head as an array (a step's rows) or a list of numpy scalars (a
+        # sample's masses).
+        bound = np.array([b for b, _ in entries])
+        head = np.array([x for _, x in entries])
+        want = _numpy_seed_verdict(bound, head)
+        assert solver._seed_negligible(bound, head) == want
+        assert solver._seed_negligible(bound, list(head)) == want
+
         ulp = math.ulp(3.0)
         assert solver._seed_negligible(np.array([ulp / 4, 0.0]), np.array([3.0, 1.0]))
         assert not solver._seed_negligible(np.array([ulp / 2, 0.0]), np.array([3.0, 1.0]))
