@@ -144,6 +144,14 @@ class LyapunovEvaluator:
         sample, or a caller that passes all J nodes) is read as all fresh.
         Nothing is carried before the first sample, so a first array
         shorter than the prefix fails the dot's shape check.
+
+        The terms of a prefix of k nodes live in one buffer of 2k, k of them
+        slack at its head. Fresh terms are written just before the carried
+        ones, as `simulate` writes its boundary values, and the carried
+        terms move back to the buffer's end only when the slack runs out,
+        at most once every k fresh nodes, in place of a new array per
+        sample. The dot reads the same values in the same order, so L keeps
+        its bits.
         """
         h = self.h
         if self.steady.kind != ENDEMIC:
@@ -156,20 +164,32 @@ class LyapunovEvaluator:
 
             return observe
 
-        carried = [np.empty(0)] * 3
+        # Each compartment's terms live in buffer[head:head + k], with k
+        # nodes of slack before them; the head starts past the end, so
+        # nothing is carried yet.
+        buffers = [np.empty(2 * k) for k in self.nodes]
+        heads = [2 * k for k in self.nodes]
 
         def observe(t, s, v, e, a, i):
             total = self._scalar_terms(s, v)
             for c, ((k, weight, star), density) in enumerate(zip(self.ratio_terms, (e, a, i))):
                 fresh = density[:k]
-                if fresh.size and fresh.min() <= 0.0:
+                m = fresh.size
+                if m and fresh.min() <= 0.0:
                     raise LyapunovDomainError(
                         "state density is nonpositive at a weighted node; the endemic "
                         "Lyapunov function is infinite there (seed strictly positive "
                         "densities, e.g. steady-scaled initial data)", scalars=False)
-                carried[c] = np.concatenate(
-                    (entropy_f(fresh / star[:fresh.size]), carried[c][:k - fresh.size]))
-                total += h * float(weight @ carried[c])
+                buffer, head = buffers[c], heads[c]
+                if m > head:
+                    # The slack is spent: move the k - m terms still carried
+                    # back to the buffer's end, once.
+                    buffer[k + m:] = buffer[head:head + k - m]
+                    head = k + m
+                head -= m
+                buffer[head:head + m] = entropy_f(fresh / star[:m])
+                heads[c] = head
+                total += h * float(weight @ buffer[head:head + k])
             values.append(total)
             times.append(t)
 

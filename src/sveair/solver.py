@@ -9,6 +9,8 @@ infection and the renewal integrals feeding a step are evaluated on the
 previous state (explicit coupling). The share that the oldest node
 passes on leaves the system (absorbing boundary at theta_max); the
 recovered ledger counts it, so the ledger stays exact once mass ages out.
+While node J - 1 lies off the live spans (below) that share is an exact 0,
+and the step does not compute it.
 
 The densities are kept in a moving frame instead of being shifted in
 memory. The age axis is cut into blocks of L nodes, and Q[c, j] is the
@@ -32,7 +34,9 @@ holds an exact 0. So three matrix-vector products against the kernel rows
 weight * Q, with the weights from `ParameterSet.flux_rows`,
 summed over the live spans, give the force of infection, the two boundary
 integrals and the recovered flux together, and sample masses are
-h * (Q[c] @ u[c]) over the same spans. The densities are rebuilt as Q * u
+h * (Q[c] @ u[c]) over the same spans, the three compartments' dots in one
+stacked `np.matmul`, which numpy runs as the same dot per compartment, so
+the masses keep their bits. The densities are rebuilt as Q * u
 only where they are read: the snapshots and the final state on all J
 nodes (off the live spans u, and so Q * u, is an exact +-0), and the
 observer's nodes: all J, unless it declares leading prefixes, which it
@@ -44,7 +48,10 @@ they cannot change a float (`_seed_negligible`). The seed is the initial
 data carried forward and never fed again, so its share of a flux row w_r
 of compartment c after n steps is at most max(w_r) * sum(x_c at t = 0) *
 decay_c^n, decay_c being the compartment's largest one-step factor; the
-bound handed over is twice that, which covers the frame's rounding.
+bound handed over is twice that, which covers the frame's rounding, and
+twice again for a row with a positive subnormal kernel entry (a weight
+below about 1e-58 can make one), which rounding can make up to twice its
+exact value.
 Every kernel and density is nonnegative, so when the bound is at most a
 quarter ulp of every history product it would be added to, history + seed
 rounds to the history value, and skipping the seed changes no bit. The
@@ -84,6 +91,8 @@ import numpy as np
 from sveair.errors import AbortedRunError, ParameterError
 from sveair.grid import AgeProfile, Units, block_products, scheme_factors
 from sveair.params import ParameterSet
+
+_SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,12 +227,15 @@ def _seed_negligible(bound, head) -> bool:
 
 def _kernel(q_row: np.ndarray, weights) -> tuple:
     """Flux rows weight * Q of one compartment, stacked for one matrix-vector
-    product, and the largest value of each weight row."""
+    product, and the seed bound's factor of each row: the largest weight,
+    doubled when a positive entry of the row is subnormal, as rounding can
+    make such an entry up to twice its exact value."""
     out = np.empty((len(weights), q_row.shape[0]))
     peaks = []
     for row, weight in zip(out, weights):
         np.multiply(weight, q_row, out=row)
-        peaks.append(weight.max())
+        subnormal = ((row > 0.0) & (row < _SMALLEST_NORMAL)).any()
+        peaks.append(weight.max() * (2.0 if subnormal else 1.0))
     return out, peaks
 
 
@@ -261,8 +273,9 @@ def simulate(
 
     A step reads the live spans of the window only, and of a seed span
     apart from the history only while an a-priori bound on the seed's share,
-    2 max(w_r) sum(x_c at t = 0) decay_c^n, is above a quarter ulp of some
-    history product or sample mass it would be added to. Below that the
+    2 max(w_r) sum(x_c at t = 0) decay_c^n (doubled for a row with a
+    subnormal kernel entry), is above a quarter ulp of some history product
+    or sample mass it would be added to. Below that the
     sum rounds to the history value, so the results are the same bits as
     with the seed read (module docstring).
 
@@ -334,6 +347,9 @@ def simulate(
     dots, seed_dots = np.empty(7), np.empty(7)
     dot_e, dot_a, dot_i = dots[:2], dots[2:5], dots[5:]
     seed_e, seed_a, seed_i = seed_dots[:2], seed_dots[2:5], seed_dots[5:]
+    # A sample's three masses Q_c @ u_c over a span, as one stacked product.
+    masses, seed_masses = np.empty((3, 1, 1)), np.empty((3, 1, 1))
+    mass_row = masses.reshape(3)
     if observer is not None:
         # The leading nodes the observer reads, rebuilt into reused buffers.
         # One that declares `nodes` carries what it read along the
@@ -385,11 +401,12 @@ def simulate(
         v_next = (v * keep + h * p * s_next) / (1.0 + h * (zeta_eps + one_minus_eps * beta))
         eps = beta * (s_next + one_minus_eps * v_next)
         if n % stride == 0 or n == n_steps:
-            masses = [q_row[history] @ u[history] for q_row, u in zip(q, window)]
-            if apart and not _seed_negligible(mass_bound, masses):
+            np.matmul(q[:, None, history], window[:, history, None], out=masses)
+            if apart and not _seed_negligible(mass_bound, mass_row):
                 seed = slice(*spans[1])
-                masses = [mass + q_row[seed] @ u[seed] for mass, q_row, u in zip(masses, q, window)]
-            e_tot, a_tot, i_tot = (h * float(mass) for mass in masses)
+                np.matmul(q[:, None, seed], window[:, seed, None], out=seed_masses)
+                masses += seed_masses
+            e_tot, a_tot, i_tot = (h * mass for mass in mass_row.tolist())
             removed = n0 - s - v - e_tot - a_tot - i_tot
             if r_tilde is None:
                 # Initial recovered mass: population minus the modeled pools.
@@ -414,7 +431,9 @@ def simulate(
         # Recovered-compartment ledger (conservation diagnostic); the
         # vaccine-immunity inflow leaves V at its new value, and the mass
         # that ages out through theta_max is counted with the recovered.
-        aged_out = float(aged_out_weight @ window[:, -1])
+        # Off the live spans node J - 1 holds an exact 0, and so does its share.
+        aged_out = (float(aged_out_weight @ window[:, -1]) if spans[-1][1] == n_nodes
+                    else 0.0)
         r_tilde = r_tilde + h * (zeta_eps * v_next + recovered + aged_out - mu * r_tilde)
         s, v = s_next, v_next
         if apart:

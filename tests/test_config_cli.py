@@ -1,7 +1,12 @@
 """Config parsing, the runner's file products, and the CLI."""
 
+import atexit
+import gc
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -708,6 +713,42 @@ class TestContactLabelingReport:
 
 
 class TestCli:
+    def test_exit_hook_is_registered_once(self, tmp_path, monkeypatch):
+        # Two runs in one process register gc.freeze with atexit once, and
+        # the collector is left as it was when main returns.
+        registered = []
+        monkeypatch.setattr(cli, "_freeze_at_exit", False)
+        monkeypatch.setattr(atexit, "register", registered.append)
+        cfg_path = write_cfg(tmp_path, TINY)
+        for k in (1, 2):
+            assert cli.main(["r0-report", "--config", str(cfg_path),
+                             "--out", str(tmp_path / f"o{k}")]) == 0
+            assert gc.get_freeze_count() == 0
+        assert registered == [gc.freeze]
+
+    def test_subprocess_run_equals_an_in_process_one(self, tmp_path, capsys):
+        # `python -m sveair.cli run` exits through the gc.freeze hook; an
+        # endemic sweep with Lyapunov on writes the same files, byte for
+        # byte, and prints the same lines as cli.main in this process.
+        cfg_path = write_cfg(tmp_path, TINY + "init.mode = steady-scaled\n"
+                                              "toggles.run_lyapunov = true\n")
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "in")]) == 0
+        lines = capsys.readouterr().out
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])])
+        proc = subprocess.run(
+            [sys.executable, "-m", "sveair.cli", "run", "--config", str(cfg_path),
+             "--out", str(tmp_path / "sub")], env=env, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == lines and proc.stderr == ""
+        names = sorted(p.name for p in (tmp_path / "in").iterdir())
+        assert "lyapunov_d100.csv" in names
+        assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "in" / name).read_bytes()
+
     def test_run_exit_code_and_stdout(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, TINY)
         code = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])

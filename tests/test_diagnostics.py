@@ -523,6 +523,41 @@ _SHORT_PREFIX = dict(h=0.25, theta_max=3000.0, r0=3.0, ramp=1.5, beta_ratio=1.0,
                      gamma_a=0.1, gamma_i=0.1)
 
 
+@pytest.fixture(scope="module")
+def short_prefix_setup():
+    draw = dict(_SHORT_PREFIX)
+    params = _ramped_params(build_grid(draw.pop("h"), draw.pop("theta_max")), **draw)
+    _, ref = rep.matching_steady_state(params)
+    return params, ref, dg.LyapunovEvaluator(params, ref)
+
+
+def _concatenating_observer(evaluator, times, values):
+    """The endemic observer as it was before its terms got a buffer with
+    slack: per compartment and sample, a new array of the fresh terms
+    followed by the carried ones, np.concatenate((fresh, carried[:k - m])).
+    The reference of the buffered observer's property; its draws are
+    positive, so the domain check is left out."""
+    h = evaluator.h
+    carried = [np.empty(0)] * 3
+
+    def observe(t, s, v, e, a, i):
+        total = evaluator._scalar_terms(s, v)
+        for c, ((k, weight, star), density) in enumerate(zip(evaluator.ratio_terms, (e, a, i))):
+            fresh = density[:k]
+            carried[c] = np.concatenate(
+                (dg.entropy_f(fresh / star[:fresh.size]), carried[c][:k - fresh.size]))
+            total += h * float(weight @ carried[c])
+        values.append(total)
+        times.append(t)
+
+    return observe
+
+
+# Steps between samples: a few, anything up to J = 12,001 of the short-prefix
+# draw, whose prefixes are (7660, 12001, 12001), or all J.
+_GAPS = st.one_of(st.integers(1, 64), st.integers(1, 12_001), st.just(12_001))
+
+
 class TestEndemicPrefix:
     """The endemic function reads a leading prefix of each density, and its
     observer carries the terms of that prefix along the characteristics."""
@@ -605,6 +640,33 @@ class TestEndemicPrefix:
             np.testing.assert_array_equal(values, full)
         excess = np.abs(np.subtract(values, full)) - scale
         assert excess.max() <= 0.0, (int(excess.argmax()), excess.max())
+
+    @given(gaps=st.lists(_GAPS, min_size=8, max_size=30), last=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_buffered_carry_matches_the_concatenating_one(self, short_prefix_setup, gaps,
+                                                          last, seed):
+        # The observer writes fresh terms into the slack before the carried
+        # ones and moves them back when the slack runs out. Against the
+        # concatenating reference, on random positive densities: the gaps
+        # average about 6,000 nodes, so a draw moves the carried terms back
+        # several times; gaps of k or more nodes hand every term over
+        # fresh; and the run ends on a gap of 1 to 3 nodes. Every L is the
+        # same bits.
+        params, ref, evaluator = short_prefix_setup
+        n_nodes = params.grid.n_nodes
+        assert evaluator.nodes == (7660, n_nodes, n_nodes)
+        stars = [c.values for c in (ref.e_star, ref.a_star, ref.i_star)]
+        rng = np.random.default_rng(seed)
+        got, want = [], []
+        observers = (evaluator.observer([], got), _concatenating_observer(evaluator, [], want))
+        for t, gap in enumerate([n_nodes, *gaps, last]):
+            size = min(gap, n_nodes)
+            dens = [star[:size] * rng.uniform(0.5, 2.0, size) for star in stars]
+            s, v = ref.s_star * rng.uniform(0.5, 2.0), ref.v_star * rng.uniform(0.5, 2.0)
+            for observe in observers:
+                observe(float(t), s, v, *dens)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_observer_reads_all_nodes_of_a_longer_array(self):
         # A wrapper that hides `nodes` is handed all J nodes at every

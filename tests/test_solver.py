@@ -16,7 +16,8 @@ from sveair import reproduction as rep
 from sveair import scenarios, solver
 from sveair.errors import AbortedRunError, ParameterError, StabilityError
 from shift_reference import simulate_shift
-from sveair.grid import AgeGrid, AgeProfile, Units, build_grid, constant_profile
+from sveair.grid import (AgeGrid, AgeProfile, Units, block_products, build_grid,
+                         constant_profile, scheme_factors)
 from sveair.params import ParameterSet
 from sveair.scenarios import steady_initial_state
 from sveair.solver import State, simulate
@@ -513,6 +514,32 @@ class TestMovingFrameEquivalence:
         assert ts.eps[0] == ts.beta[0] * (ts.s[1] + (1.0 - small_params.epsilon) * ts.v[1])
 
 
+class TestStackedMasses:
+    """A sample's masses Q_c @ u_c over a span, taken as one stacked
+    np.matmul, are the three 1-D products bit for bit."""
+
+    @given(n_nodes=st.one_of(st.integers(1, 3000), st.sampled_from([32_401, 64_801])),
+           extra=st.integers(0, 3000), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_three_dots(self, n_nodes, extra, data, seed):
+        # A window of J nodes at any offset into a frame of J + extra
+        # columns, so the rows' stride varies too, and a span of any length
+        # in it; values over 30 decades, so a change of summation order
+        # shows in the bits.
+        rng = np.random.default_rng(seed)
+        q = rng.uniform(0.0, 1.0, (3, n_nodes)) * 10.0 ** rng.uniform(-15.0, 0.0, (3, n_nodes))
+        frame = rng.uniform(0.0, 1.0, (3, n_nodes + extra)) * 10.0 ** rng.uniform(
+            -15.0, 15.0, (3, n_nodes + extra))
+        start = data.draw(st.integers(0, extra))
+        window = frame[:, start:start + n_nodes]
+        low = data.draw(st.integers(0, n_nodes))
+        span = slice(low, data.draw(st.integers(low, n_nodes)))
+        masses = np.empty((3, 1, 1))
+        np.matmul(q[:, None, span], window[:, span, None], out=masses)
+        want = [q_row[span] @ u[span] for q_row, u in zip(q, window)]
+        assert masses.tobytes() == np.array(want).tobytes()
+
+
 def _same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     return got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -591,6 +618,43 @@ def _retirement_case(seed, regime):
     snaps = rng.integers(0, n_steps + 1, size=rng.integers(0, 4))
     return init, params, dict(t_max=n_steps * h, sample_every=int(rng.integers(1, 6)) * h,
                               snapshot_times=[n * h for n in snaps])
+
+
+def _assert_bound_holds(init, params, kwargs):
+    """Run `simulate` and check every seed bound it hands over, as
+    `TestSeedRetirement.test_the_bound_is_a_bound` describes; a row whose
+    kernel weight * Q has a positive subnormal entry has its bound doubled.
+    Returns that doubling, per flux row."""
+    h = params.grid.h
+    calls = []
+    with _spied(calls):
+        simulate(init, params, **kwargs)
+    rates = (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i)
+    ones = np.ones(params.grid.n_nodes)
+    weights = [w for c in range(3) for w in params.flux_rows(c)] + [ones] * 3
+    owner = [0, 0, 1, 1, 1, 2, 2, 0, 1, 2]
+    decay = np.array([np.max(1.0 - h * rate[:-1], initial=0.0) for rate in rates])[owner]
+    q = scheme_factors(np.stack(rates), h)
+    block_products(q)
+    kernels = [w * q[c] for w, c in zip(weights[:7], owner)]
+    subnormal = np.array([bool(((row > 0.0) & (row < np.finfo(float).tiny)).any())
+                          for row in kernels] + [False] * 3)
+    peak = np.array([w.max() for w in weights]) * np.where(subnormal, 2.0, 1.0)
+    mass0 = np.array([x.values.sum() for x in (init.e, init.a, init.i)])[owner]
+    seed = [x.values.copy() for x in (init.e, init.a, init.i)]
+    n = 0
+    for bound, _ in calls:
+        rows = slice(0, 7) if bound.size == 7 else slice(7, 10)
+        if bound.size == 7:
+            n += 1
+            for x, rate in zip(seed, rates):
+                x[1:] = x[:-1] * (1.0 - h * rate[:-1])
+                x[0] = 0.0
+        formula = 2.0 * peak[rows] * mass0[rows] * decay[rows] ** n
+        np.testing.assert_allclose(bound, formula, rtol=1e-10, atol=1e-290)
+        share = np.array([w @ seed[c] for w, c in zip(weights[rows], owner[rows])])
+        assert np.all(share <= 0.5 * bound * (1.0 + 1e-10) + 1e-290), (n, share, bound)
+    return subnormal[:7]
 
 
 class TestSeedRetirement:
@@ -680,28 +744,28 @@ class TestSeedRetirement:
         # headroom for the frame's rounding. "fast" draws decay by up to
         # 0.999 a step, and "long" ones and some "band" ones run the seed
         # out through theta_max.
-        init, params, kwargs = _retirement_case(seed, regime)
-        h = params.grid.h
+        _assert_bound_holds(*_retirement_case(seed, regime))
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_a_subnormal_kernel_entry_doubles_its_bound(self, seed):
+        # beta_a scaled to a peak of 1e-300 on the endemic draws: beta_a * Q_a
+        # is subnormal wherever Q_a is below about 2.2e-8, and rounding can
+        # make such an entry up to twice its exact value. That row's bound
+        # is doubled, the share stays within half of it, and the run is the
+        # same bits as with the seed read at every step.
+        init, params, kwargs = _retirement_case(seed, "endemic")
+        beta_a = params.beta_a.values
+        params = replace(params, beta_a=params.beta_a.with_values(beta_a * (1e-300 / beta_a.max())))
+        assert _assert_bound_holds(init, params, kwargs)[2]
         calls = []
         with _spied(calls):
-            simulate(init, params, **kwargs)
-        rates = (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i)
-        ones = np.ones(params.grid.n_nodes)
-        weights = [w for c in range(3) for w in params.flux_rows(c)] + [ones] * 3
-        owner = [0, 0, 1, 1, 1, 2, 2, 0, 1, 2]
-        decay = np.array([np.max(1.0 - h * rate[:-1], initial=0.0) for rate in rates])[owner]
-        peak = np.array([w.max() for w in weights])
-        mass0 = np.array([x.values.sum() for x in (init.e, init.a, init.i)])[owner]
-        seed = [x.values.copy() for x in (init.e, init.a, init.i)]
-        n = 0
-        for bound, _ in calls:
-            rows = slice(0, 7) if bound.size == 7 else slice(7, 10)
-            if bound.size == 7:
-                n += 1
-                for x, rate in zip(seed, rates):
-                    x[1:] = x[:-1] * (1.0 - h * rate[:-1])
-                    x[0] = 0.0
-            formula = 2.0 * peak[rows] * mass0[rows] * decay[rows] ** n
-            np.testing.assert_allclose(bound, formula, rtol=1e-10, atol=1e-290)
-            share = np.array([w @ seed[c] for w, c in zip(weights[rows], owner[rows])])
-            assert np.all(share <= 0.5 * bound * (1.0 + 1e-10) + 1e-290), (n, share, bound)
+            got = simulate(init, params, **kwargs)
+        # Rows 2 and 3 are beta_a and chi (1 - xi), both of compartment a.
+        bound = next(bound for bound, _ in calls if bound.size == 7)
+        _, to_symp, _ = params.flux_rows(1)
+        assert bound[2] / bound[3] == pytest.approx(2.0 * 1e-300 / to_symp.max(),
+                                                    rel=1e-12, abs=0.0)
+        with _always_read():
+            want = simulate(init, params, **kwargs)
+        _assert_same_result(got, want)
