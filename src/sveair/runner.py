@@ -19,8 +19,11 @@ Each initial condition is simulated once; the oracle window is a prefix of
 that pass's per-step force of infection, and the Lyapunov series comes from
 its observer, the evaluator that judged the seeds.
 
-Runs execute sequentially in d-order; all sums have fixed order, so
-identical configs give byte-identical files.
+Runs execute sequentially in d-order, and identical configs give
+byte-identical files on one machine at one BLAS thread count: the kernel
+and dot products go through BLAS, which splits its sums by thread, so at
+another thread count (`OPENBLAS_NUM_THREADS`) the run, oracle and
+comparison files differ by round-off.
 """
 
 from __future__ import annotations

@@ -60,11 +60,13 @@ at every step, since a history that shrinks brings the seed back; merged
 spans (steady-scaled seeds) always read everything, and a non-finite
 history reads the seed as before.
 
-At t = 0 the force of infection and the renewal integrals are instead the
-unscaled dot products of the given densities (`_functionals`, the
-arithmetic of the renewal oracle's first step too), so the first sample
-of a run gives every reader of an initial state the same numbers, not
-numbers that agree to round-off.
+A step's seven flux-row products are taken right after the window moves
+at the end of the step before, and one assembly turns them into the force
+of infection, the boundary integrals and the recovered flux. At t = 0 they
+are instead the unscaled dot products row @ density of the given
+densities (`_functionals`, the arithmetic of the renewal oracle's first
+step too), so the first sample of a run gives every reader of an initial
+state the same numbers, not numbers that agree to round-off.
 
 S and V take their deaths explicitly and their transfers implicitly
 (Mickens' nonstandard finite-difference form):
@@ -174,23 +176,11 @@ class SimulationResult:
     clamp_events = 0
 
 
-def _functionals(params: ParameterSet, state: State):
-    """(beta, eps, alpha, iota, recovered flux) of a state, as the unscaled
-    rectangle-rule dot products h * (row @ density) of the flux rows.
-
-    eps is the new-latent density beta * (S + (1 - epsilon) V) of the
-    state's own S and V; a sample's `eps` is instead the boundary its step
-    writes, fed by the updated S and V."""
-    h = params.grid.h
-    to_asym, to_symp = (row @ state.e.values for row in params.flux_rows(0))
-    infect_a, branch_a, recover_a = (row @ state.a.values for row in params.flux_rows(1))
-    infect_i, recover_i = (row @ state.i.values for row in params.flux_rows(2))
-    beta = h * float(infect_a + infect_i)
-    eps = beta * (state.s + (1.0 - params.epsilon) * state.v)
-    alpha = h * float(to_asym)
-    iota = h * float(to_symp + branch_a)
-    recovered = h * float(recover_a + recover_i)
-    return beta, eps, alpha, iota, recovered
+def _functionals(params: ParameterSet, state: State) -> tuple:
+    """The seven flux-row products of a state, unscaled: row @ density for
+    each row of `ParameterSet.flux_rows`, e's rows, then a's, then i's."""
+    return tuple(row @ profile.values for c, profile in enumerate((state.e, state.a, state.i))
+                 for row in params.flux_rows(c))
 
 
 def _live_spans(n: int, first: int, last: int, n_nodes: int) -> tuple:
@@ -271,13 +261,9 @@ def simulate(
     """Run the scheme over [init.t, init.t + t_max]. Every duration and time
     is in days; `step_plan` turns them into steps and refuses any it cannot.
 
-    A step reads the live spans of the window only, and of a seed span
-    apart from the history only while an a-priori bound on the seed's share,
-    2 max(w_r) sum(x_c at t = 0) decay_c^n (doubled for a row with a
-    subnormal kernel entry), is above a quarter ulp of some history product
-    or sample mass it would be added to. Below that the
-    sum rounds to the history value, so the results are the same bits as
-    with the seed read (module docstring).
+    A step reads the live spans of the window only, and a seed span apart
+    from the history only while its bound can change a float, so the
+    results are the same bits as with the seed read (module docstring).
 
     Args:
         init: Initial state on the parameter grid.
@@ -314,8 +300,12 @@ def simulate(
     n_steps, stride, snap_steps = step_plan(grid, t_max, sample_every, snapshot_times)
     # The time each snapshot step was first requested at.
     snap_times = {n: init.t + ts for ts, n in reversed(list(zip(snapshot_times, snap_steps)))}
-    initial = _functionals(params, init)
-
+    # The seven flux-row products of a step over the history span, each
+    # compartment's rows in one view. At t = 0 they are the unscaled ones
+    # (module docstring), taken before the frame and the kernels exist, so
+    # the rows they build do not raise the run's peak memory.
+    dots = np.array(_functionals(params, init))
+    dot_e, dot_a, dot_i = dots[:2], dots[2:5], dots[5:]
     first, last = init.support()
 
     rates = np.stack((params.exit_rate_e, params.exit_rate_a, params.exit_rate_i))
@@ -342,10 +332,8 @@ def simulate(
         seed_bound[:] = math.inf
     seed_decay = decay[owner]
     row_bound, mass_bound = seed_bound[:7], seed_bound[7:]
-    # The seven flux-row products of a step over the history span, and
-    # over the seed span, each compartment's rows in one view.
-    dots, seed_dots = np.empty(7), np.empty(7)
-    dot_e, dot_a, dot_i = dots[:2], dots[2:5], dots[5:]
+    # The same products over the seed span.
+    seed_dots = np.empty(7)
     seed_e, seed_a, seed_i = seed_dots[:2], seed_dots[2:5], seed_dots[5:]
     # A sample's three masses Q_c @ u_c over a span, as one stacked product.
     masses, seed_masses = np.empty((3, 1, 1)), np.empty((3, 1, 1))
@@ -369,30 +357,17 @@ def simulate(
     beta_steps = np.empty(n_steps + 1)
     snapshots: list[DensitySnapshot] = []
     r_tilde = None
+    window = frame[:, start:start + n_nodes]
+    spans = _live_spans(0, first, last, n_nodes)
+    # The history span, merged with the seed span when they touch.
+    history, apart = slice(*spans[0]), len(spans) == 2
     for n in range(n_steps + 1):
         t = init.t + n * h
-        window = frame[:, start:start + n_nodes]
-        spans = _live_spans(n, first, last, n_nodes)
-        # The history span, merged with the seed span when they touch.
-        history = slice(*spans[0])
-        apart = len(spans) == 2
-        if n == 0:
-            beta, _, alpha, iota, recovered = initial
-        else:
-            np.matmul(kernel_e[:, history], window[0, history], out=dot_e)
-            np.matmul(kernel_a[:, history], window[1, history], out=dot_a)
-            np.matmul(kernel_i[:, history], window[2, history], out=dot_i)
-            if apart and not _seed_negligible(row_bound, dots):
-                seed = slice(*spans[1])
-                np.matmul(kernel_e[:, seed], window[0, seed], out=seed_e)
-                np.matmul(kernel_a[:, seed], window[1, seed], out=seed_a)
-                np.matmul(kernel_i[:, seed], window[2, seed], out=seed_i)
-                dots += seed_dots
-            to_asym, to_symp, infect_a, branch_a, recover_a, infect_i, recover_i = dots.tolist()
-            beta = h * (infect_a + infect_i)
-            alpha = h * to_asym
-            iota = h * (to_symp + branch_a)
-            recovered = h * (recover_a + recover_i)
+        to_asym, to_symp, infect_a, branch_a, recover_a, infect_i, recover_i = dots.tolist()
+        beta = h * (infect_a + infect_i)
+        alpha = h * to_asym
+        iota = h * (to_symp + branch_a)
+        recovered = h * (recover_a + recover_i)
         if not (math.isfinite(beta) and math.isfinite(alpha) and math.isfinite(iota)
                 and math.isfinite(s) and math.isfinite(v)):
             raise AbortedRunError(f"non-finite value at step {n} (t={t})", step_index=n)
@@ -444,6 +419,19 @@ def simulate(
         frame[0, start] = eps
         frame[1, start] = alpha
         frame[2, start] = iota
+        window = frame[:, start:start + n_nodes]
+        # Step n + 1's live spans and products.
+        spans = _live_spans(n + 1, first, last, n_nodes)
+        history, apart = slice(*spans[0]), len(spans) == 2
+        np.matmul(kernel_e[:, history], window[0, history], out=dot_e)
+        np.matmul(kernel_a[:, history], window[1, history], out=dot_a)
+        np.matmul(kernel_i[:, history], window[2, history], out=dot_i)
+        if apart and not _seed_negligible(row_bound, dots):
+            seed = slice(*spans[1])
+            np.matmul(kernel_e[:, seed], window[0, seed], out=seed_e)
+            np.matmul(kernel_a[:, seed], window[1, seed], out=seed_a)
+            np.matmul(kernel_i[:, seed], window[2, seed], out=seed_i)
+            dots += seed_dots
 
     # The kernels go before the final densities are rebuilt in Q's place;
     # the loop ended at n = n_steps, so window is the final one.

@@ -17,7 +17,7 @@ from sveair.grid import (Units, block_products, build_grid, rect_integral,
                          scheme_factors, scheme_tail)
 from sveair.scenarios import (band_initial_state, steady_initial_state,
                               steady_scaled_initial_state)
-from sveair.solver import State, _functionals, simulate
+from sveair.solver import State, simulate
 
 
 @pytest.fixture(scope="module")
@@ -773,7 +773,7 @@ class TestDiscreteFixedPoint:
         ts = run.timeseries
         assert ts.beta[0] == pytest.approx(ref.beta_star, rel=1e-13)
         # eps of the state's own S and V, before the first step updates them.
-        eps = _functionals(params, state)[1]
+        eps = ts.beta[0] * (state.s + (1.0 - params.epsilon) * state.v)
         assert eps == pytest.approx(ref.eps_star, rel=1e-13)
         assert ts.alpha[0] == pytest.approx(ref.alpha_star, rel=1e-13)
         assert ts.iota[0] == pytest.approx(ref.iota_star, rel=1e-13)

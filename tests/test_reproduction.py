@@ -16,7 +16,7 @@ from conftest import (
 from sveair import reproduction as rep
 from sveair.errors import StabilityError
 from sveair.grid import build_grid, survival
-from sveair.solver import _functionals, simulate
+from sveair.solver import simulate
 from sveair import scenarios as sc
 from sveair.scenarios import steady_initial_state
 
@@ -207,7 +207,7 @@ class TestSteadyState:
         ts = simulate(state, params, t_max=h, sample_every=h).timeseries
         assert ts.beta[0] == pytest.approx(beta_star, rel=1e-12)
         # eps of the state's own S and V, before the first step updates them.
-        eps = _functionals(params, state)[1]
+        eps = ts.beta[0] * (state.s + (1.0 - params.epsilon) * state.v)
         assert eps == pytest.approx(endemic.eps_star, rel=1e-12)
         assert ts.alpha[0] == pytest.approx(endemic.alpha_star, rel=1e-12)
         assert ts.iota[0] == pytest.approx(endemic.iota_star, rel=1e-12)

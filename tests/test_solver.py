@@ -335,7 +335,8 @@ class TestSimulate:
                      a=zero_density(grid), i=zero_density(grid))
         with pytest.raises(AbortedRunError) as excinfo:
             simulate(init, params, t_max=10.0)
-        assert excinfo.value.step_index >= 0
+        # The seed overflows the t = 0 products, so the run stops at once.
+        assert excinfo.value.step_index == 0
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)
@@ -637,7 +638,8 @@ def _assert_bound_holds(init, params, kwargs):
     q = scheme_factors(np.stack(rates), h)
     block_products(q)
     kernels = [w * q[c] for w, c in zip(weights[:7], owner)]
-    subnormal = np.array([bool(((row > 0.0) & (row < np.finfo(float).tiny)).any())
+    tiny = np.finfo(float).tiny
+    subnormal = np.array([bool(((row > 0.0) & (row < tiny)).any())
                           for row in kernels] + [False] * 3)
     peak = np.array([w.max() for w in weights]) * np.where(subnormal, 2.0, 1.0)
     mass0 = np.array([x.values.sum() for x in (init.e, init.a, init.i)])[owner]
@@ -651,9 +653,13 @@ def _assert_bound_holds(init, params, kwargs):
                 x[1:] = x[:-1] * (1.0 - h * rate[:-1])
                 x[0] = 0.0
         formula = 2.0 * peak[rows] * mass0[rows] * decay[rows] ** n
-        np.testing.assert_allclose(bound, formula, rtol=1e-10, atol=1e-290)
+        # Both checks are relative; only where the formula is itself
+        # subnormal, and so has lost relative precision, may the bound and
+        # the share miss by up to the smallest normal float.
+        floor = np.where(formula < tiny, tiny, 0.0)
+        assert np.all(np.abs(bound - formula) <= 1e-10 * formula + floor), (n, bound, formula)
         share = np.array([w @ seed[c] for w, c in zip(weights[rows], owner[rows])])
-        assert np.all(share <= 0.5 * bound * (1.0 + 1e-10) + 1e-290), (n, share, bound)
+        assert np.all(share <= 0.5 * bound * (1.0 + 1e-10) + floor), (n, share, bound)
     return subnormal[:7]
 
 
