@@ -278,14 +278,23 @@ def scheme_survival(rates: np.ndarray, h: float) -> np.ndarray:
     """
     q = scheme_factors(np.atleast_2d(rates), h)
     block, products = block_products(q)
-    carry = np.cumprod(np.insert(products, 0, 1.0, axis=1), axis=1)
-    full = (q.shape[1] // block) * block
-    for row, row_carry in zip(q, carry):  # in place: no J-node temporary
-        blocks = row[:full].reshape(-1, block)
-        blocks *= row_carry[:blocks.shape[0], np.newaxis]
-        row[full:] *= row_carry[-1]
-    q[q < np.finfo(np.float64).tiny] = 0.0
+    for row, row_products in zip(q, products):  # in place: no J-node temporary
+        block_survival(row, block, row_products)
     return q.reshape(np.shape(rates))
+
+
+def block_survival(row: np.ndarray, block: int, products: np.ndarray) -> np.ndarray:
+    """One row of `block_products`' Q turned into the scheme's survival, in
+    place: each block times the running product of the whole-block
+    `products` before it, then flushed to 0 below the smallest normal float.
+    Returns the row."""
+    carry = np.cumprod(np.insert(products, 0, 1.0))
+    full = (row.shape[0] // block) * block
+    blocks = row[:full].reshape(-1, block)
+    blocks *= carry[:blocks.shape[0], np.newaxis]
+    row[full:] *= carry[-1]
+    row[row < np.finfo(np.float64).tiny] = 0.0
+    return row
 
 
 def scheme_tail(source: np.ndarray, rates: np.ndarray, h: float) -> np.ndarray:

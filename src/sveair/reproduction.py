@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from sveair.errors import ParameterError
 from sveair.grid import AgeProfile, Units, rect_integral, scheme_survival
 from sveair.params import ParameterSet
@@ -71,6 +73,14 @@ class _Kernels:
     infectivity_i: float     # integral of beta_i * surv_i
 
 
+def survivals(params: ParameterSet) -> np.ndarray:
+    """The scheme's survival of e, a and i as one (3, J) array: the three
+    exit-rate rows through one `grid.scheme_survival`, so with one block
+    length, as `simulate` computes it when it tests a seed for stationarity."""
+    rates = (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i)
+    return scheme_survival(rates, params.grid.h)
+
+
 def kernels(params: ParameterSet) -> _Kernels:
     """The five quadrature blocks shared by R0 and the steady state: the
     `ParameterSet.flux_rows` that route a cohort on, integrated against the
@@ -80,9 +90,8 @@ def kernels(params: ParameterSet) -> _Kernels:
     `grid.scheme_factors`, when h * max exit rate >= 1, where the scheme has
     no survival and so no r0."""
     grid = params.grid
-    rates = (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i)
     surv_e, surv_a, surv_i = (AgeProfile(grid, surv, Units.PROPORTION)
-                              for surv in scheme_survival(rates, grid.h))
+                              for surv in survivals(params))
     to_asym, to_symp = (rect_integral(row * surv_e.values, grid) for row in params.flux_rows(0))
     infect_a, branch_a = (rect_integral(row * surv_a.values, grid)
                           for row in params.flux_rows(1)[:2])

@@ -108,6 +108,8 @@ class RunSummary:
     final_metric: float
     balance_error: float
     aborted: bool
+    lyapunov_violations: int | None = None  # None: Lyapunov off
+    oracle_rel_dev_max: float | None = None  # None: oracle off
 
 
 @dataclass(frozen=True)
@@ -126,10 +128,13 @@ class ExitReport:
         ]
         for run in self.runs:
             status = "ABORTED" if run.aborted else "ok"
-            out.append(
-                f"run d={run.label}: {status} balance_error={run.balance_error:.3g} "
-                f"final_convergence_metric={run.final_metric:.6g}"
-            )
+            line = (f"run d={run.label}: {status} balance_error={run.balance_error:.3g} "
+                    f"final_convergence_metric={run.final_metric:.6g}")
+            if run.lyapunov_violations is not None:
+                line += f" lyapunov_violations={run.lyapunov_violations}"
+            if run.oracle_rel_dev_max is not None:
+                line += f" oracle_rel_dev_max={run.oracle_rel_dev_max:.3g}"
+            out.append(line)
         return out
 
 
@@ -151,8 +156,9 @@ def _write_timeseries(path: Path, ts) -> None:
     )
 
 
-def _oracle_compare(out_dir: Path, label: str, init: State, params, window, result) -> None:
-    """PDE vs renewal-march force of infection over the oracle window."""
+def _oracle_compare(out_dir: Path, label: str, init: State, params, window, result) -> float:
+    """PDE vs renewal-march force of infection over the oracle window; returns
+    the largest `rel_dev`."""
     path = volterra.solve_renewal(init, params, t_max=window)
     write_csv(
         out_dir / f"volterra_d{label}.csv",
@@ -167,9 +173,11 @@ def _oracle_compare(out_dir: Path, label: str, init: State, params, window, resu
         ["t", "beta_pde", "beta_volterra", "rel_dev"],
         [path.t, beta_pde, path.beta, rel_dev],
     )
+    return float(rel_dev.max())
 
 
-def _write_lyapunov(out_dir: Path, label: str, times: list, values: list) -> None:
+def _write_lyapunov(out_dir: Path, label: str, times: list, values: list) -> int:
+    """Write the Lyapunov series of one run; returns its number of violations."""
     times, values = np.asarray(times), np.asarray(values)
     report = diagnostics.monotonicity_check(values, times)
     flags = np.zeros(values.size)
@@ -183,6 +191,7 @@ def _write_lyapunov(out_dir: Path, label: str, times: list, values: list) -> Non
         ["t", "L", "dL_estimate", "violation_flag"],
         [times, values, dl, flags],
     )
+    return report.n_violations
 
 
 def _check_seed(evaluator: diagnostics.LyapunovEvaluator, mode: str, label: str,
@@ -244,15 +253,17 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ExitReport:
         for snap in result.timeseries.snapshots:
             write_csv(out / f"snapshot_d{label}_t{format_value(snap.t)}.csv",
                       ["theta", "e", "a", "i"], [theta(), snap.e, snap.a, snap.i])
-        if cfg.run_oracle:
-            _oracle_compare(out, label, init, params, window, result)
-        if evaluator is not None:
-            _write_lyapunov(out, label, times, values)
+        rel_dev = (_oracle_compare(out, label, init, params, window, result)
+                   if cfg.run_oracle else None)
+        violations = (_write_lyapunov(out, label, times, values)
+                      if evaluator is not None else None)
         summaries.append(RunSummary(
             label=label,
             final_metric=diagnostics.convergence_metric(result.final_state, steady, params.n0),
             balance_error=result.timeseries.balance_error(params.n0),
             aborted=False,
+            lyapunov_violations=violations,
+            oracle_rel_dev_max=rel_dev,
         ))
     return ExitReport(
         breakdown=breakdown, beta_star=steady.beta_star, runs=tuple(summaries), ok=ok

@@ -29,7 +29,7 @@ from sveair.grid import (
     sample_step_function,
 )
 from sveair.params import ParameterSet
-from sveair.reproduction import ENDEMIC, SteadyState
+from sveair.reproduction import ENDEMIC, SteadyState, survivals
 from sveair.solver import State
 
 DAYS_PER_YEAR = 360.0
@@ -143,23 +143,21 @@ def steady_scaled_initial_state(
     """Seed the masses d along the endemic steady-state age profiles.
 
     Densities are strictly positive wherever the steady densities are, which
-    keeps the endemic Lyapunov function finite along the run.
+    keeps the endemic Lyapunov function finite along the run. Each is built
+    as the scheme's survival times x*[0] * d / mass, so that it is its node-0
+    value times the survival bit for bit: a seed the stepper keeps
+    stationary, and reads as tail sums (`solver.simulate`).
     """
     if steady.kind != ENDEMIC:
         raise ParameterError("steady-scaled seeding needs an endemic steady state")
     grid = params.grid
-    masses = [rect_integral(p.values, grid) for p in (steady.e_star, steady.a_star, steady.i_star)]
+    stars = (steady.e_star, steady.a_star, steady.i_star)
+    masses = [rect_integral(p.values, grid) for p in stars]
     if min(masses) <= 0:
         raise ParameterError("endemic steady state has a zero-mass density")
-    e_mass, a_mass, i_mass = masses
-    return State(
-        t=0.0,
-        s=s0,
-        v=v0,
-        e=steady.e_star.with_values(steady.e_star.values * (d / e_mass)),
-        a=steady.a_star.with_values(steady.a_star.values * (d / a_mass)),
-        i=steady.i_star.with_values(steady.i_star.values * (d / i_mass)),
-    )
+    e, a, i = (star.with_values(surv * (star.values[0] * (d / mass)))
+               for star, surv, mass in zip(stars, survivals(params), masses))
+    return State(t=0.0, s=s0, v=v0, e=e, a=a, i=i)
 
 
 def steady_initial_state(steady: SteadyState) -> State:

@@ -57,8 +57,24 @@ quarter ulp of every history product it would be added to, history + seed
 rounds to the history value, and skipping the seed changes no bit. The
 sample masses are skipped on the same test (weight 1). The check is made
 at every step, since a history that shrinks brings the seed back; merged
-spans (steady-scaled seeds) always read everything, and a non-finite
-history reads the seed as before.
+spans always read everything, and a non-finite history reads the seed as
+before.
+
+A stationary seed is not read from the frame at all. When every initial
+density is its node-0 value times the scheme's survival, bit for bit
+(`_stationary_tails`; the steady and steady-scaled seeds of `scenarios`
+are built that way), transport leaves it in place: after n steps nodes
+[n, J) hold the initial values again, to round-off. Its share of step n's
+products is then the sum over [n, J) of each flux row times the initial
+density, and of each density for the masses. A table of these tail sums,
+one entry per step the run reaches, replaces the seed span, whose merged
+span would otherwise make every step read the seed's nodes; a step reads
+the history span [0, min(n, J)) only, and the kernels keep just the
+columns it reaches. The frame still carries the seed, so the snapshots,
+the final state, the observer's nodes and the share that node J - 1
+passes on out of the grid read it as for any other seed, and the ledger
+stays exact while the seed runs off the oldest node. The results move by
+round-off against reading the seed's nodes.
 
 A step's seven flux-row products are taken right after the window moves
 at the end of the step before, and one assembly turns them into the force
@@ -91,7 +107,7 @@ from typing import Sequence
 import numpy as np
 
 from sveair.errors import AbortedRunError, ParameterError
-from sveair.grid import AgeProfile, Units, block_products, scheme_factors
+from sveair.grid import AgeProfile, Units, block_products, block_survival, scheme_factors
 from sveair.params import ParameterSet
 
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
@@ -199,6 +215,39 @@ def _live_spans(n: int, first: int, last: int, n_nodes: int) -> tuple:
     return ((0, head), (low, high))
 
 
+def _stationary_tails(params: ParameterSet, init: State, q: np.ndarray, block: int,
+                      products: np.ndarray, size: int):
+    """The tail-sum table of a stationary seed, or None for any other seed.
+
+    A seed is stationary when it is nonzero and each density is its node-0
+    value times the scheme's survival (`grid.block_survival` of simulate's
+    Q and block products), bit for bit. The table is (10, size): entry n of
+    a row is the sum over nodes j >= n of one of the seven flux rows of
+    `ParameterSet.flux_rows` times its density, in the frame's row order,
+    then of each of the three densities. It is built one J-node temporary
+    at a time."""
+    densities = (init.e.values, init.a.values, init.i.values)
+    if not any(x[0] for x in densities):
+        return None
+    for x, q_row, row_products in zip(densities, q, products):
+        stationary = block_survival(q_row.copy(), block, row_products)
+        stationary *= x[0]
+        if not np.array_equal(stationary, x):
+            return None
+    tails = np.empty((10, size))
+    sums = np.empty(q.shape[1])
+    rows = iter(tails)
+    for c, x in enumerate(densities):
+        for weight in params.flux_rows(c):
+            np.multiply(weight, x, out=sums)
+            np.cumsum(sums[::-1], out=sums[::-1])
+            next(rows)[:] = sums[:size]
+    for x in densities:
+        np.cumsum(x[::-1], out=sums[::-1])
+        next(rows)[:] = sums[:size]
+    return tails
+
+
 def _seed_negligible(bound, head) -> bool:
     """Whether adding a nonnegative seed part of at most `bound` leaves every
     entry of `head` unchanged: bound <= ulp(head) / 4 at every entry.
@@ -263,7 +312,9 @@ def simulate(
 
     A step reads the live spans of the window only, and a seed span apart
     from the history only while its bound can change a float, so the
-    results are the same bits as with the seed read (module docstring).
+    results are the same bits as with the seed read. A stationary seed is
+    read from its tail sums instead, which moves the results by round-off
+    (module docstring).
 
     Args:
         init: Initial state on the parameter grid.
@@ -316,12 +367,18 @@ def simulate(
     # Q times the share that node J - 1 passes on, out of the grid.
     aged_out_weight = q[:, -1] * (1.0 - h * rates[:, -1])
     del rates
+    # A stationary seed's share of step n's products is entry n of its tail
+    # sums, so the products read only the history span [0, n), which never
+    # passes min(n_steps, J) nodes (module docstring).
+    tails = _stationary_tails(params, init, q, block, products, min(n_steps + 1, n_nodes))
+    cols = n_nodes if tails is None else min(n_steps, n_nodes)
     frame = np.empty((3, n_nodes + n_steps))
     start = n_steps
     for row, q_row, profile in zip(frame, q, (init.e, init.a, init.i)):
         np.divide(profile.values, q_row, out=row[start:])
     (kernel_e, peaks_e), (kernel_a, peaks_a), (kernel_i, peaks_i) = (
-        _kernel(q[c], params.flux_rows(c)) for c in range(3))
+        _kernel(q[c, :cols], [weight[:cols] for weight in params.flux_rows(c)])
+        for c in range(3))
     # The bounds on the seed span's share (module docstring), multiplied by
     # decay_c at each step the spans are apart. A density too large to be
     # stored as u voids them.
@@ -359,8 +416,11 @@ def simulate(
     r_tilde = None
     window = frame[:, start:start + n_nodes]
     spans = _live_spans(0, first, last, n_nodes)
-    # The history span, merged with the seed span when they touch.
+    # The history span, merged with the seed span when they touch, unless
+    # the seed is read from its tail sums.
     history, apart = slice(*spans[0]), len(spans) == 2
+    if tails is not None:
+        history = slice(0, 0)
     for n in range(n_steps + 1):
         t = init.t + n * h
         to_asym, to_symp, infect_a, branch_a, recover_a, infect_i, recover_i = dots.tolist()
@@ -377,6 +437,8 @@ def simulate(
         eps = beta * (s_next + one_minus_eps * v_next)
         if n % stride == 0 or n == n_steps:
             np.matmul(q[:, None, history], window[:, history, None], out=masses)
+            if tails is not None and n < n_nodes:
+                mass_row += tails[7:, n]
             if apart and not _seed_negligible(mass_bound, mass_row):
                 seed = slice(*spans[1])
                 np.matmul(q[:, None, seed], window[:, seed, None], out=seed_masses)
@@ -423,9 +485,13 @@ def simulate(
         # Step n + 1's live spans and products.
         spans = _live_spans(n + 1, first, last, n_nodes)
         history, apart = slice(*spans[0]), len(spans) == 2
+        if tails is not None:
+            history = slice(0, min(n + 1, n_nodes))
         np.matmul(kernel_e[:, history], window[0, history], out=dot_e)
         np.matmul(kernel_a[:, history], window[1, history], out=dot_a)
         np.matmul(kernel_i[:, history], window[2, history], out=dot_i)
+        if tails is not None and n + 1 < n_nodes:
+            dots += tails[:7, n + 1]
         if apart and not _seed_negligible(row_bound, dots):
             seed = slice(*spans[1])
             np.matmul(kernel_e[:, seed], window[0, seed], out=seed_e)

@@ -30,8 +30,9 @@ J age nodes, so the march ages and reads only those nodes: each step costs
 O(min(n, J)) for the history and O(last - first) for the initial data, not
 O(J). The t = 0
 step alone takes its initial-data products over all J nodes, the same
-arithmetic as `solver._functionals`, so the two routes agree bit for bit
-there.
+arithmetic as `solver.simulate`'s first step: the unscaled products of
+`solver._functionals`, summed and scaled by h as `simulate` assembles
+them, so the two routes agree bit for bit there.
 """
 
 from __future__ import annotations

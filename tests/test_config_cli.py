@@ -756,6 +756,33 @@ class TestCli:
         out = capsys.readouterr().out
         assert "r0 =" in out and "run d=10" in out
 
+    def test_run_lines_state_their_checks(self, tmp_path, capsys):
+        # With Lyapunov and the oracle on, each run line ends with the
+        # number of Lyapunov violations and the largest rel_dev, the values
+        # of the run's own lyapunov and oracle_compare files.
+        text = (TINY + "init.mode = steady-scaled\ntoggles.run_oracle = true\n"
+                "toggles.run_lyapunov = true\n")
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(write_cfg(tmp_path, text)),
+                         "--out", str(out)]) == 0
+        runs = [line for line in capsys.readouterr().out.splitlines() if line.startswith("run ")]
+        assert len(runs) == 2
+        for label, line in zip(("10", "100"), runs):
+            fields = re.fullmatch(rf"run d={label}: ok balance_error=\S+ final_convergence_metric"
+                                  r"=\S+ lyapunov_violations=(\d+) oracle_rel_dev_max=(\S+)", line)
+            assert fields, line
+            flags = read_csv(out / f"lyapunov_d{label}.csv")[1][3]
+            rel_dev = read_csv(out / f"oracle_compare_d{label}.csv")[1][3]
+            assert fields[1] == str(int(flags.sum()))
+            assert fields[2] == f"{rel_dev.max():.3g}"
+        # Without them the line ends at final_convergence_metric.
+        assert cli.main(["run", "--config", str(write_cfg(tmp_path, TINY)),
+                         "--out", str(tmp_path / "plain")]) == 0
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("run "):
+                assert re.fullmatch(r"run d=\S+: ok balance_error=\S+ "
+                                    r"final_convergence_metric=\S+", line)
+
     def test_r0_report_subcommand(self, tmp_path):
         cfg_path = write_cfg(tmp_path, TINY)
         out = tmp_path / "o"

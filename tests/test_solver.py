@@ -402,16 +402,20 @@ def _equivalence_case(seed, regime):
     which holds at least three of the frame's age blocks (a block is at most
     log(1e-250) / log(0.05) ~ 192 nodes long there); "long" runs 513 to
     1535 steps, more than the grid has nodes, so every initial cohort
-    leaves through theta_max.
+    leaves through theta_max. "stationary" seeds c_c times the scheme's
+    survival of each compartment, c_c >= 0 and some of them 0, on a "fast"
+    grid, where the survival is 0 at theta_max, or on another, where it is
+    positive, and runs up to twice as many steps as the grid has nodes.
     """
     rng = np.random.default_rng(seed)
     h = rng.uniform(0.1, 1.0)
-    n_nodes = int(rng.integers(600, 800) if regime == "fast" else rng.integers(20, 400))
+    fast = regime == "fast" or (regime == "stationary" and rng.random() < 0.5)
+    n_nodes = int(rng.integers(600, 800) if fast else rng.integers(20, 400))
     grid = build_grid(h, h * (n_nodes - 1))
     mu = rng.uniform(1e-5, 1e-3)
     rate_top = 0.5 / h
     k = rate_profile(rng, grid, rate_top, Units.RATE)
-    if regime == "fast":
+    if fast:
         target = rng.uniform(0.95, 0.999) / h - mu
         peak = k.values.max()
         k = (k.with_values(k.values * (target / peak)) if peak > 0.0
@@ -440,11 +444,18 @@ def _equivalence_case(seed, regime):
         gamma_a=rate_profile(rng, grid, rate_top, Units.RATE),
         gamma_i=rate_profile(rng, grid, rate_top, Units.RATE),
     )
+    if regime == "stationary":
+        scale = rng.uniform(0.0, 10.0, 3) * (rng.random(3) < 0.7)
+        scale[rng.integers(3)] = rng.uniform(0.1, 10.0)
+        dens = [AgeProfile(grid, c * surv, Units.DENSITY)
+                for c, surv in zip(scale, rep.survivals(params))]
     # S + V at most half of N0 keeps the R column well away from zero.
     init = State(t=rng.uniform(0.0, 10.0), s=rng.uniform(0.05, 0.25) * 1e6,
                  v=rng.uniform(0.0, 0.25) * 1e6, e=dens[0], a=dens[1], i=dens[2])
     if regime == "band":
         n_steps = _band_run_length(rng, dens)
+    elif regime == "stationary":
+        n_steps = int(rng.integers(1, 2 * n_nodes))
     else:
         n_steps = int(rng.integers(513, 1536) if regime == "long"
                       else rng.integers(1, 300))
@@ -462,13 +473,16 @@ class TestMovingFrameEquivalence:
     """The moving-frame stepper equals the shift form to round-off."""
 
     @pytest.mark.parametrize("regime", ["point", "full", "zero", "band", "burst", "fast",
-                                        "long"])
+                                        "long", "stationary"])
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_matches_shift_form(self, regime, seed):
         init, params, kwargs = _equivalence_case(seed, regime)
         want = simulate_shift(init, params, **kwargs)
-        got = simulate(init, params, **kwargs)
+        taken = []
+        with _tail_path_spied(taken):
+            got = simulate(init, params, **kwargs)
+        assert taken == [regime == "stationary"]
         if regime == "burst":
             assert params.grid.h * want.beta_steps[0] > 1.99
         _assert_close_to(got.beta_steps, want.beta_steps)
@@ -573,6 +587,18 @@ def _spied(calls):
         calls.append((bound.copy(), verdict))
         return verdict
     return mock.patch.object(solver, "_seed_negligible", spy)
+
+
+def _tail_path_spied(taken):
+    """`solver._stationary_tails`, recording for each call whether the seed
+    is read from its tail sums."""
+    real = solver._stationary_tails
+
+    def spy(*args):
+        tails = real(*args)
+        taken.append(tails is not None)
+        return tails
+    return mock.patch.object(solver, "_stationary_tails", spy)
 
 
 def _always_read():
@@ -775,3 +801,68 @@ class TestSeedRetirement:
         with _always_read():
             want = simulate(init, params, **kwargs)
         _assert_same_result(got, want)
+
+
+class TestStationarySeed:
+    """A seed that is its node-0 value times the scheme's survival is read
+    from its tail sums; every other seed takes the span path."""
+
+    @pytest.fixture(scope="class")
+    def c2(self):
+        params = scenarios.builtin_scenario("table2-c2", build_grid(1.0, 32400.0))
+        return params, rep.matching_steady_state(params)[1]
+
+    def test_which_seeds_take_the_tail_path(self, c2):
+        params, steady = c2
+        scaled = scenarios.steady_scaled_initial_state(params, steady, scenarios.S0_DEFAULT,
+                                                       scenarios.V0_DEFAULT, 1e4)
+        nudged = scaled.a.values.copy()
+        nudged[100] = np.nextafter(nudged[100], math.inf)
+        off_node_0 = [profile.values.copy() for profile in (scaled.e, scaled.a, scaled.i)]
+        for values in off_node_0:
+            values[0] = 0.0
+        e, a, i = (scaled.e.with_values(values) for values in off_node_0)
+        seeds = [
+            (steady_initial_state(steady), True),
+            (scaled, True),
+            (scenarios.band_initial_state(params, scenarios.S0_DEFAULT,
+                                          scenarios.V0_DEFAULT, 1e4), False),
+            (replace(scaled, a=scaled.a.with_values(nudged)), False),
+            (replace(scaled, e=e, a=a, i=i), False),
+        ]
+        for init, tail_path in seeds:
+            taken = []
+            with _tail_path_spied(taken):
+                got = simulate(init, params, t_max=40.0, snapshot_times=[40.0])
+            assert taken == [tail_path]
+            if tail_path:
+                # The span path, forced, gives the same run to round-off.
+                with mock.patch.object(solver, "_stationary_tails", lambda *args: None):
+                    want = simulate(init, params, t_max=40.0, snapshot_times=[40.0])
+                for column in ("s", "v", "e", "a", "i", "r", "beta", "eps", "alpha", "iota",
+                               "r_tilde"):
+                    np.testing.assert_allclose(getattr(got.timeseries, column),
+                                               getattr(want.timeseries, column),
+                                               rtol=1e-13, atol=0.0)
+                # The frame still carries the seed: past the 40 nodes of
+                # history the densities are the same bits.
+                mine, ref = got.timeseries.snapshots[0], want.timeseries.snapshots[0]
+                for name in ("e", "a", "i"):
+                    assert _same_bits(getattr(mine, name)[40:], getattr(ref, name)[40:])
+
+    def test_ledger_reads_the_oldest_node(self):
+        # Constant rates of 0.01/day on a 100-day grid at h = 0.5 leave a
+        # survival of 0.37 at theta_max, so the seed passes mass out
+        # through node J - 1 at every step until it has left the grid, and
+        # the ledger counts it although the products no longer read there.
+        grid = build_grid(0.5, 100.0)
+        params = make_constant_params(grid, k=0.01, chi=0.01, gamma_a=0.01, gamma_i=0.01)
+        survival = rep.survivals(params)
+        assert survival[:, -1].min() > 0.3
+        e, a, i = (AgeProfile(grid, 10.0 * row, Units.DENSITY) for row in survival)
+        taken = []
+        with _tail_path_spied(taken):
+            ts = simulate(State(t=0.0, s=1e5, v=2e4, e=e, a=a, i=i), params,
+                          t_max=150.0).timeseries
+        assert taken == [True]
+        assert ts.balance_error(params.n0) <= 1e-13
