@@ -96,9 +96,13 @@ def initial_states(
     band = cfg.init_mode == "band"
     keys = "init.mode, init.s0, init.v0, init.d_list" + (", init.band" if band else "")
     with _refusals_name(keys):
-        return [(label, scenarios.band_initial_state(params, cfg.s0, cfg.v0, d, cfg.band)
-                 if band else
-                 scenarios.steady_scaled_initial_state(params, steady, cfg.s0, cfg.v0, d))
+        if band:
+            return [(label, scenarios.band_initial_state(params, cfg.s0, cfg.v0, d, cfg.band))
+                    for label, d in zip(labels, cfg.d_list)]
+        # One survival serves every mass, and goes with this call.
+        survival = reproduction.survivals(params)
+        return [(label, scenarios.steady_scaled_initial_state(params, steady, cfg.s0, cfg.v0,
+                                                              d, survival))
                 for label, d in zip(labels, cfg.d_list)]
 
 

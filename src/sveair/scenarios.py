@@ -139,6 +139,7 @@ def steady_scaled_initial_state(
     s0: float,
     v0: float,
     d: float,
+    survival: np.ndarray | None = None,
 ) -> State:
     """Seed the masses d along the endemic steady-state age profiles.
 
@@ -146,7 +147,9 @@ def steady_scaled_initial_state(
     keeps the endemic Lyapunov function finite along the run. Each is built
     as the scheme's survival times x*[0] * d / mass, so that it is its node-0
     value times the survival bit for bit: a seed the stepper keeps
-    stationary, and reads as tail sums (`solver.simulate`).
+    stationary, and reads as tail sums (`solver.simulate`). `survival` is
+    `reproduction.survivals(params)`, computed here when not given, so that
+    a sweep builds it once for all its masses.
     """
     if steady.kind != ENDEMIC:
         raise ParameterError("steady-scaled seeding needs an endemic steady state")
@@ -155,8 +158,10 @@ def steady_scaled_initial_state(
     masses = [rect_integral(p.values, grid) for p in stars]
     if min(masses) <= 0:
         raise ParameterError("endemic steady state has a zero-mass density")
+    if survival is None:
+        survival = survivals(params)
     e, a, i = (star.with_values(surv * (star.values[0] * (d / mass)))
-               for star, surv, mass in zip(stars, survivals(params), masses))
+               for star, surv, mass in zip(stars, survival, masses))
     return State(t=0.0, s=s0, v=v0, e=e, a=a, i=i)
 
 

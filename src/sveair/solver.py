@@ -30,10 +30,11 @@ exchange a density must stay below about 1e58 to be representable as u.
 Each step reads only the live span of the window. After n steps a node
 can be nonzero only in the boundary history [0, n) or in the initial
 support [first, last) (`State.support`) moved n nodes on; every other node
-holds an exact 0. So three matrix-vector products against the kernel rows
-weight * Q, with the weights from `ParameterSet.flux_rows`,
-summed over the live spans, give the force of infection, the two boundary
-integrals and the recovered flux together, and sample masses are
+holds an exact 0. So the products of the kernel rows weight * Q, with the
+weights from `ParameterSet.flux_rows`, summed over the live spans (three
+matrix-vector products over the history, or the merged span, and a table
+for a seed span apart from it, below), give the force of infection, the
+two boundary integrals and the recovered flux together, and sample masses are
 h * (Q[c] @ u[c]) over the same spans, the three compartments' dots in one
 stacked `np.matmul`, which numpy runs as the same dot per compartment, so
 the masses keep their bits. The densities are rebuilt as Q * u
@@ -59,6 +60,27 @@ sample masses are skipped on the same test (weight 1). The check is made
 at every step, since a history that shrinks brings the seed back; merged
 spans always read everything, and a non-finite history reads the seed as
 before.
+
+A seed span apart from the history is not read step by step: its share of
+the seven flux-row products comes from a table of _WINDOW steps
+(`_seed_table`), built at the first step that reads the seed past the
+current table. Nothing enters the seed, and within an age block b a seed
+cell holds its initial u times the products of the blocks it has crossed,
+multiplied in the frame's order, at every step. So for each block the seed
+crosses in the window, one np.correlate('valid') of each kernel row over
+the whole block against those cells gives the block's share at every step
+of the window: sums of the frame's own products K[m] * u. A step's share
+of a block is one dot over the same kernel entries and the same cells, in
+the same order, whatever the window (cells off the seed count as 0, and
+no window trims a block), and the blocks add up in ascending order; so the
+table's bits do not depend on where a window starts or how long it is. A
+shorter run is a bitwise prefix of a longer one, and retiring the seed on
+some steps, which opens windows elsewhere, changes no bit. Those dots go
+through BLAS (`ddot`, numpy's dot loop), like the kernel products, so the
+byte-determinism the `runner` states, at one BLAS thread count, still
+holds. The sums differ from a matrix-vector product over the seed span in
+order only, so the results move by round-off against it. The sample
+masses still read the seed span per sample.
 
 A stationary seed is not read from the frame at all. When every initial
 density is its node-0 value times the scheme's survival, bit for bit
@@ -111,6 +133,11 @@ from sveair.grid import AgeProfile, Units, block_products, block_survival, schem
 from sveair.params import ParameterSet
 
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
+# Steps per table of a moving seed's flux-row products (`_seed_table`). A
+# longer window reads each kernel block for more steps at once but wastes
+# more entries past the seed's last read; in-process `simulate` on the band
+# bench workloads was flat within noise from 128 to 1024.
+_WINDOW = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,6 +275,43 @@ def _stationary_tails(params: ParameterSet, init: State, q: np.ndarray, block: i
     return tails
 
 
+def _seed_table(kernels, window: np.ndarray, products: np.ndarray, block: int,
+                low: int, high: int, width: int) -> np.ndarray:
+    """The seed span's share of the seven flux-row products for `width`
+    steps from step n on, as a (7, width) table whose column s is step
+    n + s (module docstring).
+
+    `window` is the frame's window at step n, its seed cells the nodes
+    [low, high), and `kernels` the three compartments' kernel rows in
+    `ParameterSet.flux_rows` order. For each age block the seed reaches in
+    these steps, the cells that enter it from the block before are
+    multiplied by that block's product, as the frame multiplies them, and
+    one np.correlate('valid') per kernel row over the whole block adds the
+    block's share to every column. Cells off [low, high), the history's
+    included, count as 0."""
+    n_nodes = window.shape[1]
+    table = np.zeros((7, width))
+    first_block = low // block
+    last_block = min(high + width - 2, n_nodes - 1) // block
+    # Buffer entry i is the cell at node base + i at step n.
+    base = first_block * block - (width - 1)
+    cells = np.zeros(min((last_block + 1) * block, n_nodes) - base)
+    rows = iter(table)
+    for u, kernel, row_products in zip(window, kernels, products):
+        cells[low - base:high - base] = u[low:high]
+        out = [next(rows) for _ in kernel]
+        for b in range(first_block, last_block + 1):
+            offset = (b - first_block) * block
+            if b > first_block:
+                # The cells that reach block b from the one before it.
+                cells[offset:offset + width - 1] *= row_products[b - 1]
+            entries = slice(b * block, min((b + 1) * block, n_nodes))
+            for row, kernel_row in zip(out, kernel):
+                row += np.correlate(cells[offset:entries.stop - base], kernel_row[entries],
+                                    "valid")[::-1]
+    return table
+
+
 def _seed_negligible(bound, head) -> bool:
     """Whether adding a nonnegative seed part of at most `bound` leaves every
     entry of `head` unchanged: bound <= ulp(head) / 4 at every entry.
@@ -312,9 +376,10 @@ def simulate(
 
     A step reads the live spans of the window only, and a seed span apart
     from the history only while its bound can change a float, so the
-    results are the same bits as with the seed read. A stationary seed is
-    read from its tail sums instead, which moves the results by round-off
-    (module docstring).
+    results are the same bits as with the seed read. That seed span's
+    flux-row products come from tables of _WINDOW steps, and a stationary
+    seed is read from its tail sums instead; both move the results by
+    round-off against per-step products over the seed (module docstring).
 
     Args:
         init: Initial state on the parameter grid.
@@ -389,9 +454,9 @@ def simulate(
         seed_bound[:] = math.inf
     seed_decay = decay[owner]
     row_bound, mass_bound = seed_bound[:7], seed_bound[7:]
-    # The same products over the seed span.
-    seed_dots = np.empty(7)
-    seed_e, seed_a, seed_i = seed_dots[:2], seed_dots[2:5], seed_dots[5:]
+    # The seed span's products of steps table_start onwards (`_seed_table`).
+    kernels = (kernel_e, kernel_a, kernel_i)
+    table, table_start = np.empty((7, 0)), 0
     # A sample's three masses Q_c @ u_c over a span, as one stacked product.
     masses, seed_masses = np.empty((3, 1, 1)), np.empty((3, 1, 1))
     mass_row = masses.reshape(3)
@@ -493,15 +558,15 @@ def simulate(
         if tails is not None and n + 1 < n_nodes:
             dots += tails[:7, n + 1]
         if apart and not _seed_negligible(row_bound, dots):
-            seed = slice(*spans[1])
-            np.matmul(kernel_e[:, seed], window[0, seed], out=seed_e)
-            np.matmul(kernel_a[:, seed], window[1, seed], out=seed_a)
-            np.matmul(kernel_i[:, seed], window[2, seed], out=seed_i)
-            dots += seed_dots
+            if n + 1 - table_start >= table.shape[1]:
+                table_start = n + 1
+                table = _seed_table(kernels, window, products, block, *spans[1],
+                                    min(_WINDOW, n_steps - n))
+            dots += table[:, n + 1 - table_start]
 
     # The kernels go before the final densities are rebuilt in Q's place;
     # the loop ended at n = n_steps, so window is the final one.
-    del kernel_e, kernel_a, kernel_i
+    del kernel_e, kernel_a, kernel_i, kernels
     e, a, i = np.multiply(q, window, out=q)
     cols = np.array(samples, dtype=np.float64).T
     timeseries = TimeSeries(

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contact_labeling import contact_labeling_outcomes, write_contact_labeling_report
-from sveair import cli, config, diagnostics, io, reproduction, runner, volterra
+from sveair import cli, config, diagnostics, io, reproduction, runner, scenarios, volterra
 from sveair.config import ScenarioConfig, load_config
 from sveair.errors import (
     AbortedRunError, ConfigError, LyapunovDomainError, StabilityError, SveairError,
@@ -650,6 +650,28 @@ class TestRunner:
         report = run_scenario(cfg, out_dir=out)
         assert report.ok
         assert (out / "lyapunov_d10.csv").is_file()
+
+    def test_a_steady_scaled_sweep_builds_one_survival(self, tmp_path, monkeypatch):
+        # Three masses share one (3, J) survival, and each seed is the bits
+        # of a seed built alone.
+        text = TINY.replace("init.d_list = 10,100", "init.d_list = 10,100,1e4")
+        cfg = load_config(write_cfg(tmp_path, text + "init.mode = steady-scaled\n"))
+        _, params = build_model(cfg)
+        _, steady = reproduction.matching_steady_state(params)
+        real, calls = reproduction.survivals, []
+
+        def counting_survivals(params):
+            calls.append(params)
+            return real(params)
+        monkeypatch.setattr(reproduction, "survivals", counting_survivals)
+        monkeypatch.setattr(scenarios, "survivals", counting_survivals)
+        states = runner.initial_states(cfg, params, steady)
+        assert len(calls) == 1 and len(states) == 3
+        monkeypatch.undo()
+        for (_, got), d in zip(states, cfg.d_list, strict=True):
+            want = scenarios.steady_scaled_initial_state(params, steady, cfg.s0, cfg.v0, d)
+            for name in ("e", "a", "i"):
+                assert getattr(got, name).values.tobytes() == getattr(want, name).values.tobytes()
 
     def test_one_pass_per_initial_condition(self, tmp_path, monkeypatch):
         # The oracle window and the Lyapunov series come from the sweep's

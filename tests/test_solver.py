@@ -3,6 +3,7 @@
 import contextlib
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -801,6 +802,152 @@ class TestSeedRetirement:
         with _always_read():
             want = simulate(init, params, **kwargs)
         _assert_same_result(got, want)
+
+
+def _table_case(seed):
+    """(init, params, n_steps): a band seed on a grid of short age blocks.
+
+    The smallest one-step factor lies in [1e-8, 3e-3], so a block holds 31
+    to 99 nodes. The seed lies in [first, last) with 1 <= first < J / 3 and
+    last <= J / 2. The run ends after its oldest cell has run off node
+    J - 1, and while its youngest is still on the grid: at least J / 2 >= 200
+    steps, so every cell of the first window crosses at least two block
+    boundaries. n_steps is no multiple of the window, so the final window
+    is cut short."""
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(0.1, 1.0)
+    n_nodes = int(rng.integers(400, 900))
+    grid = build_grid(h, h * (n_nodes - 1))
+    mu = rng.uniform(1e-5, 1e-3)
+    k = rate_profile(rng, grid, 1.0, Units.RATE)
+    target = (1.0 - 10.0 ** rng.uniform(-8.0, math.log10(3e-3))) / h - mu
+    peak = k.values.max()
+    k = (k.with_values(k.values * (target / peak)) if peak > 0.0
+         else constant_profile(grid, target, Units.RATE))
+    rate_top = 0.5 / h
+    params = ParameterSet(
+        n0=1e6, mu=mu, p=rng.uniform(1e-4, 1e-2), epsilon=rng.uniform(0.0, 1.0),
+        zeta=rng.uniform(0.0, 0.1), k=k,
+        beta_a=rate_profile(rng, grid, 1e-6, Units.TRANSMISSION),
+        beta_i=rate_profile(rng, grid, 1e-6, Units.TRANSMISSION),
+        q=rate_profile(rng, grid, 1.0, Units.PROPORTION),
+        xi=rate_profile(rng, grid, 1.0, Units.PROPORTION),
+        chi=rate_profile(rng, grid, rate_top, Units.RATE),
+        gamma_a=rate_profile(rng, grid, rate_top, Units.RATE),
+        gamma_i=rate_profile(rng, grid, rate_top, Units.RATE),
+    )
+    first = int(rng.integers(1, n_nodes // 3))
+    last = int(rng.integers(first + 4, n_nodes // 2 + 1))
+    dens = []
+    for _ in range(3):
+        values = np.zeros(n_nodes)
+        values[first:last] = rng.uniform(0.0, 1.0, last - first) * 10.0 ** rng.uniform(
+            -10.0, 10.0, last - first) * (rng.random(last - first) < 0.8)
+        values[[first, last - 1]] = 1.0
+        dens.append(AgeProfile(grid, values, Units.DENSITY))
+    low, high = n_nodes - last + 1, n_nodes - first - 1
+    n_steps = int(rng.integers(low, high + 1))
+    while n_steps % solver._WINDOW == 0:
+        n_steps += 1 if n_steps < high else -1
+    init = State(t=0.0, s=2e5, v=1e5, e=dens[0], a=dens[1], i=dens[2])
+    return init, params, n_steps
+
+
+def _tables_spied(calls):
+    """`solver._seed_table`, recording each call's arguments by name, the
+    window copied as it was at the call, and its table."""
+    real = solver._seed_table
+
+    def spy(kernels, window, products, block, low, high, width):
+        table = real(kernels, window, products, block, low, high, width)
+        calls.append(SimpleNamespace(kernels=kernels, window=window.copy(), products=products,
+                                     block=block, low=low, high=high, width=width, table=table))
+        return table
+    return mock.patch.object(solver, "_seed_table", spy)
+
+
+def _carried(window, products, block, steps):
+    """The frame's window `steps` steps on, with 0 entering at node 0: every
+    cell moves one node a step, and a cell that reaches a block start is
+    multiplied by the product over the block it left, as `simulate` does."""
+    window = window.copy()
+    for _ in range(steps):
+        window[:, 1:] = window[:, :-1].copy()
+        window[:, 0] = 0.0
+        window[:, block::block] *= products
+    return window
+
+
+class TestSeedTable:
+    """A moving seed's share of the flux-row products, taken from one
+    table per window of steps, is the per-step product over its live span."""
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_per_step_product(self, seed):
+        # Every entry against np.matmul over the seed span of its step, on
+        # the frame carried on the test side from the window the table was
+        # built from. Both sum nonnegative terms, so each is within about
+        # J ulps of the exact sum; 1e-12 relative covers both, and the
+        # 1e-300 floor covers entries that have decayed to subnormals.
+        init, params, n_steps = _table_case(seed)
+        n_nodes = params.grid.n_nodes
+        first, last = init.support()
+        calls = []
+        with _always_read(), _tables_spied(calls):
+            simulate(init, params, t_max=n_steps * params.grid.h, sample_every=params.grid.h)
+        # Windows follow each other from step 1 while the seed is live, and
+        # the last one is cut short at the final step.
+        assert [call.low - first for call in calls] == list(range(1, n_steps + 1,
+                                                                  solver._WINDOW))
+        end = calls[-1]
+        assert end.width < solver._WINDOW and end.low - first + end.width - 1 == n_steps
+        crossings, reaches_the_end = [], []
+        for call in calls:
+            low, high, block = call.low, call.high, call.block
+            assert high == min(last + low - first, n_nodes)
+            # The youngest cell's crossings, and whether the oldest reaches
+            # node J - 1, in this window.
+            crossings.append(min(low + call.width - 1, n_nodes - 1) // block - low // block)
+            reaches_the_end.append(high + call.width - 1 >= n_nodes)
+            cells = call.window
+            for s in range(call.width):
+                span = slice(low + s, min(high + s, n_nodes))
+                want = np.concatenate([np.matmul(kernel[:, span], u[span])
+                                       for kernel, u in zip(call.kernels, cells)])
+                got = call.table[:, s]
+                assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-300), (s, got, want)
+                cells = _carried(cells, call.products, block, 1)
+        assert max(crossings) >= 2 and any(reaches_the_end)
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_an_entry_does_not_depend_on_its_window(self, seed, data):
+        # A window opened at another step, of another width, overlapping
+        # the ones simulate built: every step both cover has the same bits.
+        # This is why a shorter run is a bitwise prefix of a longer one
+        # (TestMovingFrameEquivalence) and why retiring the seed on some
+        # steps, which opens windows elsewhere, changes no bit
+        # (TestSeedRetirement).
+        init, params, n_steps = _table_case(seed)
+        n_nodes = params.grid.n_nodes
+        first, last = init.support()
+        calls = []
+        with _always_read(), _tables_spied(calls):
+            simulate(init, params, t_max=n_steps * params.grid.h, sample_every=params.grid.h)
+        call = calls[0]
+        start = data.draw(st.integers(2, n_steps))
+        width = data.draw(st.integers(1, n_steps - start + 1))
+        cells = _carried(call.window, call.products, call.block, start - 1)
+        table = solver._seed_table(call.kernels, cells, call.products, call.block,
+                                   first + start, min(last + start, n_nodes), width)
+        overlaps = 0
+        for call in calls:
+            built = call.low - first
+            for n in range(max(start, built), min(start + width, built + call.width)):
+                assert _same_bits(table[:, n - start], call.table[:, n - built]), n
+                overlaps += 1
+        assert overlaps == width
 
 
 class TestStationarySeed:

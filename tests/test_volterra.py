@@ -282,4 +282,5 @@ class TestIndependence:
             elif isinstance(node, (ast.Name, ast.Attribute)):
                 name = node.id if isinstance(node, ast.Name) else node.attr
                 assert not name.startswith("scheme_"), name
-                assert name not in {"block_products", "_functionals", "_seed_negligible"}, name
+                assert name not in {"block_products", "_functionals", "_seed_negligible",
+                                    "_seed_table"}, name
