@@ -27,27 +27,29 @@ copied. L is the largest block length for which the smallest decay factor,
 raised to the power L, stays above 1e-250, so Q never underflows; in
 exchange a density must stay below about 1e58 to be representable as u.
 
-Each step reads only the live span of the window. After n steps a node
-can be nonzero only in the boundary history [0, n) or in the initial
-support [first, last) (`State.support`) moved n nodes on; every other node
-holds an exact 0. So the products of the kernel rows weight * Q, with the
-weights from `ParameterSet.flux_rows`, summed over the live spans (three
-matrix-vector products over the history, or the merged span, and a table
-for a seed span apart from it, below), give the force of infection, the
-two boundary integrals and the recovered flux together, and sample masses are
-h * (Q[c] @ u[c]) over the same spans, the three compartments' dots in one
-stacked `np.matmul`, which numpy runs as the same dot per compartment, so
-the masses keep their bits. The densities are rebuilt as Q * u
-only where they are read: the snapshots and the final state on all J
-nodes (off the live spans u, and so Q * u, is an exact +-0), and the
-observer's nodes: all J, unless it declares leading prefixes, which it
-carries along the characteristics; then the whole prefixes at its first
-sample and, at each later one, the leading nodes that entered since.
+Each step reads only the live spans of the window. After n steps a node
+can be nonzero only in the boundary history [0, n) or in the seed span,
+the initial support [first, last) (`State.support`) moved n nodes on; both
+are cut at J, and every other node holds an exact 0. The two spans never
+overlap, and they are read as two spans at every step, also where they
+touch (a seed from node 0). So the products of the kernel rows weight * Q,
+with the weights from `ParameterSet.flux_rows`, summed over the live spans
+(three matrix-vector products over the history and a table for the seed
+span, below), give the force of infection, the two boundary integrals and
+the recovered flux together, and sample masses are h * (Q[c] @ u[c]) over
+the same spans, the three compartments' dots in one stacked `np.matmul`,
+which numpy runs as the same dot per compartment, so the masses keep their
+bits. The densities are rebuilt as Q * u only where they are read: the
+snapshots and the final state on all J nodes (off the live spans u, and so
+Q * u, is an exact +-0), and the observer's nodes: all J, unless it
+declares leading prefixes, which it carries along the characteristics;
+then the whole prefixes at its first sample and, at each later one, the
+leading nodes that entered since.
 
-While the two spans are apart, a step skips the seed span's products when
-they cannot change a float (`_seed_negligible`). The seed is the initial
-data carried forward and never fed again, so its share of a flux row w_r
-of compartment c after n steps is at most max(w_r) * sum(x_c at t = 0) *
+While the seed span is on the grid, a step skips its products when they
+cannot change a float (`_seed_negligible`). The seed is the initial data
+carried forward and never fed again, so its share of a flux row w_r of
+compartment c after n steps is at most max(w_r) * sum(x_c at t = 0) *
 decay_c^n, decay_c being the compartment's largest one-step factor; the
 bound handed over is twice that, which covers the frame's rounding, and
 twice again for a row with a positive subnormal kernel entry (a weight
@@ -57,30 +59,29 @@ Every kernel and density is nonnegative, so when the bound is at most a
 quarter ulp of every history product it would be added to, history + seed
 rounds to the history value, and skipping the seed changes no bit. The
 sample masses are skipped on the same test (weight 1). The check is made
-at every step, since a history that shrinks brings the seed back; merged
-spans always read everything, and a non-finite history reads the seed as
-before.
+at every step, since a history that shrinks brings the seed back, and a
+non-finite history reads the seed as before.
 
-A seed span apart from the history is not read step by step: its share of
-the seven flux-row products comes from a table of _WINDOW steps
-(`_seed_table`), built at the first step that reads the seed past the
-current table. Nothing enters the seed, and within an age block b a seed
-cell holds its initial u times the products of the blocks it has crossed,
-multiplied in the frame's order, at every step. So for each block the seed
-crosses in the window, one np.correlate('valid') of each kernel row over
-the whole block against those cells gives the block's share at every step
-of the window: sums of the frame's own products K[m] * u. A step's share
-of a block is one dot over the same kernel entries and the same cells, in
-the same order, whatever the window (cells off the seed count as 0, and
-no window trims a block), and the blocks add up in ascending order; so the
-table's bits do not depend on where a window starts or how long it is. A
-shorter run is a bitwise prefix of a longer one, and retiring the seed on
-some steps, which opens windows elsewhere, changes no bit. Those dots go
-through BLAS (`ddot`, numpy's dot loop), like the kernel products, so the
+The seed span is not read step by step: its share of the seven flux-row
+products comes from a table of _WINDOW steps (`_seed_table`), built at the
+first step that reads the seed past the current table. Nothing enters the
+seed, and within an age block b a seed cell holds its initial u times the
+products of the blocks it has crossed, multiplied in the frame's order, at
+every step. So for each block the seed crosses in the window, one
+np.correlate('valid') of each kernel row over the whole block against
+those cells gives the block's share at every step of the window: sums of
+the frame's own products K[m] * u. A step's share of a block is one dot
+over the same kernel entries and the same cells, in the same order,
+whatever the window (cells off the seed count as 0, and no window trims a
+block), and the blocks add up in ascending order; so the table's bits do
+not depend on where a window starts or how long it is. A shorter run is a
+bitwise prefix of a longer one, and retiring the seed on some steps, which
+opens windows elsewhere, changes no bit. Those dots go through BLAS
+(`ddot`, numpy's dot loop), like the kernel products, so the
 byte-determinism the `runner` states, at one BLAS thread count, still
 holds. The sums differ from a matrix-vector product over the seed span in
-order only, so the results move by round-off against it. The sample
-masses still read the seed span per sample.
+order only, so the results move by round-off against it. The sample masses
+still read the seed span per sample.
 
 A stationary seed is not read from the frame at all. When every initial
 density is its node-0 value times the scheme's survival, bit for bit
@@ -89,14 +90,13 @@ are built that way), transport leaves it in place: after n steps nodes
 [n, J) hold the initial values again, to round-off. Its share of step n's
 products is then the sum over [n, J) of each flux row times the initial
 density, and of each density for the masses. A table of these tail sums,
-one entry per step the run reaches, replaces the seed span, whose merged
-span would otherwise make every step read the seed's nodes; a step reads
-the history span [0, min(n, J)) only, and the kernels keep just the
-columns it reaches. The frame still carries the seed, so the snapshots,
-the final state, the observer's nodes and the share that node J - 1
-passes on out of the grid read it as for any other seed, and the ledger
-stays exact while the seed runs off the oldest node. The results move by
-round-off against reading the seed's nodes.
+one entry per step the run reaches, replaces the seed span's table and its
+check; a step reads the history span [0, min(n, J)) only, and the kernels
+keep just the columns it reaches. The frame still carries the seed, so the
+snapshots, the final state, the observer's nodes and the share that node
+J - 1 passes on out of the grid read it as for any other seed, and the
+ledger stays exact while the seed runs off the oldest node. The results
+move by round-off against reading the seed's nodes.
 
 A step's seven flux-row products are taken right after the window moves
 at the end of the step before, and one assembly turns them into the force
@@ -224,22 +224,6 @@ def _functionals(params: ParameterSet, state: State) -> tuple:
     each row of `ParameterSet.flux_rows`, e's rows, then a's, then i's."""
     return tuple(row @ profile.values for c, profile in enumerate((state.e, state.a, state.i))
                  for row in params.flux_rows(c))
-
-
-def _live_spans(n: int, first: int, last: int, n_nodes: int) -> tuple:
-    """Window node ranges that can be nonzero after n steps.
-
-    They are the boundary history [0, n) and the initial support
-    [first, last) moved n nodes on, both cut at n_nodes and merged when
-    they touch. Every other node holds an exact 0.
-    """
-    head = min(n, n_nodes)
-    low, high = first + n, min(last + n, n_nodes)
-    if low >= high:
-        return ((0, head),)
-    if low <= head:
-        return ((0, high),)
-    return ((0, head), (low, high))
 
 
 def _stationary_tails(params: ParameterSet, init: State, q: np.ndarray, block: int,
@@ -374,12 +358,12 @@ def simulate(
     """Run the scheme over [init.t, init.t + t_max]. Every duration and time
     is in days; `step_plan` turns them into steps and refuses any it cannot.
 
-    A step reads the live spans of the window only, and a seed span apart
-    from the history only while its bound can change a float, so the
-    results are the same bits as with the seed read. That seed span's
-    flux-row products come from tables of _WINDOW steps, and a stationary
-    seed is read from its tail sums instead; both move the results by
-    round-off against per-step products over the seed (module docstring).
+    A step reads the live spans of the window only: the boundary history
+    and, while its bound can change a float, the seed span, so the results
+    are the same bits as with the seed read. The seed span's flux-row
+    products come from tables of _WINDOW steps, and a stationary seed is
+    read from its tail sums instead; both move the results by round-off
+    against per-step products over the seed (module docstring).
 
     Args:
         init: Initial state on the parameter grid.
@@ -445,8 +429,8 @@ def simulate(
         _kernel(q[c, :cols], [weight[:cols] for weight in params.flux_rows(c)])
         for c in range(3))
     # The bounds on the seed span's share (module docstring), multiplied by
-    # decay_c at each step the spans are apart. A density too large to be
-    # stored as u voids them.
+    # decay_c at each step while `apart`. A density too large to be stored
+    # as u voids them.
     owner = [0, 0, 1, 1, 1, 2, 2, 0, 1, 2]  # compartment of each flux row, then each mass
     seed_mass = np.array([init.e.values.sum(), init.a.values.sum(), init.i.values.sum()])
     seed_bound = 2.0 * np.array(peaks_e + peaks_a + peaks_i + [1.0] * 3) * seed_mass[owner]
@@ -480,12 +464,11 @@ def simulate(
     snapshots: list[DensitySnapshot] = []
     r_tilde = None
     window = frame[:, start:start + n_nodes]
-    spans = _live_spans(0, first, last, n_nodes)
-    # The history span, merged with the seed span when they touch, unless
-    # the seed is read from its tail sums.
-    history, apart = slice(*spans[0]), len(spans) == 2
-    if tails is not None:
-        history = slice(0, 0)
+    # The live spans of step 0: the boundary history [0, min(n, J)) and the
+    # seed [first + n, min(last + n, J)), apart while a seed that is not
+    # read from its tail sums is on the grid (module docstring).
+    history, seed = slice(0, 0), slice(first, last)
+    apart = tails is None and seed.start < seed.stop
     for n in range(n_steps + 1):
         t = init.t + n * h
         to_asym, to_symp, infect_a, branch_a, recover_a, infect_i, recover_i = dots.tolist()
@@ -505,7 +488,6 @@ def simulate(
             if tails is not None and n < n_nodes:
                 mass_row += tails[7:, n]
             if apart and not _seed_negligible(mass_bound, mass_row):
-                seed = slice(*spans[1])
                 np.matmul(q[:, None, seed], window[:, seed, None], out=seed_masses)
                 masses += seed_masses
             e_tot, a_tot, i_tot = (h * mass for mass in mass_row.tolist())
@@ -533,9 +515,10 @@ def simulate(
         # Recovered-compartment ledger (conservation diagnostic); the
         # vaccine-immunity inflow leaves V at its new value, and the mass
         # that ages out through theta_max is counted with the recovered.
-        # Off the live spans node J - 1 holds an exact 0, and so does its share.
-        aged_out = (float(aged_out_weight @ window[:, -1]) if spans[-1][1] == n_nodes
-                    else 0.0)
+        # Unless the history or the seed reaches node J - 1 it holds an exact
+        # 0, and so does its share.
+        aged_out = (float(aged_out_weight @ window[:, -1])
+                    if history.stop == n_nodes or seed.start < seed.stop == n_nodes else 0.0)
         r_tilde = r_tilde + h * (zeta_eps * v_next + recovered + aged_out - mu * r_tilde)
         s, v = s_next, v_next
         if apart:
@@ -548,10 +531,9 @@ def simulate(
         frame[2, start] = iota
         window = frame[:, start:start + n_nodes]
         # Step n + 1's live spans and products.
-        spans = _live_spans(n + 1, first, last, n_nodes)
-        history, apart = slice(*spans[0]), len(spans) == 2
-        if tails is not None:
-            history = slice(0, min(n + 1, n_nodes))
+        history = slice(0, min(n + 1, n_nodes))
+        seed = slice(first + n + 1, min(last + n + 1, n_nodes))
+        apart = tails is None and seed.start < seed.stop
         np.matmul(kernel_e[:, history], window[0, history], out=dot_e)
         np.matmul(kernel_a[:, history], window[1, history], out=dot_a)
         np.matmul(kernel_i[:, history], window[2, history], out=dot_i)
@@ -560,7 +542,7 @@ def simulate(
         if apart and not _seed_negligible(row_bound, dots):
             if n + 1 - table_start >= table.shape[1]:
                 table_start = n + 1
-                table = _seed_table(kernels, window, products, block, *spans[1],
+                table = _seed_table(kernels, window, products, block, seed.start, seed.stop,
                                     min(_WINDOW, n_steps - n))
             dots += table[:, n + 1 - table_start]
 

@@ -370,16 +370,20 @@ def _initial_density(rng, grid, kind, scale):
         low = int(rng.integers(1, grid.n_nodes // 2))
         high = int(rng.integers(low + 2, grid.n_nodes - 1))
         values[low:high] = rng.uniform(0.1, 1.0, high - low) * scale
+    elif kind == "band0":
+        # At least two nodes wide from node 0, with zeros from node J - 2 on.
+        high = int(rng.integers(2, grid.n_nodes - 1))
+        values[:high] = rng.uniform(0.1, 1.0, high) * scale
     return AgeProfile(grid, values, Units.DENSITY)
 
 
 def _band_run_length(rng, dens):
     """Steps for a band draw: the initial support [first, last) moved n nodes
-    on stays apart from the boundary history [0, n) inside the window, runs
+    on stays inside the window beside the boundary history [0, n), runs
     partly off node J - 1, or has left the window, so that the history alone
     is live. Both stretches move one node per step, so the gap of `first`
-    nodes between them never closes; they merge only for support that starts
-    at node 0, as in the "full" regime."""
+    nodes between them never closes; for support from node 0 ("band0") the
+    two touch at every step and are still read as two spans."""
     support = np.flatnonzero(sum(profile.values for profile in dens))
     n_nodes = dens[0].grid.n_nodes
     first, last = int(support[0]), int(support[-1]) + 1
@@ -396,7 +400,8 @@ def _equivalence_case(seed, regime):
 
     Every draw has random constant or piecewise profiles, a random step and
     random nonnegative initial data. "band" gives each compartment its own
-    interior band, and runs it for one of the cases of `_band_run_length`;
+    interior band, and "band0" its own band from node 0, and runs it for
+    one of the cases of `_band_run_length`;
     "burst" starts with h * beta in [2, 20], and "band-burst" does so from
     interior band seeds;
     "fast" has h * max exit rate >= 0.95 on a grid of at least 600 nodes,
@@ -423,7 +428,7 @@ def _equivalence_case(seed, regime):
              else constant_profile(grid, target, Units.RATE))
     burst = regime in ("burst", "band-burst")
     kinds = {"point": ("point",), "full": ("full",), "zero": ("zero",), "band": ("band",),
-             "burst": ("point", "full"), "band-burst": ("band",)
+             "band0": ("band0",), "burst": ("point", "full"), "band-burst": ("band",)
              }.get(regime, ("point", "full", "zero"))
     kind = kinds[rng.integers(len(kinds))]
     scale = 1e3 if burst else 10.0
@@ -453,7 +458,7 @@ def _equivalence_case(seed, regime):
     # S + V at most half of N0 keeps the R column well away from zero.
     init = State(t=rng.uniform(0.0, 10.0), s=rng.uniform(0.05, 0.25) * 1e6,
                  v=rng.uniform(0.0, 0.25) * 1e6, e=dens[0], a=dens[1], i=dens[2])
-    if regime == "band":
+    if regime in ("band", "band0"):
         n_steps = _band_run_length(rng, dens)
     elif regime == "stationary":
         n_steps = int(rng.integers(1, 2 * n_nodes))
@@ -473,8 +478,8 @@ def _assert_close_to(got, want, rtol=1e-11):
 class TestMovingFrameEquivalence:
     """The moving-frame stepper equals the shift form to round-off."""
 
-    @pytest.mark.parametrize("regime", ["point", "full", "zero", "band", "burst", "fast",
-                                        "long", "stationary"])
+    @pytest.mark.parametrize("regime", ["point", "full", "zero", "band", "band0", "burst",
+                                        "fast", "long", "stationary"])
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_matches_shift_form(self, regime, seed):
@@ -719,7 +724,8 @@ class TestSeedRetirement:
         for head in (math.inf, math.nan):
             assert not solver._seed_negligible(np.zeros(1), np.array([head]))
 
-    @pytest.mark.parametrize("regime", ["band", "band-burst", "long", "point", "endemic"])
+    @pytest.mark.parametrize("regime", ["band", "band0", "band-burst", "long", "point",
+                                        "endemic"])
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_retiring_the_seed_is_bit_identical(self, regime, seed):
@@ -765,7 +771,7 @@ class TestSeedRetirement:
                 simulate(init, params, t_max=5.0)
             assert info.value.step_index == 1
 
-    @pytest.mark.parametrize("regime", ["band", "long", "point", "fast", "endemic"])
+    @pytest.mark.parametrize("regime", ["band", "band0", "long", "point", "fast", "endemic"])
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_the_bound_is_a_bound(self, regime, seed):
@@ -808,12 +814,14 @@ def _table_case(seed):
     """(init, params, n_steps): a band seed on a grid of short age blocks.
 
     The smallest one-step factor lies in [1e-8, 3e-3], so a block holds 31
-    to 99 nodes. The seed lies in [first, last) with 1 <= first < J / 3 and
-    last <= J / 2. The run ends after its oldest cell has run off node
-    J - 1, and while its youngest is still on the grid: at least J / 2 >= 200
-    steps, so every cell of the first window crosses at least two block
-    boundaries. n_steps is no multiple of the window, so the final window
-    is cut short."""
+    to 99 nodes. The seed lies in [first, last) with last <= J / 2, and
+    first = 0 on about a quarter of the draws, where the seed touches the
+    boundary history at every step, and 1 <= first < J / 3 on the others.
+    The run ends after its oldest cell has run off node J - 1, and while
+    its youngest is still on the grid: at least J / 2 >= 200 steps, so
+    every cell of the first window crosses at least two block boundaries.
+    n_steps is no multiple of the window, so the final window is cut
+    short."""
     rng = np.random.default_rng(seed)
     h = rng.uniform(0.1, 1.0)
     n_nodes = int(rng.integers(400, 900))
@@ -836,7 +844,7 @@ def _table_case(seed):
         gamma_a=rate_profile(rng, grid, rate_top, Units.RATE),
         gamma_i=rate_profile(rng, grid, rate_top, Units.RATE),
     )
-    first = int(rng.integers(1, n_nodes // 3))
+    first = 0 if rng.random() < 0.25 else int(rng.integers(1, n_nodes // 3))
     last = int(rng.integers(first + 4, n_nodes // 2 + 1))
     dens = []
     for _ in range(3):
@@ -948,6 +956,29 @@ class TestSeedTable:
                 assert _same_bits(table[:, n - start], call.table[:, n - built]), n
                 overlaps += 1
         assert overlaps == width
+
+
+class TestSeedFromNode0:
+    """A seed that starts at node 0 touches the boundary history at every
+    step and is still a span of its own: checked and read from tables like
+    any other seed that is not stationary."""
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_is_checked_from_step_1_and_read_from_a_table(self, seed):
+        # One check of the flux rows at every step from 1 on while the seed
+        # is on the grid; at step 1 the history is one node, so the check
+        # reads the seed, from a table opened there.
+        init, params, kwargs = _equivalence_case(seed, "band0")
+        assert init.support()[0] == 0
+        n_steps = round(kwargs["t_max"] / params.grid.h)
+        checks, tables = [], []
+        with _spied(checks), _tables_spied(tables):
+            simulate(init, params, **kwargs)
+        rows = [verdict for bound, verdict in checks if bound.size == 7]
+        assert len(rows) == min(n_steps, params.grid.n_nodes - 1)
+        assert not rows[0]
+        assert tables and tables[0].low == 1
 
 
 class TestStationarySeed:
