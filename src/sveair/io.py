@@ -32,7 +32,6 @@ that 1.24, the declared floor, has; `np.strings`, for one, needs numpy 2.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -207,20 +206,3 @@ def write_csv(path, header, columns) -> None:
                 cells = iter(np.full(rows.shape, b"0").T)
             handle.write(_join_rows([col[low:high] if done else next(cells)
                                      for col, done in zip(columns, formatted)]))
-
-
-def read_csv(path):
-    """Read back a numeric CSV written by write_csv.
-
-    Returns:
-        (header, columns) with one float64 array per column.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise SveairError(f"{path}: empty CSV")
-    header = rows[0]
-    data = np.array([[float(cell) for cell in row] for row in rows[1:]], dtype=np.float64)
-    if data.size == 0:
-        data = data.reshape(0, len(header))
-    return header, [data[:, j] for j in range(len(header))]

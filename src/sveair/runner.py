@@ -16,8 +16,11 @@ library code that reads the values, and a refusal there is one ConfigError
 naming the config keys of that build (a StabilityError passes as it is).
 
 Each initial condition is simulated once; the oracle window is a prefix of
-that pass's per-step force of infection, and the Lyapunov series comes from
-its observer, the evaluator that judged the seeds.
+that pass's per-step force of infection, the Lyapunov series comes from
+its observer, the evaluator that judged the seeds, and each snapshot file
+is written from the pass's `on_snapshot` callable at its step, so no
+snapshot outlives its file. A pass that aborts deletes the snapshot files
+it wrote and leaves no file.
 
 Runs execute sequentially in d-order, and identical configs give
 byte-identical files on one machine at one BLAS thread count: the kernel
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -213,7 +215,8 @@ def _check_seed(evaluator: diagnostics.LyapunovEvaluator, mode: str, label: str,
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ExitReport:
     """Judge a scenario, then execute it end to end, writing all configured
-    products. A refused config raises before the output directory is made."""
+    products, each snapshot as its pass reaches it. A refused config raises
+    before the output directory is made."""
     grid, params = build_model(cfg)
     with _refusals_name():
         step_plan(grid, cfg.t_max, cfg.sample_every, cfg.snapshot_times,
@@ -234,29 +237,38 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ExitReport:
     if cfg.r0_only:
         return ExitReport(breakdown=breakdown, beta_star=steady.beta_star, runs=(), ok=True)
 
-    # The age column of every snapshot of every mass, formatted at the first.
-    theta = cache(lambda: format_column(grid.nodes))
+    # The age column of every snapshot of every mass, formatted before the
+    # first pass.
+    theta = format_column(grid.nodes) if cfg.snapshot_times else None
     summaries = []
     ok = True
     for label, init in states:
         times, values = [], []
+        written = []
+
+        def write_snapshot(t, e, a, i):
+            # Named after its requested time, not the step time n * h:
+            # 3 * 0.1 is 0.30000000000000004. Every initial state starts at
+            # t = 0.
+            path = out / f"snapshot_d{label}_t{format_value(t)}.csv"
+            write_csv(path, ["theta", "e", "a", "i"], [theta, e, a, i])
+            written.append(path)
+
         try:
             result = simulate(
                 init, params, t_max=cfg.t_max, sample_every=cfg.sample_every,
                 snapshot_times=cfg.snapshot_times,
                 observer=evaluator.observer(times, values) if evaluator is not None else None,
+                on_snapshot=write_snapshot,
             )
         except AbortedRunError:
+            # An aborted run leaves no file, the snapshots it wrote included.
+            for path in written:
+                path.unlink()
             summaries.append(RunSummary(label, float("nan"), float("nan"), True))
             ok = False
             continue
         _write_timeseries(out / f"run_d{label}.csv", result.timeseries)
-        # Each snapshot file is named after its requested time, not the step
-        # time n * h: 3 * 0.1 is 0.30000000000000004. Every initial state
-        # starts at t = 0.
-        for snap in result.timeseries.snapshots:
-            write_csv(out / f"snapshot_d{label}_t{format_value(snap.t)}.csv",
-                      ["theta", "e", "a", "i"], [theta(), snap.e, snap.a, snap.i])
         rel_dev = (_oracle_compare(out, label, init, params, window, result)
                    if cfg.run_oracle else None)
         violations = (_write_lyapunov(out, label, times, values)

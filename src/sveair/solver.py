@@ -40,11 +40,17 @@ the recovered flux together, and sample masses are h * (Q[c] @ u[c]) over
 the same spans, the three compartments' dots in one stacked `np.matmul`,
 which numpy runs as the same dot per compartment, so the masses keep their
 bits. The densities are rebuilt as Q * u only where they are read: the
-snapshots and the final state on all J nodes (off the live spans u, and so
-Q * u, is an exact +-0), and the observer's nodes: all J, unless it
-declares leading prefixes, which it carries along the characteristics;
-then the whole prefixes at its first sample and, at each later one, the
-leading nodes that entered since.
+snapshots, each into one reused (3, J) buffer handed to the caller's
+callable at its step and never held, and the final state, on all J nodes
+(off the live spans u, and so Q * u, is an exact +-0); and the observer's
+nodes: all J, unless it declares leading prefixes, which it carries along
+the characteristics; then the whole prefixes at its first sample and, at
+each later one, the leading nodes that entered since.
+
+The kernels keep just the columns a step reaches: the history's
+min(n_steps, J), and for a seed that is not stationary, every block its
+tables read up to node last + n_steps - 1, the oldest cell's node at the
+final step. The seed bound's factors (below) are taken over whole rows.
 
 While the seed span is on the grid, a step skips its products when they
 cannot change a float (`_seed_negligible`). The seed is the initial data
@@ -92,7 +98,7 @@ products is then the sum over [n, J) of each flux row times the initial
 density, and of each density for the masses. A table of these tail sums,
 one entry per step the run reaches, replaces the seed span's table and its
 check; a step reads the history span [0, min(n, J)) only, and the kernels
-keep just the columns it reaches. The frame still carries the seed, so the
+keep just its columns. The frame still carries the seed, so the
 snapshots, the final state, the observer's nodes and the share that node
 J - 1 passes on out of the grid read it as for any other seed, and the
 ledger stays exact while the seed runs off the oldest node. The results
@@ -173,16 +179,6 @@ class State:
 
 
 @dataclass(frozen=True, eq=False)
-class DensitySnapshot:
-    """Age densities on the grid's nodes at t, init.t plus the time requested."""
-
-    t: float
-    e: np.ndarray
-    a: np.ndarray
-    i: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Per-sample aggregates of a run; `r_tilde` is the explicitly
     integrated recovered compartment used by the conservation diagnostic
@@ -201,7 +197,6 @@ class TimeSeries:
     alpha: np.ndarray
     iota: np.ndarray
     r_tilde: np.ndarray
-    snapshots: list[DensitySnapshot]
 
     def balance_error(self, n0: float) -> float:
         """Max relative defect of S+V+E+A+I+R_tilde against N0."""
@@ -312,17 +307,20 @@ def _seed_negligible(bound, head) -> bool:
     return True
 
 
-def _kernel(q_row: np.ndarray, weights) -> tuple:
-    """Flux rows weight * Q of one compartment, stacked for one matrix-vector
-    product, and the seed bound's factor of each row: the largest weight,
-    doubled when a positive entry of the row is subnormal, as rounding can
-    make such an entry up to twice its exact value."""
-    out = np.empty((len(weights), q_row.shape[0]))
+def _kernel(q_row: np.ndarray, weights, cols: int) -> tuple:
+    """Flux rows weight * Q of one compartment on their first `cols` nodes,
+    stacked for one matrix-vector product, and the seed bound's factor of
+    each row over all J nodes: the largest weight, doubled when a positive
+    entry of the row is subnormal, as rounding can make such an entry up to
+    twice its exact value."""
+    out = np.empty((len(weights), cols))
+    full = np.empty(q_row.shape[0])
     peaks = []
     for row, weight in zip(out, weights):
-        np.multiply(weight, q_row, out=row)
-        subnormal = ((row > 0.0) & (row < _SMALLEST_NORMAL)).any()
+        np.multiply(weight, q_row, out=full)
+        subnormal = ((full > 0.0) & (full < _SMALLEST_NORMAL)).any()
         peaks.append(weight.max() * (2.0 if subnormal else 1.0))
+        row[:] = full[:cols]
     return out, peaks
 
 
@@ -354,6 +352,7 @@ def simulate(
     sample_every: float = 1.0,
     snapshot_times: Sequence[float] = (),
     observer=None,
+    on_snapshot=None,
 ) -> SimulationResult:
     """Run the scheme over [init.t, init.t + t_max]. Every duration and time
     is in days; `step_plan` turns them into steps and refuses any it cannot.
@@ -371,7 +370,8 @@ def simulate(
         t_max: Run length, positive.
         sample_every: Aggregate-recording interval, positive.
         snapshot_times: Times in [0, t_max], relative to init.t, at which to
-            capture the full age densities; one per step, at the first time.
+            hand the full age densities to `on_snapshot`; one per step, at
+            the first time.
         observer: Optional callable invoked at every sample as
             observer(t, s, v, e, a, i) with the raw density arrays (reused
             buffers that the next sample overwrites; do not mutate or
@@ -383,13 +383,19 @@ def simulate(
             the whole prefixes at the first sample and, at each later one,
             only the leading min(k_c, steps since the previous sample)
             nodes, the cohorts that entered since; only those are rebuilt.
+        on_snapshot: Callable invoked at each snapshot step as
+            on_snapshot(t, e, a, i), t being init.t plus the time requested,
+            with the densities on all J nodes in one reused buffer that the
+            next snapshot overwrites; do not mutate or retain them. Needed
+            when snapshot_times is not empty.
 
     Returns:
         SimulationResult with the sampled TimeSeries, the per-step force
         of infection and the final State.
 
     Raises:
-        ParameterError: naming the refused duration or time (`step_plan`).
+        ParameterError: naming the refused duration or time (`step_plan`), or
+            snapshot_times without an on_snapshot callable.
         StabilityError: at setup when h * max exit rate >= 1 (`grid.scheme_factors`).
         AbortedRunError: when a non-finite value appears; carries the step.
     """
@@ -398,6 +404,8 @@ def simulate(
         raise ParameterError("initial state is not on the parameter grid")
     h, n_nodes = grid.h, grid.n_nodes
     n_steps, stride, snap_steps = step_plan(grid, t_max, sample_every, snapshot_times)
+    if snap_steps and on_snapshot is None:
+        raise ParameterError("snapshot_times needs an on_snapshot callable to hand them to")
     # The time each snapshot step was first requested at.
     snap_times = {n: init.t + ts for ts, n in reversed(list(zip(snapshot_times, snap_steps)))}
     # The seven flux-row products of a step over the history span, each
@@ -416,18 +424,22 @@ def simulate(
     # Q times the share that node J - 1 passes on, out of the grid.
     aged_out_weight = q[:, -1] * (1.0 - h * rates[:, -1])
     del rates
-    # A stationary seed's share of step n's products is entry n of its tail
-    # sums, so the products read only the history span [0, n), which never
-    # passes min(n_steps, J) nodes (module docstring).
+    # The kernel columns a step can read. The history span [0, n) never
+    # passes min(n_steps, J) nodes. A stationary seed's share of step n's
+    # products is entry n of its tail sums (module docstring); any other
+    # seed's tables read up to node last + n_steps - 1, the final window's
+    # high + width - 2 in `_seed_table`, and to the end of its block.
     tails = _stationary_tails(params, init, q, block, products, min(n_steps + 1, n_nodes))
-    cols = n_nodes if tails is None else min(n_steps, n_nodes)
+    cols = min(n_steps, n_nodes)
+    if tails is None:
+        reach = min(last + n_steps - 1, n_nodes - 1)
+        cols = max(cols, min((reach // block + 1) * block, n_nodes))
     frame = np.empty((3, n_nodes + n_steps))
     start = n_steps
     for row, q_row, profile in zip(frame, q, (init.e, init.a, init.i)):
         np.divide(profile.values, q_row, out=row[start:])
     (kernel_e, peaks_e), (kernel_a, peaks_a), (kernel_i, peaks_i) = (
-        _kernel(q[c, :cols], [weight[:cols] for weight in params.flux_rows(c)])
-        for c in range(3))
+        _kernel(q[c], params.flux_rows(c), cols) for c in range(3))
     # The bounds on the seed span's share (module docstring), multiplied by
     # decay_c at each step while `apart`. A density too large to be stored
     # as u voids them.
@@ -461,7 +473,8 @@ def simulate(
     s, v = init.s, init.v
     samples: list[tuple] = []
     beta_steps = np.empty(n_steps + 1)
-    snapshots: list[DensitySnapshot] = []
+    # Every snapshot is rebuilt into this one buffer.
+    snapshot = np.empty((3, n_nodes)) if snap_steps else None
     r_tilde = None
     window = frame[:, start:start + n_nodes]
     # The live spans of step 0: the boundary history [0, min(n, J)) and the
@@ -507,8 +520,8 @@ def simulate(
                 if carries:
                     fresh = min(stride, n_steps - n)
         if n in snap_times:
-            e, a, i = q * window
-            snapshots.append(DensitySnapshot(t=snap_times[n], e=e, a=a, i=i))
+            np.multiply(q, window, out=snapshot)
+            on_snapshot(snap_times[n], *snapshot)
         if n == n_steps:
             break
 
@@ -554,7 +567,7 @@ def simulate(
     timeseries = TimeSeries(
         t=cols[0], s=cols[1], v=cols[2], e=cols[3], a=cols[4], i=cols[5],
         r=cols[6], n=cols[7], beta=cols[8], eps=cols[9], alpha=cols[10],
-        iota=cols[11], r_tilde=cols[12], snapshots=snapshots,
+        iota=cols[11], r_tilde=cols[12],
     )
     final_state = State(
         t=init.t + n_steps * h,

@@ -1,5 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import csv
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,27 @@ import pytest
 
 from sveair.grid import AgeProfile, Units, build_grid, constant_profile
 from sveair.params import ParameterSet
+
+
+def read_csv(path):
+    """Read back a numeric CSV written by `sveair.io.write_csv`: (header,
+    columns), one float64 array per column."""
+    with open(path, encoding="ascii", newline="") as handle:
+        rows = list(csv.reader(handle))
+    header = rows[0]
+    data = np.array([[float(cell) for cell in row] for row in rows[1:]], dtype=np.float64)
+    data = data.reshape(len(rows) - 1, len(header))
+    return header, list(data.T)
+
+
+# A snapshot handed to simulate's `on_snapshot`, its densities copied.
+Snapshot = namedtuple("Snapshot", "t e a i")
+
+
+def snapshot_recorder(snapshots):
+    """An `on_snapshot` callable for simulate that appends each snapshot to
+    `snapshots`, copying the densities, which simulate reuses."""
+    return lambda t, e, a, i: snapshots.append(Snapshot(t, e.copy(), a.copy(), i.copy()))
 
 
 def make_constant_params(

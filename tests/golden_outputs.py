@@ -16,7 +16,6 @@ and state the largest change per column with it:
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 import sys
@@ -26,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import read_csv
 from sveair.config import load_config
 from sveair.runner import run_scenario
 
@@ -54,19 +54,13 @@ def sample_rows(n_rows: int) -> list[int]:
     return sorted(set(np.round(np.concatenate((even, spread))).astype(int).tolist()))
 
 
-def _read(path: Path) -> tuple[list, np.ndarray]:
-    with open(path, encoding="ascii", newline="") as handle:
-        rows = list(csv.reader(handle))
-    data = np.array([[float(cell) for cell in row] for row in rows[1:]], dtype=np.float64)
-    return rows[0], data.reshape(len(rows) - 1, len(rows[0]))
-
-
 def capture(name: str, out_dir) -> dict:
     """Run the short config `name` into `out_dir` and summarise its outputs."""
     report = run_scenario(short_config(name, out_dir))
     files = {}
     for path in sorted(Path(out_dir).glob("*.csv")):
-        header, data = _read(path)
+        header, columns = read_csv(path)
+        data = np.array(columns).T
         rows = sample_rows(data.shape[0])
         files[path.name] = {
             "header": header,

@@ -12,7 +12,7 @@ import numpy as np
 
 from sveair.errors import AbortedRunError, ParameterError, StabilityError
 from sveair.grid import AgeProfile, Units
-from sveair.solver import DensitySnapshot, SimulationResult, State, TimeSeries
+from sveair.solver import SimulationResult, State, TimeSeries
 
 
 class _Precomputed:
@@ -82,7 +82,8 @@ def _shift(pre, e, a, i, out_e, out_a, out_i, eps, alpha, iota):
     out_i[0] = iota
 
 
-def simulate_shift(init, params, t_max, sample_every=1.0, snapshot_times=(), observer=None):
+def simulate_shift(init, params, t_max, sample_every=1.0, snapshot_times=(), observer=None,
+                   on_snapshot=None):
     """`sveair.solver.simulate` with the densities shifted every step."""
     if t_max <= 0:
         raise ParameterError(f"t_max must be positive, got {t_max}")
@@ -101,7 +102,6 @@ def simulate_shift(init, params, t_max, sample_every=1.0, snapshot_times=(), obs
 
     samples = []
     beta_steps = []
-    snapshots = []
 
     e_next = np.empty_like(e)
     a_next = np.empty_like(a)
@@ -130,9 +130,7 @@ def simulate_shift(init, params, t_max, sample_every=1.0, snapshot_times=(), obs
             if observer is not None:
                 observer(t, s, v, e, a, i)
         if n in snap_steps:
-            snapshots.append(
-                DensitySnapshot(t=t, e=e.copy(), a=a.copy(), i=i.copy())
-            )
+            on_snapshot(t, e, a, i)
         if n == n_steps:
             break
         recov_flux = h * (pre.recov_a @ a + pre.recov_i @ i)
@@ -149,7 +147,7 @@ def simulate_shift(init, params, t_max, sample_every=1.0, snapshot_times=(), obs
     timeseries = TimeSeries(
         t=cols[0], s=cols[1], v=cols[2], e=cols[3], a=cols[4], i=cols[5],
         r=cols[6], n=cols[7], beta=cols[8], eps=cols[9], alpha=cols[10],
-        iota=cols[11], r_tilde=cols[12], snapshots=snapshots,
+        iota=cols[11], r_tilde=cols[12],
     )
     final_state = State(
         t=init.t + n_steps * h,

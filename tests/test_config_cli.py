@@ -19,13 +19,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import read_csv, snapshot_recorder
 from contact_labeling import contact_labeling_outcomes, write_contact_labeling_report
 from sveair import cli, config, diagnostics, io, reproduction, runner, scenarios, volterra
 from sveair.config import ScenarioConfig, load_config
 from sveair.errors import (
     AbortedRunError, ConfigError, LyapunovDomainError, StabilityError, SveairError,
 )
-from sveair.io import format_value, read_csv, write_csv
+from sveair.io import format_value, write_csv
 from sveair.runner import build_model, run_scenario
 from sveair.solver import simulate
 
@@ -433,18 +434,24 @@ class TestRunner:
         cfg = load_config(write_cfg(tmp_path, text))
         results = []
 
-        def recording_simulate(*args, **kwargs):
-            results.append(simulate(*args, **kwargs))
-            return results[-1]
+        def recording_simulate(*args, on_snapshot, **kwargs):
+            snapshots = []
+            record = snapshot_recorder(snapshots)
+
+            def both(*snap):
+                record(*snap)
+                on_snapshot(*snap)
+            results.append((simulate(*args, on_snapshot=both, **kwargs), snapshots))
+            return results[-1][0]
 
         monkeypatch.setattr(runner, "simulate", recording_simulate)
         out = tmp_path / "o"
         assert run_scenario(cfg, out_dir=out).ok
         assert len(results) == 2
         near_ties = 0
-        for label, result in zip(("10", "100"), results):
-            assert [snap.t for snap in result.timeseries.snapshots] == [0.0, 5.0, 10.0]
-            for snap in result.timeseries.snapshots:
+        for label, (result, snapshots) in zip(("10", "100"), results):
+            assert [snap.t for snap in snapshots] == [0.0, 5.0, 10.0]
+            for snap in snapshots:
                 columns = (result.final_state.e.grid.nodes, snap.e, snap.a, snap.i)
                 for density in columns[1:]:
                     assert density.size > 5 * (io._BLOCK_CELLS // 4)
@@ -477,6 +484,33 @@ class TestRunner:
         thetas = {tuple(line.split(b",", 1)[0] for line in path.read_bytes().splitlines())
                   for path in files}
         assert len(thetas) == 1
+
+    def test_peak_memory_does_not_grow_with_the_snapshot_count(self, tmp_path):
+        # Two `sveair run` children at J = 129,601, one asking for one
+        # snapshot and one for eight, each printing its own peak RSS. Held
+        # until the pass returns, the seven extra snapshots would cost
+        # 7 * 3 * J * 8 B, about 22 MB; streamed, they cost less than one.
+        pytest.importorskip("resource")
+        one_snapshot = 3 * 129_601 * 8
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])])
+        child = ("import resource, sys\nfrom sveair import cli\n"
+                 "code = cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, code)\n")
+        peaks = []
+        for name, times in (("one", "8"), ("eight", "1,2,3,4,5,6,7,8")):
+            cfg = write_cfg(tmp_path, "scenario.builtin = table2-c1\ngrid.h = 0.25\n"
+                            f"run.t_max = 8\nrun.snapshot_times = {times}\ninit.d_list = 10\n",
+                            name=f"{name}.cfg")
+            proc = subprocess.run([sys.executable, "-c", child, str(cfg), str(tmp_path / name)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            kib, code = proc.stdout.split()[-2:]
+            assert code == "0"
+            peaks.append(int(kib) * 1024)
+        assert len(list((tmp_path / "eight").glob("snapshot_d10_t*.csv"))) == 8
+        assert peaks[1] - peaks[0] < one_snapshot, peaks
 
     def test_readme_outputs_table_matches_the_written_headers(self, tmp_path):
         text = (TINY + "init.mode = steady-scaled\ntoggles.run_oracle = true\n"
@@ -838,6 +872,32 @@ class TestCli:
         assert any(line.startswith("run d=100: ok ") for line in lines)
         assert sorted(p.name for p in out.iterdir()) == [
             "r0.csv", "run_d100.csv", "snapshot_d100_t5.csv"]
+
+    def test_a_pass_aborting_after_a_snapshot_leaves_no_file(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # The first seed (d = 10) writes its t = 0 snapshot, then aborts; the
+        # file goes with it. The second seed (d = 100) runs as usual.
+        out = tmp_path / "o"
+        written = []
+
+        def aborting_simulate(*args, on_snapshot, **kwargs):
+            def write_then_abort(t, *densities):
+                on_snapshot(t, *densities)
+                written.append(sorted(path.name for path in out.glob("snapshot_*")))
+                if len(written) == 1:
+                    raise AbortedRunError("non-finite value at step 3 (t=1.5)", step_index=3)
+            return simulate(*args, on_snapshot=write_then_abort, **kwargs)
+
+        monkeypatch.setattr(runner, "simulate", aborting_simulate)
+        text = TINY.replace("run.snapshot_times = 5", "run.snapshot_times = 0,5")
+        assert cli.main(["run", "--config", str(write_cfg(tmp_path, text)),
+                         "--out", str(out)]) == 1
+        assert written[0] == ["snapshot_d10_t0.csv"]
+        lines = capsys.readouterr().out.splitlines()
+        assert "run d=10: ABORTED balance_error=nan final_convergence_metric=nan" in lines
+        assert any(line.startswith("run d=100: ok ") for line in lines)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "r0.csv", "run_d100.csv", "snapshot_d100_t0.csv", "snapshot_d100_t5.csv"]
 
     def test_oracle_compare_subcommand(self, tmp_path):
         cfg_path = write_cfg(tmp_path, TINY)

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (band_density, make_constant_params, rate_profile, with_last_node_k,
-                      zero_density)
+from conftest import (band_density, make_constant_params, rate_profile, snapshot_recorder,
+                      with_last_node_k, zero_density)
 from sveair import reproduction as rep
 from sveair import scenarios, solver
 from sveair.errors import AbortedRunError, ParameterError, StabilityError
@@ -266,12 +266,13 @@ class TestSimulate:
         init = State(t=0.0, s=1e4, v=1e4,
                      e=band_density(small_grid, 10.0, 60.0, 5.0),
                      a=zero_density(small_grid), i=zero_density(small_grid))
+        snaps = []
         result = simulate(init, small_params, t_max=10.0, sample_every=2.0,
-                          snapshot_times=[4.0])
+                          snapshot_times=[4.0], on_snapshot=snapshot_recorder(snaps))
         ts = result.timeseries
         np.testing.assert_allclose(np.diff(ts.t), 2.0)
-        assert len(ts.snapshots) == 1
-        snap = ts.snapshots[0]
+        assert len(snaps) == 1
+        snap = snaps[0]
         assert snap.t == pytest.approx(4.0)
         assert snap.e.shape == (small_grid.n_nodes,)
 
@@ -287,6 +288,12 @@ class TestSimulate:
                 simulate(init, small_params, t_max=10, snapshot_times=(time,))
         with pytest.raises(ParameterError, match="match no step"):
             simulate(init, small_params, t_max=10, snapshot_times=(10 + h,))
+
+    def test_snapshot_times_need_a_callable(self, small_grid, small_params):
+        init = State(t=0.0, s=1e4, v=1e4, e=zero_density(small_grid),
+                     a=zero_density(small_grid), i=zero_density(small_grid))
+        with pytest.raises(ParameterError, match="^snapshot_times needs an on_snapshot callable"):
+            simulate(init, small_params, t_max=10, snapshot_times=(5,))
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(t_max=10.1), "t_max must be a whole multiple of grid.h = 0.25, got 10.1"),
@@ -314,16 +321,18 @@ class TestSimulate:
         init = State(t=0.0, s=1e4, v=1e4, e=band_density(grid, 1.0, 3.0, 5.0),
                      a=zero_density(grid), i=zero_density(grid))
         times = (0.7, 0.3, 0.30000000000000004)
-        result = simulate(init, params, t_max=1.0, sample_every=0.1, snapshot_times=times)
-        snaps = result.timeseries.snapshots
+        snaps = []
+        result = simulate(init, params, t_max=1.0, sample_every=0.1, snapshot_times=times,
+                          on_snapshot=snapshot_recorder(snaps))
         assert [snap.t for snap in snaps] == [0.3, 0.7]
         assert result.timeseries.t[3] == 3 * 0.1 != snaps[0].t
         for snap, n in zip(snaps, (3, 7)):
             want = simulate(init, params, t_max=n * 0.1, sample_every=0.1).final_state
             np.testing.assert_array_equal(snap.e, want.e.values)
-        later = simulate(replace(init, t=2.0), params, t_max=1.0, sample_every=0.1,
-                         snapshot_times=times)
-        assert [snap.t for snap in later.timeseries.snapshots] == [2.0 + 0.3, 2.0 + 0.7]
+        later = []
+        simulate(replace(init, t=2.0), params, t_max=1.0, sample_every=0.1,
+                 snapshot_times=times, on_snapshot=snapshot_recorder(later))
+        assert [snap.t for snap in later] == [2.0 + 0.3, 2.0 + 0.7]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_aborted_run_carries_step_index(self):
@@ -484,10 +493,11 @@ class TestMovingFrameEquivalence:
     @settings(max_examples=20, deadline=None)
     def test_matches_shift_form(self, regime, seed):
         init, params, kwargs = _equivalence_case(seed, regime)
-        want = simulate_shift(init, params, **kwargs)
+        got_snaps, want_snaps = [], []
+        want = simulate_shift(init, params, **kwargs, on_snapshot=snapshot_recorder(want_snaps))
         taken = []
         with _tail_path_spied(taken):
-            got = simulate(init, params, **kwargs)
+            got = simulate(init, params, **kwargs, on_snapshot=snapshot_recorder(got_snaps))
         assert taken == [regime == "stationary"]
         if regime == "burst":
             assert params.grid.h * want.beta_steps[0] > 1.99
@@ -504,8 +514,8 @@ class TestMovingFrameEquivalence:
                        "alpha", "iota", "r_tilde"):
             _assert_close_to(getattr(got.timeseries, column),
                              getattr(want.timeseries, column))
-        assert len(got.timeseries.snapshots) == len(want.timeseries.snapshots)
-        for mine, ref in zip(got.timeseries.snapshots, want.timeseries.snapshots):
+        assert len(got_snaps) == len(want_snaps)
+        for mine, ref in zip(got_snaps, want_snaps):
             assert mine.t == ref.t
             for name in ("e", "a", "i"):
                 _assert_close_to(getattr(mine, name), getattr(ref, name))
@@ -566,14 +576,22 @@ def _same_bits(got, want):
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _run(init, params, **kwargs):
+    """simulate(init, params, **kwargs) and the snapshots it hands over:
+    (result, snapshots)."""
+    snapshots = []
+    return simulate(init, params, on_snapshot=snapshot_recorder(snapshots), **kwargs), snapshots
+
+
 def _assert_same_result(got, want):
-    """Every output of two runs, bit for bit."""
+    """Every output of two runs of `_run`, bit for bit."""
+    (got, got_snaps), (want, want_snaps) = got, want
     assert _same_bits(got.beta_steps, want.beta_steps)
     for column in ("t", "s", "v", "e", "a", "i", "r", "n", "beta", "eps",
                    "alpha", "iota", "r_tilde"):
         assert _same_bits(getattr(got.timeseries, column), getattr(want.timeseries, column))
-    assert len(got.timeseries.snapshots) == len(want.timeseries.snapshots)
-    for mine, ref in zip(got.timeseries.snapshots, want.timeseries.snapshots):
+    assert len(got_snaps) == len(want_snaps)
+    for mine, ref in zip(got_snaps, want_snaps):
         assert mine.t == ref.t
         for name in ("e", "a", "i"):
             assert _same_bits(getattr(mine, name), getattr(ref, name))
@@ -661,7 +679,7 @@ def _assert_bound_holds(init, params, kwargs):
     h = params.grid.h
     calls = []
     with _spied(calls):
-        simulate(init, params, **kwargs)
+        _run(init, params, **kwargs)
     rates = (params.exit_rate_e, params.exit_rate_a, params.exit_rate_i)
     ones = np.ones(params.grid.n_nodes)
     weights = [w for c in range(3) for w in params.flux_rows(c)] + [ones] * 3
@@ -730,9 +748,9 @@ class TestSeedRetirement:
     @settings(max_examples=30, deadline=None)
     def test_retiring_the_seed_is_bit_identical(self, regime, seed):
         init, params, kwargs = _retirement_case(seed, regime)
-        got = simulate(init, params, **kwargs)
+        got = _run(init, params, **kwargs)
         with _always_read():
-            want = simulate(init, params, **kwargs)
+            want = _run(init, params, **kwargs)
         _assert_same_result(got, want)
 
     def test_table2_c2_band_retires_half_its_steps(self):
@@ -744,12 +762,12 @@ class TestSeedRetirement:
         kwargs = dict(t_max=1500.0, snapshot_times=[700.0, 1500.0])
         calls = []
         with _spied(calls):
-            got = simulate(init, params, **kwargs)
+            got = _run(init, params, **kwargs)
         rows = [verdict for bound, verdict in calls if bound.size == 7]
         assert len(rows) == 1500
         assert sum(rows) >= 750
         with _always_read():
-            want = simulate(init, params, **kwargs)
+            want = _run(init, params, **kwargs)
         _assert_same_result(got, want)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -799,14 +817,14 @@ class TestSeedRetirement:
         assert _assert_bound_holds(init, params, kwargs)[2]
         calls = []
         with _spied(calls):
-            got = simulate(init, params, **kwargs)
+            got = _run(init, params, **kwargs)
         # Rows 2 and 3 are beta_a and chi (1 - xi), both of compartment a.
         bound = next(bound for bound, _ in calls if bound.size == 7)
         _, to_symp, _ = params.flux_rows(1)
         assert bound[2] / bound[3] == pytest.approx(2.0 * 1e-300 / to_symp.max(),
                                                     rel=1e-12, abs=0.0)
         with _always_read():
-            want = simulate(init, params, **kwargs)
+            want = _run(init, params, **kwargs)
         _assert_same_result(got, want)
 
 
@@ -872,6 +890,32 @@ def _tables_spied(calls):
                                      block=block, low=low, high=high, width=width, table=table))
         return table
     return mock.patch.object(solver, "_seed_table", spy)
+
+
+def _kernels_spied(widths):
+    """`solver._kernel`, recording the width of each compartment's kernels."""
+    real = solver._kernel
+
+    def spy(q_row, weights, cols):
+        kernel, peaks = real(q_row, weights, cols)
+        widths.append(kernel.shape[1])
+        return kernel, peaks
+    return mock.patch.object(solver, "_kernel", spy)
+
+
+def _kernel_width(init, params, n_steps, stationary):
+    """The kernel columns a run can read, as `simulate` sizes them: the
+    history's min(n_steps, J), and unless the seed is stationary, every age
+    block up to the one that holds node min(last + n_steps - 1, J - 1), the
+    oldest seed cell at the final step."""
+    n_nodes = params.grid.n_nodes
+    width = min(n_steps, n_nodes)
+    if stationary:
+        return width
+    rates = np.stack((params.exit_rate_e, params.exit_rate_a, params.exit_rate_i))
+    block, _ = block_products(scheme_factors(rates, params.grid.h))
+    node = min(init.support()[1] + n_steps - 1, n_nodes - 1)
+    return max(width, min((node // block + 1) * block, n_nodes))
 
 
 def _carried(window, products, block, steps):
@@ -957,6 +1001,55 @@ class TestSeedTable:
                 overlaps += 1
         assert overlaps == width
 
+    @pytest.mark.parametrize("edge", [0, -1])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_a_run_ending_at_a_block_edge_reads_within_its_kernels(self, edge, seed):
+        # The oldest seed cell ends the run on the first node of an age
+        # block (edge 0) or on the node before it (edge -1), short of the
+        # last block: the kernels keep the columns up to the end of that
+        # cell's block and no more. Every table entry is still the per-step
+        # product over the seed span with the whole kernel rows, built here,
+        # to the 1e-12 of test_equals_the_per_step_product.
+        init, params, _ = _table_case(seed)
+        h, n_nodes = params.grid.h, params.grid.n_nodes
+        first, last = init.support()
+        q = scheme_factors(np.stack((params.exit_rate_e, params.exit_rate_a,
+                                     params.exit_rate_i)), h)
+        block, _ = block_products(q)
+        ends = [k * block + edge for k in range(1, n_nodes // block + 1)
+                if last <= k * block + edge and (k + 1 + edge) * block < n_nodes]
+        node = ends[seed % len(ends)]
+        n_steps = node - last + 1
+        width = (node // block + 1) * block
+        kernels = [np.stack([weight * q[c] for weight in params.flux_rows(c)])
+                   for c in range(3)]
+        widths, calls = [], []
+        with _always_read(), _kernels_spied(widths), _tables_spied(calls):
+            simulate(init, params, t_max=n_steps * h, sample_every=h)
+        assert widths == [width] * 3
+        assert calls[-1].high + calls[-1].width - 2 == node
+        for call in calls:
+            cells = call.window
+            for s in range(call.width):
+                span = slice(call.low + s, min(call.high + s, n_nodes))
+                want = np.concatenate([np.matmul(kernel[:, span], u[span])
+                                       for kernel, u in zip(kernels, cells)])
+                got = call.table[:, s]
+                assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-300), (s, got, want)
+                cells = _carried(cells, call.products, call.block, 1)
+
+    @pytest.mark.parametrize("regime", ["band", "band0", "point", "zero", "long", "stationary"])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_kernels_keep_the_columns_a_step_reads(self, regime, seed):
+        init, params, kwargs = _equivalence_case(seed, regime)
+        n_steps = params.grid.steps(kwargs["t_max"], "t_max")
+        widths, taken = [], []
+        with _kernels_spied(widths), _tail_path_spied(taken):
+            _run(init, params, **kwargs)
+        assert widths == [_kernel_width(init, params, n_steps, taken == [True])] * 3
+
 
 class TestSeedFromNode0:
     """A seed that starts at node 0 touches the boundary history at every
@@ -974,7 +1067,7 @@ class TestSeedFromNode0:
         n_steps = round(kwargs["t_max"] / params.grid.h)
         checks, tables = [], []
         with _spied(checks), _tables_spied(tables):
-            simulate(init, params, **kwargs)
+            _run(init, params, **kwargs)
         rows = [verdict for bound, verdict in checks if bound.size == 7]
         assert len(rows) == min(n_steps, params.grid.n_nodes - 1)
         assert not rows[0]
@@ -1011,12 +1104,12 @@ class TestStationarySeed:
         for init, tail_path in seeds:
             taken = []
             with _tail_path_spied(taken):
-                got = simulate(init, params, t_max=40.0, snapshot_times=[40.0])
+                got, got_snaps = _run(init, params, t_max=40.0, snapshot_times=[40.0])
             assert taken == [tail_path]
             if tail_path:
                 # The span path, forced, gives the same run to round-off.
                 with mock.patch.object(solver, "_stationary_tails", lambda *args: None):
-                    want = simulate(init, params, t_max=40.0, snapshot_times=[40.0])
+                    want, want_snaps = _run(init, params, t_max=40.0, snapshot_times=[40.0])
                 for column in ("s", "v", "e", "a", "i", "r", "beta", "eps", "alpha", "iota",
                                "r_tilde"):
                     np.testing.assert_allclose(getattr(got.timeseries, column),
@@ -1024,7 +1117,7 @@ class TestStationarySeed:
                                                rtol=1e-13, atol=0.0)
                 # The frame still carries the seed: past the 40 nodes of
                 # history the densities are the same bits.
-                mine, ref = got.timeseries.snapshots[0], want.timeseries.snapshots[0]
+                mine, ref = got_snaps[0], want_snaps[0]
                 for name in ("e", "a", "i"):
                     assert _same_bits(getattr(mine, name)[40:], getattr(ref, name)[40:])
 
